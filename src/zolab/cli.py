@@ -39,7 +39,11 @@ def _emit(payload: dict) -> None:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV, "0"))
+    raw = os.environ.get(SEED_ENV, "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
 
 
 def _load(path: str) -> hypercore.Hypergraph:
@@ -445,9 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # reads the ZOLAB_SEED default
         args.func(args)
     except CapacityError as exc:
         json.dump({"error": str(exc), "kind": "capacity"}, sys.stderr)

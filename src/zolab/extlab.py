@@ -19,6 +19,8 @@ from .hypercore import (
     DEFAULT_SEARCH_CAP,
     Hypergraph,
     RootedPair,
+    _check_search_cap,
+    _iter_embeddings,
     automorphisms,
     copy_images,
     max_density,
@@ -150,14 +152,14 @@ def is_strict_extension(candidate: RootedPair, template: RootedPair,
     return {frozenset(corr[v] for v in e) for e in t_new} == c_new
 
 
-def _iter_strict_extensions(template: RootedPair, host: Hypergraph,
-                            anchor: tuple[int, ...],
-                            anchor_edges: frozenset[frozenset[int]]) -> Iterator[dict[int, int]]:
+def _strict_extension_maps(template: RootedPair, host: Hypergraph,
+                           anchor: tuple[int, ...],
+                           anchor_edges: frozenset[frozenset[int]]) -> Iterator[dict[int, int]]:
     """Maps realizing a strict extension of the anchor tuple inside host.
 
     The sorted inner vertices of the template correspond positionally to the
-    anchor.  The realized extension carries exactly the images of the
-    template's new edges on top of `anchor_edges`.
+    anchor.  Every new edge of the template lands on a host edge that is not
+    one of `anchor_edges`, the edges the anchor already carries.
     """
     inner_sorted = sorted(template.inner.vertices)
     if len(anchor) != len(inner_sorted):
@@ -165,50 +167,10 @@ def _iter_strict_extensions(template: RootedPair, host: Hypergraph,
     if len(set(anchor)) != len(anchor) or not set(anchor) <= host.vertices:
         raise ValueError("anchor must be distinct host vertices")
     emb = template.embedding_map
-    mapping = {emb[v]: anchor[i] for i, v in enumerate(inner_sorted)}
-    inner_outer_labels = set(mapping)
-    new_vts = sorted(template.outer.vertices - inner_outer_labels)
-    new_edges = sorted(
-        tuple(sorted(e)) for e in template.outer.edges - template.inner_image.edges)
-    anchor_set = frozenset(anchor)
-
-    ready: list[list[tuple[int, ...]]] = [[] for _ in new_vts]
-    immediate: list[tuple[int, ...]] = []
-    pos = {v: i for i, v in enumerate(new_vts)}
-    for e in new_edges:
-        outside = [v for v in e if v in pos]
-        if outside:
-            ready[max(pos[v] for v in outside)].append(e)
-        else:
-            immediate.append(e)
-
-    def ok_edge(e: tuple[int, ...]) -> bool:
-        img = frozenset(mapping[v] for v in e)
-        if img not in host.edges:
-            return False
-        return not (img <= anchor_set and img in anchor_edges)
-
-    if not all(ok_edge(e) for e in immediate):
-        return
-
-    used = set(anchor)
-
-    def place(i: int) -> Iterator[dict[int, int]]:
-        if i == len(new_vts):
-            yield dict(mapping)
-            return
-        mv = new_vts[i]
-        for hv in host.sorted_vertices():
-            if hv in used:
-                continue
-            mapping[mv] = hv
-            used.add(hv)
-            if all(ok_edge(e) for e in ready[i]):
-                yield from place(i + 1)
-            del mapping[mv]
-            used.discard(hv)
-
-    yield from place(0)
+    fixed = {emb[v]: anchor[i] for i, v in enumerate(inner_sorted)}
+    new_part = Hypergraph(host.s, template.outer.vertices,
+                          template.outer.edges - template.inner_image.edges)
+    return _iter_embeddings(new_part, host, exact=False, fixed=fixed, avoid=anchor_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +211,7 @@ def is_kt_maximal(pair: RootedPair, kt: RootedPair, host: Hypergraph,
                 punct = Hypergraph(
                     host.s, host.vertices - removed,
                     frozenset(e for e in host.edges if not e & removed))
-                for phi in _iter_strict_extensions(kt, punct, t_tuple, t_edges):
+                for phi in _strict_extension_maps(kt, punct, t_tuple, t_edges):
                     k_verts = frozenset(phi.values())
                     w = (k_verts | g_t.vertices) - t_set
                     k_out = {frozenset(phi[v] for v in e)
@@ -274,7 +236,7 @@ def count_maximal_extensions(template: RootedPair, host: Hypergraph,
     h_tilde = host.induced(anchor)
     realized: set[tuple[frozenset[int], frozenset[frozenset[int]]]] = set()
     new_edges = template.outer.edges - template.inner_image.edges
-    for phi in _iter_strict_extensions(template, host, anchor, h_tilde.edges):
+    for phi in _strict_extension_maps(template, host, anchor, h_tilde.edges):
         verts = frozenset(phi.values())
         edges = frozenset(frozenset(phi[v] for v in e) for e in new_edges) | h_tilde.edges
         realized.add((verts, edges))
@@ -295,6 +257,8 @@ def count_maximal_extensions(template: RootedPair, host: Hypergraph,
 def count_uncovered_copies(h: Hypergraph, g: Hypergraph, host: Hypergraph,
                            cap: int = DEFAULT_SEARCH_CAP) -> int:
     """Copies of h in host that are not sub-hypergraphs of any copy of g."""
+    for motif in (h, g):
+        _check_search_cap(motif, cap)
     h_copies = copy_images(h, host, cap=cap)
     if not h_copies:
         return 0

@@ -1,19 +1,22 @@
 """s-uniform hypergraphs: densities, balance, isomorphism, copy counting, distances.
 
 Vertices are arbitrary integer labels; nothing assumes contiguity.  All values
-are immutable after construction and safe to share across threads.
+are immutable after construction and safe to share across threads.  Degrees,
+neighbourhoods, distances and the matcher read a vertex -> incident-edges index
+that each `Hypergraph` builds lazily, once, on first use.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cache, cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, VerificationError
 
 DEFAULT_ENUM_CAP = 24    # vertex cap for 2^v subset walks
 DEFAULT_SEARCH_CAP = 16  # vertex cap for isomorphism-type backtracking
@@ -63,17 +66,27 @@ class Hypergraph:
     def sorted_edges(self) -> list[tuple[int, ...]]:
         return sorted(tuple(sorted(e)) for e in self.edges)
 
+    @cached_property
+    def _incidence(self) -> dict[int, tuple[frozenset[int], ...]]:
+        """Vertex -> incident edges, built once per instance on first use."""
+        inc: dict[int, list[frozenset[int]]] = {v: [] for v in self.vertices}
+        for e in self.edges:
+            for v in e:
+                inc[v].append(e)
+        return {v: tuple(es) for v, es in inc.items()}
+
+    @cached_property
+    def _automorphism_count(self) -> int:
+        return sum(1 for _ in _iter_embeddings(self, self, exact=True))
+
     def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
+        return len(self._incidence.get(v, ()))
 
     def incident_edges(self, v: int) -> list[frozenset[int]]:
-        return [e for e in self.edges if v in e]
+        return list(self._incidence.get(v, ()))
 
     def co_edge_neighbors(self, v: int) -> set[int]:
-        out: set[int] = set()
-        for e in self.edges:
-            if v in e:
-                out |= e
+        out: set[int] = set().union(*self._incidence.get(v, ()))
         out.discard(v)
         return out
 
@@ -264,15 +277,15 @@ def distance(g: Hypergraph, x: int, y: int) -> int | float:
         raise ValueError("distance: unknown vertex")
     if x == y:
         return 0
+    inc = g._incidence
     seen = {x}
     frontier = {x}
     d = 0
     while frontier:
         d += 1
         nxt: set[int] = set()
-        for e in g.edges:
-            if e & frontier:
-                nxt |= e
+        for v in frontier:
+            nxt.update(*inc[v])
         nxt -= seen
         if y in nxt:
             return d
@@ -287,24 +300,24 @@ def distance(g: Hypergraph, x: int, y: int) -> int | float:
 
 def _invariants(g: Hypergraph, rounds: int = 2) -> dict[int, int]:
     """Iterated degree refinement; equal labels are a necessary match condition."""
-    label = {v: g.degree(v) for v in g.vertices}
+    inc = g._incidence
+    label = {v: len(es) for v, es in inc.items()}
     for _ in range(rounds):
         sig = {}
-        for v in g.vertices:
-            profile = sorted(
-                tuple(sorted(label[u] for u in e if u != v)) for e in g.edges if v in e
-            )
+        for v, es in inc.items():
+            profile = sorted(tuple(sorted(label[u] for u in e if u != v)) for e in es)
             sig[v] = (label[v], tuple(profile))
         canon = {t: i for i, t in enumerate(sorted(set(sig.values())))}
         label = {v: canon[sig[v]] for v in g.vertices}
     return label
 
 
-def _motif_order(motif: Hypergraph) -> list[int]:
-    """Static placement order: highest degree first, then greedy by placed co-edge ties."""
-    remaining = set(motif.vertices)
-    order: list[int] = []
-    adj = {v: motif.co_edge_neighbors(v) for v in motif.vertices}
+def _motif_order(motif: Hypergraph, first: Iterable[int] = ()) -> list[int]:
+    """Static placement order: `first` as given, then highest degree first and
+    greedy by placed co-edge ties."""
+    order = list(first)
+    remaining = set(motif.vertices) - set(order)
+    adj = {v: motif.co_edge_neighbors(v) for v in remaining}
     while remaining:
         if order:
             placed = set(order)
@@ -318,11 +331,16 @@ def _motif_order(motif: Hypergraph) -> list[int]:
 
 
 def _iter_embeddings(motif: Hypergraph, host: Hypergraph, *, exact: bool,
-                     fixed: Mapping[int, int] | None = None) -> Iterator[dict[int, int]]:
+                     fixed: Mapping[int, int] | None = None,
+                     avoid: frozenset[frozenset[int]] = frozenset()
+                     ) -> Iterator[dict[int, int]]:
     """Injective maps sending every motif edge to a host edge.
 
     exact=True additionally requires a bijection with e(motif) = e(host), which
-    together with forward edge preservation forces an isomorphism.
+    together with forward edge preservation forces an isomorphism.  `fixed`
+    pins motif vertices to host vertices; they are placed first.  No motif
+    edge may land on a host edge in `avoid`.  Host neighbourhoods are built
+    only for host vertices the search places.
     """
     if motif.s != host.s:
         raise ValueError("arity mismatch between motif and host")
@@ -332,22 +350,26 @@ def _iter_embeddings(motif: Hypergraph, host: Hypergraph, *, exact: bool,
     if motif.num_vertices > host.num_vertices or motif.num_edges > host.num_edges:
         return
 
-    order = _motif_order(motif)
     fixed = dict(fixed or {})
-    host_adj = {v: host.co_edge_neighbors(v) for v in host.vertices}
-    motif_adj = {v: motif.co_edge_neighbors(v) for v in motif.vertices}
-    host_deg = {v: host.degree(v) for v in host.vertices}
+    order = _motif_order(motif, first=sorted(fixed))
+    pos = {v: i for i, v in enumerate(order)}
+    # per position: neighbours placed earlier, the label a candidate must
+    # match (exact) or the degree it must reach, and the edges completed there
+    back_nbrs = [[u for u in motif.co_edge_neighbors(v) if pos[u] < i]
+                 for i, v in enumerate(order)]
     if exact:
         inv_m = _invariants(motif)
-        inv_h = _invariants(host)
-
-    # edges fully determined once the i-th vertex of `order` is placed
-    pos = {v: i for i, v in enumerate(order)}
+        inv_h = inv_m if host is motif else _invariants(host)
+        need = [inv_m[v] for v in order]
+    else:
+        need = [motif.degree(v) for v in order]
     edge_ready: list[list[frozenset[int]]] = [[] for _ in order]
     for e in motif.edges:
         edge_ready[max(pos[v] for v in e)].append(e)
 
-    host_edges = host.edges
+    host_inc = host._incidence
+    host_edges = host.edges - avoid if avoid else host.edges
+    host_adj = cache(host.co_edge_neighbors)  # only for host vertices placed
     mapping: dict[int, int] = {}
     used: set[int] = set()
 
@@ -358,32 +380,24 @@ def _iter_embeddings(motif: Hypergraph, host: Hypergraph, *, exact: bool,
         mv = order[i]
         if mv in fixed:
             cands: Iterable[int] = [fixed[mv]]
+        elif back_nbrs[i]:
+            cands = sorted(set.intersection(*(host_adj(mapping[u]) for u in back_nbrs[i])))
         else:
-            placed_nbrs = [mapping[u] for u in motif_adj[mv] if u in mapping]
-            if placed_nbrs:
-                cs = set(host_adj[placed_nbrs[0]])
-                for w in placed_nbrs[1:]:
-                    cs &= host_adj[w]
-                cands = sorted(cs)
-            else:
-                cands = host.sorted_vertices()
-        mdeg = motif.degree(mv)
+            cands = host.sorted_vertices()
         for hv in cands:
             if hv in used:
                 continue
             if exact:
-                if inv_h.get(hv) != inv_m[mv]:
+                if inv_h.get(hv) != need[i]:
                     continue
-            elif host_deg[hv] < mdeg:
+            elif len(host_inc.get(hv, ())) < need[i]:
                 continue
             mapping[mv] = hv
-            used.add(hv)
-            ok = all(frozenset(mapping[u] for u in e) in host_edges
-                     for e in edge_ready[i])
-            if ok:
+            if all(frozenset([mapping[u] for u in e]) in host_edges for e in edge_ready[i]):
+                used.add(hv)
                 yield from place(i + 1)
+                used.discard(hv)
             del mapping[mv]
-            used.discard(hv)
 
     yield from place(0)
 
@@ -402,7 +416,7 @@ def automorphisms(g: Hypergraph, cap: int = DEFAULT_SEARCH_CAP) -> list[dict[int
 def automorphism_count(g: Hypergraph, cap: int = DEFAULT_SEARCH_CAP) -> int:
     """Exact size of the automorphism group."""
     _check_search_cap(g, cap)
-    return sum(1 for _ in _iter_embeddings(g, g, exact=True))
+    return g._automorphism_count
 
 
 def are_isomorphic(g: Hypergraph, h: Hypergraph, cap: int = DEFAULT_SEARCH_CAP) -> bool:
@@ -436,7 +450,9 @@ def count_copies(motif: Hypergraph, host: Hypergraph, cap: int = DEFAULT_SEARCH_
         return len(copy_images(motif, host, cap=cap, induced=True))
     aut = automorphism_count(motif, cap=cap)
     total = sum(1 for _ in _iter_embeddings(motif, host, exact=False))
-    assert total % aut == 0
+    if total % aut:
+        raise VerificationError(
+            f"{total} embeddings are not a multiple of {aut} automorphisms")
     return total // aut
 
 
@@ -448,7 +464,8 @@ def copy_images(motif: Hypergraph, host: Hypergraph, cap: int = DEFAULT_SEARCH_C
     for m in _iter_embeddings(motif, host, exact=False):
         vs = frozenset(m.values())
         es = frozenset(frozenset(m[u] for u in e) for e in motif.edges)
-        if induced and any(e <= vs and e not in es for e in host.edges):
+        if induced and any(e <= vs and e not in es
+                           for v in vs for e in host._incidence[v]):
             continue
         out.add((vs, es))
     return out

@@ -31,7 +31,7 @@ import random
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -116,9 +116,10 @@ class ExperimentConfig:
 def edge_probability(cfg: ExperimentConfig) -> float:
     if cfg.p is not None:
         return cfg.p
-    getcontext().prec = 50
-    a = Decimal(cfg.alpha.numerator) / Decimal(cfg.alpha.denominator)
-    return float((-a * Decimal(cfg.n).ln()).exp())
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a = Decimal(cfg.alpha.numerator) / Decimal(cfg.alpha.denominator)
+        return float((-a * Decimal(cfg.n).ln()).exp())
 
 
 # --- colexicographic (un)ranking of s-subsets ------------------------------

@@ -33,6 +33,24 @@ def brute_embedding_count(motif: Hypergraph, host: Hypergraph) -> int:
     return count
 
 
+def brute_strict_extension_maps(template, host: Hypergraph, anchor: tuple[int, ...],
+                                anchor_edges: frozenset):
+    """Every injective map pinning the template's sorted inner vertices to the
+    anchor that sends each new template edge to a host edge not carried by the
+    anchor (not one of `anchor_edges` inside it), by permutation."""
+    emb = template.embedding_map
+    base = {emb[v]: a for v, a in zip(sorted(template.inner.vertices), anchor)}
+    new_vts = sorted(template.outer.vertices - set(base))
+    new_edges = template.outer.edges - template.inner_image.edges
+    free = sorted(host.vertices - set(anchor))
+    for image in itertools.permutations(free, len(new_vts)):
+        m = {**base, **dict(zip(new_vts, image))}
+        images = [frozenset(m[v] for v in e) for e in new_edges]
+        if all(img in host.edges and not (img <= set(anchor) and img in anchor_edges)
+               for img in images):
+            yield m
+
+
 def brute_max_density(g: Hypergraph) -> Fraction:
     best = Fraction(0)
     verts = sorted(g.vertices)

@@ -206,6 +206,18 @@ def test_env_var_default_seed(shg_files, capsys, monkeypatch):
     assert payload["config"]["property"].startswith("motif:")
 
 
+def test_bad_env_seed_is_a_usage_error(shg_files, capsys, monkeypatch):
+    monkeypatch.setenv("ZOLAB_SEED", "abc")
+    for argv in (["bounds", "--s", "3", "--k", "5"],
+                 ["scan", "--s", "3", "--n", "12", "--p", "0.1", "--trials", "4",
+                  "--motif", shg_files["edge"]]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["kind"] == "usage" and "ZOLAB_SEED" in err["error"]
+
+
 def test_determinism_of_reports(shg_files, capsys):
     argv = ["scan", "--s", "3", "--n", "15", "--p", "0.1", "--trials", "8",
             "--seed", "11", "--motif", shg_files["edge"]]

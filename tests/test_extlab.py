@@ -1,10 +1,14 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_hypergraph
+from helpers import brute_strict_extension_maps, random_hypergraph
+from zolab import extlab
 from zolab.constructions import loose_path, theorem6_pair
 from zolab.extlab import (
     FIRST_TYPE,
@@ -25,6 +29,7 @@ from zolab.extlab import (
     match_cyclic_extension,
     prop1_poisson_parameter,
 )
+from zolab.errors import CapacityError
 from zolab.hypercore import Hypergraph, RootedPair, count_copies, max_density
 
 F = Fraction
@@ -190,6 +195,42 @@ def test_uncovered_copies():
     for _ in range(10):
         host = random_hypergraph(rng, 7, p=0.25)
         assert count_uncovered_copies(EDGE_EXT, H1, host) <= count_copies(EDGE_EXT, host)
+
+
+def test_uncovered_copies_checks_the_cap_up_front():
+    w = theorem6_pair(3, 1, 2)  # inner 14 vertices, outer 21
+    edgeless = Hypergraph.make(3, range(1, 8), [])
+    with pytest.raises(CapacityError):
+        count_uncovered_copies(w.h, w.g, edgeless)
+
+
+# strict-extension templates: a pendant edge on one anchor, a loose 2-path
+# joining two anchors, and an edge completed on three anchors
+EXT_TEMPLATES = [
+    RootedPair.identity(EDGE_EXT, VERTEX),
+    RootedPair.identity(loose_path(3, 2, endpoints=(1, 2)),
+                        Hypergraph.make(3, [1, 2], [])),
+    RootedPair.identity(EDGE_EXT, Hypergraph.make(3, [1, 2, 3], [])),
+]
+KT_PAIRS = [
+    RootedPair.identity(EDGE_EXT, VERTEX),
+    RootedPair.identity(EDGE_EXT, Hypergraph.make(3, [1, 2, 3], [])),
+]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(4, 7), st.floats(0.05, 0.45),
+       st.sampled_from(range(len(EXT_TEMPLATES))), st.data())
+def test_maximal_extensions_match_permutation_search(seed, n, p, which, data):
+    host = random_hypergraph(random.Random(seed), n, p=p)
+    template = EXT_TEMPLATES[which]
+    k = template.inner.num_vertices
+    anchor = tuple(data.draw(st.permutations(sorted(host.vertices)))[:k])
+    kts = data.draw(st.lists(st.sampled_from(KT_PAIRS), max_size=2))
+    fast = count_maximal_extensions(template, host, anchor, kts)
+    with mock.patch.object(extlab, "_strict_extension_maps",
+                           brute_strict_extension_maps):
+        assert count_maximal_extensions(template, host, anchor, kts) == fast
 
 
 def test_prop1_parameters():

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     all_hypergraphs,
@@ -13,16 +15,18 @@ from helpers import (
     brute_max_density,
     random_hypergraph,
 )
-from zolab.errors import CapacityError
+from zolab.errors import CapacityError, VerificationError
 from zolab.hypercore import (
     Hypergraph,
     RootedPair,
     automorphism_count,
     canonical_relabel,
+    copy_images,
     count_copies,
     count_embeddings,
     density,
     distance,
+    has_copy,
     is_strictly_balanced,
     max_density,
     parse_shg,
@@ -230,3 +234,51 @@ def test_labels_need_not_be_contiguous():
     assert density(g) == F(1, 2)
     assert automorphism_count(g) == 4
     assert distance(g, -5, 42) == 2
+
+
+def _random_host(seed: int, n: int, p: float) -> Hypergraph:
+    return random_hypergraph(random.Random(seed), n, p=p)
+
+
+hosts = st.builds(_random_host, st.integers(0, 2**32 - 1), st.integers(3, 7),
+                  st.floats(0.05, 0.6))
+motifs = st.builds(_random_host, st.integers(0, 2**32 - 1), st.integers(3, 5),
+                   st.floats(0.1, 0.7))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(motifs, hosts)
+def test_matcher_against_brute_force(motif, host):
+    emb = brute_embedding_count(motif, host)
+    aut = brute_automorphism_count(motif)
+    assert automorphism_count(motif) == aut
+    assert count_embeddings(motif, host) == emb
+    assert count_copies(motif, host) == emb // aut
+    assert has_copy(motif, host) == (emb > 0)
+    # induced copies: images whose vertex set carries no further host edge
+    images = copy_images(motif, host)
+    induced = {(vs, es) for vs, es in images
+               if all(e in es for e in host.edges if e <= vs)}
+    assert copy_images(motif, host, induced=True) == induced
+    assert count_copies(motif, host, induced=True) == len(induced)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(hosts)
+def test_incidence_index_against_edge_scans(g):
+    for v in g.vertices:
+        scanned = [e for e in g.edges if v in e]
+        assert g.degree(v) == len(scanned)
+        assert sorted(map(sorted, g.incident_edges(v))) == sorted(map(sorted, scanned))
+        assert g.co_edge_neighbors(v) == set().union(*scanned) - {v}
+        for y in g.vertices:
+            assert distance(g, v, y) == brute_distance(g, v, y)
+    assert g.degree(max(g.vertices) + 1) == 0
+
+
+def test_count_copies_rejects_a_wrong_automorphism_count():
+    host = Hypergraph.make(3, range(1, 5), [(1, 2, 3)])
+    motif = Hypergraph.make(3, [1, 2, 3], [(1, 2, 3)])
+    motif.__dict__["_automorphism_count"] = 4  # 6 embeddings, not a multiple of 4
+    with pytest.raises(VerificationError):
+        count_copies(motif, host)

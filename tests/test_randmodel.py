@@ -1,3 +1,4 @@
+import decimal
 import math
 import statistics
 from fractions import Fraction
@@ -157,6 +158,17 @@ def test_edge_probability_decimal():
     assert edge_probability(cfg) == pytest.approx(60.0 ** -2.5, rel=1e-12)
     cfg2 = ExperimentConfig(s=3, n=100, trials=1, seed=1, alpha=F(3))
     assert edge_probability(cfg2) == pytest.approx(1e-6, rel=1e-12)
+
+
+def test_edge_probability_leaves_decimal_context_alone():
+    cfg = ExperimentConfig(s=3, n=60, trials=1, seed=1, alpha=F(5, 2))
+    before = decimal.getcontext().prec
+    p = edge_probability(cfg)
+    assert decimal.getcontext().prec == before
+    with decimal.localcontext() as ctx:
+        ctx.prec = 10
+        assert edge_probability(cfg) == p
+        assert decimal.getcontext().prec == 10
 
 
 def test_wilson_interval_sane():
