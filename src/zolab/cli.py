@@ -7,6 +7,7 @@ except for the wall_time_s field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -93,10 +94,6 @@ def _cmd_parse(args) -> None:
     _emit({"schema": 1, "ast": folang.to_text(f),
            "depth": folang.quantifier_depth(f),
            "free": sorted(folang.free_variables(f))})
-
-
-def _cmd_depth(args) -> None:
-    _emit({"schema": 1, "depth": folang.quantifier_depth(folang.parse(args.formula))})
 
 
 def _cmd_eval(args) -> None:
@@ -282,7 +279,9 @@ def _cmd_construct(args) -> None:
 
 # --- parser -----------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; `--seed` defaults to None."""
     top = argparse.ArgumentParser(
         prog="zolab",
         description="zero-one k-law laboratory for random s-uniform hypergraphs")
@@ -324,10 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parse", help="parse a formula, print AST text and depth")
     p.add_argument("formula")
     p.set_defaults(func=_cmd_parse)
-
-    p = sub.add_parser("depth", help="quantifier depth of a formula")
-    p.add_argument("formula")
-    p.set_defaults(func=_cmd_depth)
 
     p = sub.add_parser("eval", help="evaluate a formula on a hypergraph")
     p.add_argument("--formula", required=True)
@@ -374,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
         grp.add_argument("--p", type=float)
         if needs_trials:
             p.add_argument("--trials", type=int, required=True)
-        p.add_argument("--seed", type=int, default=_default_seed())
+        p.add_argument("--seed", type=int)
         p.add_argument("--method", choices=("auto", "exact", "skip"), default="auto")
 
     p = sub.add_parser("sample", help="draw one random hypergraph")
@@ -397,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("--method", choices=("auto", "exact", "skip"), default="auto")
     p.add_argument("--motif", action="append", required=True)
     p.set_defaults(func=_cmd_poisson)
@@ -416,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-grid", type=lambda t: [int(x) for x in t.split(",")],
                    required=True)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("--csv", help="also write one row per grid cell")
     add_property(p)
     p.set_defaults(func=_cmd_probe)
@@ -424,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="exact spectrum endpoint values")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--table", action="store_true")
     p.add_argument("--max-candidates", action="store_true")
     p.add_argument("--qk", type=_rational, metavar="P/Q")
     p.set_defaults(func=_cmd_bounds)
@@ -450,7 +444,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)  # reads the ZOLAB_SEED default
+        seed = _default_seed()  # read on every call: a bad ZOLAB_SEED fails every command
+        args = build_parser().parse_args(argv)
+        if getattr(args, "seed", None) is None:
+            args.seed = seed
         args.func(args)
     except CapacityError as exc:
         json.dump({"error": str(exc), "kind": "capacity"}, sys.stderr)

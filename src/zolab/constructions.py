@@ -14,6 +14,8 @@ from .hypercore import (
     DEFAULT_ENUM_CAP,
     Hypergraph,
     RootedPair,
+    _edge_bits,
+    _walk_subsets,
     density,
     is_strictly_balanced,
     max_density,
@@ -231,18 +233,14 @@ def omega_tilde_check(g: Hypergraph, alpha: Fraction, size_cap: int,
     Isolated vertices never raise density, so the walk restricts to subsets of
     edge-covered vertices.
     """
+    an, ad = alpha.numerator, alpha.denominator  # density > 1/alpha <=> e*an > v*ad
+    if max(an, ad) >= 1 << 40:
+        raise ValueError("alpha too large for the vectorised density check")
     if not g.edges:
         return True
     covered = sorted({v for e in g.edges for v in e})
     if len(covered) > cap:
         raise CapacityError(
             f"{len(covered)} edge-covered vertices exceed the enumeration cap {cap}")
-    an, ad = alpha.numerator, alpha.denominator  # density > 1/alpha <=> e*an > v*ad
-    limit = min(size_cap, len(covered))
-    for size in range(g.s, limit + 1):
-        for subset in itertools.combinations(covered, size):
-            roster = frozenset(subset)
-            e_count = sum(1 for e in g.edges if e <= roster)
-            if e_count * an > size * ad:
-                return False
-    return True
+    walk = _walk_subsets(_edge_bits(g, covered), len(covered), min_size=g.s, max_size=size_cap)
+    return not any((e_count * an > size * ad).any() for _, size, e_count in walk)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import CapacityError
+from .errors import CapacityError, VerificationError
 from .folang import Atom, Eq, Exists, Forall, Formula, Not, and_all, or_all
 from .hypercore import Hypergraph
 
@@ -83,9 +83,9 @@ def is_partial_isomorphism(state: GameState, g: Hypergraph, h: Hypergraph) -> bo
     return _partial_iso(state.pebbles_g, state.pebbles_h, g.edges, h.edges, g.s)
 
 
-def duplicator_wins(g: Hypergraph, h: Hypergraph, rounds: int,
-                    cap: int = DEFAULT_GAME_CAP) -> bool:
-    """True iff Duplicator has a winning strategy in the k-round game."""
+def _solver(g: Hypergraph, h: Hypergraph, rounds: int, cap: int):
+    """The game recursion: wins(pg, ph, r) is True iff Duplicator wins the
+    r remaining rounds from the pebble position (pg, ph)."""
     _check(g, h, rounds, cap)
     vg, vh = g.sorted_vertices(), h.sorted_vertices()
     eg, eh, s = g.edges, h.edges, g.s
@@ -114,7 +114,13 @@ def duplicator_wins(g: Hypergraph, h: Hypergraph, rounds: int,
         memo[key] = result
         return result
 
-    return wins((), (), rounds)
+    return wins
+
+
+def duplicator_wins(g: Hypergraph, h: Hypergraph, rounds: int,
+                    cap: int = DEFAULT_GAME_CAP) -> bool:
+    """True iff Duplicator has a winning strategy in the k-round game."""
+    return _solver(g, h, rounds, cap)((), (), rounds)
 
 
 def distinguishing_formula(g: Hypergraph, h: Hypergraph, rounds: int,
@@ -127,10 +133,11 @@ def distinguishing_formula(g: Hypergraph, h: Hypergraph, rounds: int,
     universal with a disjunction (move in h).  Ties break toward the smallest
     vertex label, g-side first.
     """
-    _check(g, h, rounds, cap)
+    wins = _solver(g, h, rounds, cap)
+    if wins((), (), rounds):
+        return None
     vg, vh = g.sorted_vertices(), h.sorted_vertices()
     eg, eh, s = g.edges, h.edges, g.s
-    memo: dict = {}
 
     def var(i: int) -> str:
         return f"x{i}"
@@ -156,44 +163,20 @@ def distinguishing_formula(g: Hypergraph, h: Hypergraph, rounds: int,
                     return atom if left else Not(atom)
         return None
 
-    def distinguish(pg, ph, r) -> Formula | None:
+    def distinguish(pg, ph, r) -> Formula:
+        """Formula for a position Spoiler wins, read off the solved game."""
         bad = atomic_witness(pg, ph)
         if bad is not None:
             return bad
-        if r == 0:
-            return None
-        key = (pg, ph, r)
-        if key in memo:
-            return memo[key]
-        result: Formula | None = None
-        depth = len(pg) + 1
+        x = var(len(pg) + 1)
         for v in vg:
-            replies = []
-            for w in vh:
-                f = distinguish(pg + (v,), ph + (w,), r - 1)
-                if f is None:
-                    replies = None
-                    break
-                replies.append(f)
-            if replies is not None:
-                body = and_all(replies) if replies else Eq(var(depth), var(depth))
-                result = Exists(var(depth), body)
-                break
-        if result is None:
-            for v in vh:
-                replies = []
-                for w in vg:
-                    f = distinguish(pg + (w,), ph + (v,), r - 1)
-                    if f is None:
-                        replies = None
-                        break
-                    replies.append(f)
-                if replies is not None:
-                    body = (or_all(replies) if replies
-                            else Not(Eq(var(depth), var(depth))))
-                    result = Forall(var(depth), body)
-                    break
-        memo[key] = result
-        return result
+            if not any(wins(pg + (v,), ph + (w,), r - 1) for w in vh):
+                replies = [distinguish(pg + (v,), ph + (w,), r - 1) for w in vh]
+                return Exists(x, and_all(replies) if replies else Eq(x, x))
+        for v in vh:
+            if not any(wins(pg + (w,), ph + (v,), r - 1) for w in vg):
+                replies = [distinguish(pg + (w,), ph + (v,), r - 1) for w in vg]
+                return Forall(x, or_all(replies) if replies else Not(Eq(x, x)))
+        raise VerificationError("Spoiler has no winning move in a position the solver lost")
 
     return distinguish((), (), rounds)

@@ -21,6 +21,7 @@ from .hypercore import (
     RootedPair,
     _check_search_cap,
     _iter_embeddings,
+    _walk_subsets,
     automorphisms,
     copy_images,
     max_density,
@@ -39,36 +40,22 @@ def f_alpha(pair: RootedPair, alpha: Fraction) -> Fraction:
     return Fraction(pair.v_rel) - alpha * pair.e_rel
 
 
-def _relative_profile(pair: RootedPair, cap: int) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    """Edge counts of G induced on V(H) + S over all subsets S of V(G) - V(H).
+def _relative_edges(pair: RootedPair, cap: int) -> tuple[list[int], int, int]:
+    """The pair's edges as bitmasks over the d difference vertices V(G) - V(H).
 
-    Returns (v_rel array, e_rel array, d, inner_is_induced) indexed by the
-    subset bitmask over the difference vertices; e_rel is relative to e(H).
-    Every W contains all of V(H), so only an edge's difference part decides
-    membership and d (not v(G)) bounds the bitmask width.
+    Every intermediate W = V(H) + S contains all of V(H), so only an edge's
+    difference part decides membership and d (not v(G)) bounds the walk.
+    Returns (bitmasks of the edges that meet the difference, the number of
+    edges inside V(H), d).
     """
-    g = pair.outer
-    h_img = pair.inner_image
-    diff = [v for v in g.sorted_vertices() if v not in h_img.vertices]
+    inner = pair.inner_image.vertices
+    diff = [v for v in pair.outer.sorted_vertices() if v not in inner]
     d = len(diff)
     if d > cap:
         raise CapacityError(f"2^{d} intermediate sub-hypergraphs exceed the cap 2^{cap}")
     pos = {v: i for i, v in enumerate(diff)}
-    x = np.arange(1 << d, dtype=np.uint64)
-    e_w = np.zeros(1 << d, dtype=np.int64)
-    base_edges = 0
-    for e in g.edges:
-        dmask = sum(1 << pos[v] for v in e if v in pos)
-        if dmask == 0:
-            base_edges += 1
-        else:
-            dm = np.uint64(dmask)
-            e_w += (x & dm) == dm
-    e_w += base_edges
-    v_rel = np.bitwise_count(x).astype(np.int64)
-    e_h = h_img.num_edges
-    induced = base_edges == e_h
-    return v_rel, e_w - e_h, d, induced
+    dmasks = [sum(1 << pos[v] for v in e if v in pos) for e in pair.outer.edges]
+    return [m for m in dmasks if m], dmasks.count(0), d
 
 
 def classify_pair(pair: RootedPair, alpha: Fraction,
@@ -84,19 +71,23 @@ def classify_pair(pair: RootedPair, alpha: Fraction,
     an, ad = alpha.numerator, alpha.denominator
     if max(an, ad) >= 1 << 40:
         raise ValueError("alpha too large for vectorised classification")
-    v_rel, e_rel, d, induced = _relative_profile(pair, cap)
-    full = (1 << d) - 1
-    vg_rel = pair.outer.num_vertices - pair.inner.num_vertices
-    eg_rel = pair.outer.num_edges - pair.inner.num_edges
-
-    f_kh = v_rel * ad - an * e_rel
-    f_gk = (vg_rel - v_rel) * ad - an * (eg_rel - e_rel)
-
-    if induced and bool(np.all(f_kh[1:] > 0)):
+    edge_bits, base_edges, d = _relative_edges(pair, cap)
+    e_h = pair.inner.num_edges
+    induced = base_edges == e_h
+    vg_rel, eg_rel = pair.v_rel, pair.e_rel
+    above, mid_above, below = True, True, True  # over K > H, H < K < G, K < G
+    for _, v_rel, e_w in _walk_subsets(edge_bits, d):
+        e_rel = e_w + (base_edges - e_h)
+        f_kh = v_rel * ad - an * e_rel
+        f_gk = (vg_rel - v_rel) * ad - an * (eg_rel - e_rel)
+        above = above and bool(np.all(f_kh[v_rel > 0] > 0))
+        mid_above = mid_above and bool(np.all(f_kh[(v_rel > 0) & (v_rel < d)] > 0))
+        below = below and bool(np.all(f_gk[v_rel < d] < 0))
+    if induced and above:
         return PairClass.SAFE
-    if bool(np.all(f_gk[:full] < 0)):
+    if below:
         return PairClass.RIGID
-    if induced and int(f_kh[full]) == 0 and bool(np.all(f_kh[1:full] > 0)):
+    if induced and vg_rel * ad == an * eg_rel and mid_above:
         return PairClass.NEUTRAL
     return PairClass.OTHER
 
@@ -105,13 +96,15 @@ def is_pair_strictly_balanced(pair: RootedPair, cap: int = DEFAULT_ENUM_CAP) -> 
     """rho(G,H) > rho(K,H) for every K strictly between H and G."""
     if pair.v_rel == 0:
         return False
-    v_rel, e_rel, d, induced = _relative_profile(pair, cap)
-    if not induced:
+    edge_bits, base_edges, d = _relative_edges(pair, cap)
+    if base_edges != pair.inner.num_edges:
         return False
-    full = (1 << d) - 1
     vg_rel, eg_rel = pair.v_rel, pair.e_rel
-    mid = slice(1, full)
-    return bool(np.all(e_rel[mid] * vg_rel < eg_rel * v_rel[mid]))
+    # with H induced, a subset's edge count is already relative to e(H)
+    for _, v_rel, e_rel in _walk_subsets(edge_bits, d, min_size=1, max_size=d - 1):
+        if np.any(e_rel * vg_rel >= eg_rel * v_rel):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""s-uniform hypergraphs: densities, balance, isomorphism, copy counting, distances.
+"""s-uniform hypergraphs: densities, balance, automorphisms, copy counting, distances.
 
 Vertices are arbitrary integer labels; nothing assumes contiguity.  All values
 are immutable after construction and safe to share across threads.  Degrees,
@@ -187,24 +187,32 @@ def _edge_bits(g: Hypergraph, order: list[int]) -> list[int]:
     return sorted(sum(1 << idx[v] for v in e) for e in g.edges)
 
 
-def _mask_chunks(nbits: int, *, skip_zero: bool = True, skip_full: bool = False) -> Iterator[np.ndarray]:
-    stop = (1 << nbits) - (1 if skip_full else 0)
-    start = 1 if skip_zero else 0
+def _walk_subsets(edge_bits: list[int], nbits: int, min_size: int = 0,
+                  max_size: int | None = None
+                  ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The subset walk: vertex subsets of an nbits-vertex set as bitmasks in
+    ascending order, in chunks of at most _CHUNK.
+
+    Yields (masks, popcounts, edge_counts) for the subsets with min_size to
+    max_size vertices; a subset's edge count is the number of `edge_bits`
+    masks it contains.  The size filter runs before edges are counted.
+    """
+    top = nbits if max_size is None else min(max_size, nbits)
+    if min_size > top:
+        return
+    # smallest mask with min_size bits, largest with top bits
+    start, stop = (1 << min_size) - 1, (1 << nbits) - (1 << (nbits - top)) + 1
     for lo in range(start, stop, _CHUNK):
-        hi = min(lo + _CHUNK, stop)
-        yield np.arange(lo, hi, dtype=np.uint64)
-
-
-def _edge_counts(masks: np.ndarray, edge_bits: list[int]) -> np.ndarray:
-    counts = np.zeros(len(masks), dtype=np.int64)
-    for eb in edge_bits:
-        ebv = np.uint64(eb)
-        counts += (masks & ebv) == ebv
-    return counts
-
-
-def _popcounts(masks: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(masks).astype(np.int64)
+        masks = np.arange(lo, min(lo + _CHUNK, stop), dtype=np.uint64)
+        pops = np.bitwise_count(masks)
+        if min_size > 1 or top < nbits - 1:  # else the range alone is the filter
+            keep = (pops >= min_size) & (pops <= top)
+            masks, pops = masks[keep], pops[keep]
+        counts = np.zeros(len(masks), dtype=np.int64)
+        for eb in edge_bits:
+            ebv = np.uint64(eb)
+            counts += (masks & ebv) == ebv
+        yield masks, pops.astype(np.int64), counts
 
 
 def max_density(g: Hypergraph, cap: int = DEFAULT_ENUM_CAP) -> tuple[Fraction, Hypergraph]:
@@ -222,24 +230,16 @@ def max_density(g: Hypergraph, cap: int = DEFAULT_ENUM_CAP) -> tuple[Fraction, H
         raise CapacityError(f"{v} vertices exceeds the enumeration cap {cap}")
     if not g.edges:
         return Fraction(0), g.induced({order[0]})
-    ebits = _edge_bits(g, order)
     best_e, best_v, best_mask = 0, 1, 1  # the single smallest vertex
-    for masks in _mask_chunks(v):
-        counts = _edge_counts(masks, ebits)
-        if counts.max(initial=0) == 0 and best_e > 0:
-            continue
-        pops = _popcounts(masks)
+    for masks, pops, counts in _walk_subsets(_edge_bits(g, order), v, min_size=1):
         while True:
-            better = counts * best_v > pops * best_e
-            hits = np.flatnonzero(better)
+            hits = np.flatnonzero(counts * best_v > pops * best_e)
             if hits.size == 0:
                 break
             i = int(hits[0])
             best_e, best_v, best_mask = int(counts[i]), int(pops[i]), int(masks[i])
             keep = slice(i + 1, None)
             masks, counts, pops = masks[keep], counts[keep], pops[keep]
-            if masks.size == 0:
-                break
     witness = g.induced(order[i] for i in range(v) if best_mask >> i & 1)
     return Fraction(best_e, best_v), witness
 
@@ -252,13 +252,8 @@ def is_strictly_balanced(g: Hypergraph, cap: int = DEFAULT_ENUM_CAP) -> bool:
         raise ValueError("balance undefined on an empty vertex set")
     if v > cap:
         raise CapacityError(f"{v} vertices exceeds the enumeration cap {cap}")
-    if v == 1:
-        return True
     e_g = g.num_edges
-    ebits = _edge_bits(g, order)
-    for masks in _mask_chunks(v, skip_full=True):
-        counts = _edge_counts(masks, ebits)
-        pops = _popcounts(masks)
+    for _, pops, counts in _walk_subsets(_edge_bits(g, order), v, min_size=1, max_size=v - 1):
         if np.any(counts * v >= e_g * pops):
             return False
     return True
@@ -417,17 +412,6 @@ def automorphism_count(g: Hypergraph, cap: int = DEFAULT_SEARCH_CAP) -> int:
     """Exact size of the automorphism group."""
     _check_search_cap(g, cap)
     return g._automorphism_count
-
-
-def are_isomorphic(g: Hypergraph, h: Hypergraph, cap: int = DEFAULT_SEARCH_CAP) -> bool:
-    _check_search_cap(g, cap)
-    return next(_iter_embeddings(g, h, exact=True), None) is not None
-
-
-def find_isomorphism(g: Hypergraph, h: Hypergraph,
-                     cap: int = DEFAULT_SEARCH_CAP) -> dict[int, int] | None:
-    _check_search_cap(g, cap)
-    return next(_iter_embeddings(g, h, exact=True), None)
 
 
 def count_embeddings(motif: Hypergraph, host: Hypergraph,

@@ -9,7 +9,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from zolab.folang import And, Atom, Eq, Exists, Forall, Formula, Implies, Not, Or
+from zolab.folang import (And, Atom, Eq, Exists, Forall, Formula, Implies, Not, Or,
+                          and_all, or_all)
 from zolab.hypercore import Hypergraph
 
 
@@ -60,6 +61,125 @@ def brute_max_density(g: Hypergraph) -> Fraction:
             e = sum(1 for edge in g.edges if edge <= roster)
             best = max(best, Fraction(e, size))
     return best
+
+
+def brute_omega_tilde(g: Hypergraph, alpha: Fraction, size_cap: int) -> bool:
+    """No set of at most size_cap edge-covered vertices spans density above
+    1/alpha, by combinations and exact fractions."""
+    covered = sorted({v for e in g.edges for v in e})
+    for size in range(g.s, min(size_cap, len(covered)) + 1):
+        for subset in itertools.combinations(covered, size):
+            roster = frozenset(subset)
+            if Fraction(sum(1 for e in g.edges if e <= roster), size) > 1 / alpha:
+                return False
+    return True
+
+
+def brute_intermediates(pair) -> list[Hypergraph]:
+    """Every sub-hypergraph K with H <= K <= G: each intermediate vertex set
+    with each edge set between E(H) and the edges it induces in G."""
+    g, h = pair.outer, pair.inner_image
+    rest = sorted(g.vertices - h.vertices)
+    out = []
+    for r in range(len(rest) + 1):
+        for extra in itertools.combinations(rest, r):
+            w = h.vertices | frozenset(extra)
+            optional = sorted((e for e in g.edges - h.edges if e <= w), key=sorted)
+            for q in range(len(optional) + 1):
+                for chosen in itertools.combinations(optional, q):
+                    out.append(Hypergraph(g.s, w, h.edges | frozenset(chosen)))
+    return out
+
+
+def _sign(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
+
+
+def brute_f_alpha_signs(pair, alpha: Fraction) -> dict:
+    """K -> (sign of f_alpha(K, H), sign of f_alpha(G, K)) over every
+    intermediate K, with f_alpha(A, B) = v(A) - v(B) - alpha (e(A) - e(B))."""
+    g, h = pair.outer, pair.inner_image
+
+    def f(a: Hypergraph, b: Hypergraph) -> Fraction:
+        return (a.num_vertices - b.num_vertices) - alpha * (a.num_edges - b.num_edges)
+
+    return {k: (_sign(f(k, h)), _sign(f(g, k))) for k in brute_intermediates(pair)}
+
+
+def brute_pair_class(pair, alpha: Fraction) -> str:
+    """The safe/rigid/neutral/other class read off the f_alpha sign table."""
+    g, h = pair.outer, pair.inner_image
+    signs = brute_f_alpha_signs(pair, alpha)
+    if all(kh > 0 for k, (kh, _) in signs.items() if k != h):
+        return "safe"
+    if all(gk < 0 for k, (_, gk) in signs.items() if k != g):
+        return "rigid"
+    if signs[g][0] == 0 and all(kh > 0 for k, (kh, _) in signs.items() if k not in (h, g)):
+        return "neutral"
+    return "other"
+
+
+def brute_pair_strictly_balanced(pair) -> bool:
+    """rho(G, H) > rho(K, H) for every K strictly between; rho(K, H) counts as
+    infinite when K adds edges but no vertices."""
+    g, h = pair.outer, pair.inner_image
+    v_g, e_g = g.num_vertices - h.num_vertices, g.num_edges - h.num_edges
+    if v_g == 0:
+        return False
+    return all((k.num_edges - h.num_edges) * v_g < e_g * (k.num_vertices - h.num_vertices)
+               for k in brute_intermediates(pair) if k not in (h, g))
+
+
+def brute_game_formula(g: Hypergraph, h: Hypergraph, rounds: int) -> Formula | None:
+    """Memo-free game recursion that builds Spoiler's distinguishing formula as
+    it searches: None iff Duplicator wins.  Spoiler's first winning move is
+    taken, g-side first, then the smallest vertex label; an atom or equality
+    that already fails is returned in pebble order."""
+    vg, vh = sorted(g.vertices), sorted(h.vertices)
+
+    def var(i: int) -> str:
+        return f"x{i}"
+
+    def atomic(pg, ph):
+        for i, j in itertools.combinations(range(len(pg)), 2):
+            if (pg[i] == pg[j]) != (ph[i] == ph[j]):
+                eq = Eq(var(i + 1), var(j + 1))
+                return eq if pg[i] == pg[j] else Not(eq)
+        corr = dict(zip(pg, ph))
+        pos = {v: k for k, v in enumerate(pg)}
+        for combo in itertools.combinations(sorted(corr), g.s):
+            left = frozenset(combo) in g.edges
+            if left != (frozenset(corr[x] for x in combo) in h.edges):
+                atom = Atom(tuple(var(pos[x] + 1) for x in combo))
+                return atom if left else Not(atom)
+        return None
+
+    def all_won(positions, r):
+        """Spoiler's formulas for every position, or None once Duplicator survives one."""
+        out = []
+        for pg, ph in positions:
+            f = go(pg, ph, r)
+            if f is None:
+                return None
+            out.append(f)
+        return out
+
+    def go(pg, ph, r):
+        bad = atomic(pg, ph)
+        if bad is not None or r == 0:
+            return bad
+        x = var(len(pg) + 1)
+        for v in vg:
+            replies = all_won([(pg + (v,), ph + (w,)) for w in vh], r - 1)
+            if replies is not None:
+                return Exists(x, and_all(replies) if replies else Eq(x, x))
+        for v in vh:
+            replies = all_won([(pg + (w,), ph + (v,)) for w in vg], r - 1)
+            if replies is not None:
+                return Forall(x, or_all(replies) if replies else Not(Eq(x, x)))
+        return None
+
+    return go((), (), rounds)
 
 
 def brute_distance(g: Hypergraph, x: int, y: int) -> float:

@@ -52,7 +52,7 @@ def test_bounds_max_candidates(capsys):
 
 
 def test_bounds_table_and_qk(capsys):
-    code, payload = run_json(capsys, ["bounds", "--s", "3", "--k", "10", "--table"])
+    code, payload = run_json(capsys, ["bounds", "--s", "3", "--k", "10"])
     assert code == 0
     assert any(r["theorem"] == "theorem6" and r["value_num"] == 15
                and r["value_den"] == 8 for r in payload["rows"])
@@ -77,8 +77,6 @@ def test_game_with_formula(shg_files, capsys):
 def test_parse_depth_eval(shg_files, capsys):
     code, payload = run_json(capsys, ["parse", "exists x exists y exists z N(x,y,z)"])
     assert code == 0 and payload["depth"] == 3 and payload["free"] == []
-    code, payload = run_json(capsys, ["depth", "N(x,y,z) & x = y"])
-    assert payload["depth"] == 0
     code, payload = run_json(capsys, ["eval", "--formula",
                                       "exists a exists b exists c N(a,b,c)",
                                       "--host", shg_files["edge"]])
@@ -204,6 +202,23 @@ def test_env_var_default_seed(shg_files, capsys, monkeypatch):
                                       "--motif", shg_files["edge"]])
     assert payload["config"]["seed"] == 5
     assert payload["config"]["property"].startswith("motif:")
+
+
+def test_env_seed_is_read_on_every_call(shg_files, capsys, monkeypatch):
+    argv = ["scan", "--s", "3", "--n", "12", "--p", "0.1", "--trials", "4",
+            "--motif", shg_files["edge"]]
+    for seed in (31, 32):
+        monkeypatch.setenv("ZOLAB_SEED", str(seed))
+        code, payload = run_json(capsys, argv)
+        assert code == 0 and payload["config"]["seed"] == seed
+
+
+def test_removed_spellings_are_usage_errors(capsys):
+    for argv in (["depth", "N(x,y,z) & x = y"],
+                 ["bounds", "--s", "3", "--k", "10", "--table"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_bad_env_seed_is_a_usage_error(shg_files, capsys, monkeypatch):

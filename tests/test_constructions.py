@@ -1,8 +1,14 @@
 import itertools
+import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import brute_omega_tilde, random_hypergraph
+from zolab import hypercore
 from zolab.constructions import (
     loose_path,
     omega_tilde_check,
@@ -174,3 +180,16 @@ def test_omega_tilde_check():
     assert omega_tilde_check(Hypergraph.make(3, range(1, 6), []), F(9, 5), size_cap=5)
     # size cap below any violator keeps the check green
     assert omega_tilde_check(worse, F(9, 5), size_cap=3)
+    with pytest.raises(ValueError):  # the int64 products must stay exact
+        omega_tilde_check(worse, F(1 << 40, 3), size_cap=9)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 8), st.floats(0.1, 0.6),
+       st.integers(1, 12), st.integers(1, 8), st.integers(0, 9))
+def test_omega_tilde_check_against_combinations(seed, n, p, an, ad, size_cap):
+    g = random_hypergraph(random.Random(seed), n, p=p)
+    want = brute_omega_tilde(g, F(an, ad), size_cap)
+    for chunk in (4, hypercore._CHUNK):
+        with mock.patch.object(hypercore, "_CHUNK", chunk):
+            assert omega_tilde_check(g, F(an, ad), size_cap) == want

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import random_hypergraph
+from helpers import brute_game_formula, random_hypergraph
 from zolab.efgame import (
     GameState,
     distinguishing_formula,
@@ -11,7 +11,7 @@ from zolab.efgame import (
     is_partial_isomorphism,
 )
 from zolab.errors import CapacityError
-from zolab.folang import evaluate, quantifier_depth, random_formula
+from zolab.folang import evaluate, quantifier_depth, random_formula, to_text
 from zolab.hypercore import Hypergraph
 
 EDGE = Hypergraph.make(3, [1, 2, 3], [(1, 2, 3)])
@@ -167,3 +167,22 @@ def test_equivalence_relation_on_pool():
             assert rel[i, j] == rel[j, i]
             if rel[i, j] and rel[j, l]:
                 assert rel[i, l]
+
+
+def test_formula_text_matches_memo_free_recursion():
+    # gate for `game --formula` output: the solved-game walk must print the
+    # same formula as a search that builds it while it plays.  Five-vertex
+    # pairs are where the h-side tie-break first changes the text.
+    rng = random.Random(59)
+    spoiler_wins = 0
+    for _ in range(300):
+        g = random_hypergraph(rng, rng.randint(1, 5), p=rng.uniform(0.2, 0.7))
+        h = random_hypergraph(rng, rng.randint(1, 5), p=rng.uniform(0.2, 0.7))
+        k = rng.randint(0, 3)
+        want = brute_game_formula(g, h, k)
+        got = distinguishing_formula(g, h, k)
+        assert (got is None) == (want is None)
+        if want is not None:
+            spoiler_wins += 1
+            assert to_text(got) == to_text(want)
+    assert spoiler_wins >= 60

@@ -7,8 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_strict_extension_maps, random_hypergraph
-from zolab import extlab
+from helpers import (
+    brute_pair_class,
+    brute_pair_strictly_balanced,
+    brute_strict_extension_maps,
+    random_hypergraph,
+)
+from zolab import extlab, hypercore
 from zolab.constructions import loose_path, theorem6_pair
 from zolab.extlab import (
     FIRST_TYPE,
@@ -397,3 +402,29 @@ def test_cyclic_maximality_examples():
     assert not is_cyclically_m_maximal(pair, host_bad, 2)
     host_ok = Hypergraph.make(3, [1, 2, 3, 4, 5], [(1, 3, 4), (2, 4, 3), (1, 2, 5)])
     assert is_cyclically_m_maximal(pair, host_ok, 2)
+
+
+@st.composite
+def rooted_pairs(draw):
+    """Small pairs: a random outer graph, an inner vertex subset and any subset
+    of the outer edges it induces (so the inner graph need not be induced)."""
+    n = draw(st.integers(1, 6))
+    pool = [frozenset(c) for c in itertools.combinations(range(1, n + 1), 3)]
+    edges = frozenset(draw(st.lists(st.sampled_from(pool), max_size=7))) if pool else frozenset()
+    inner_v = frozenset(draw(st.permutations(range(1, n + 1)))[:draw(st.integers(0, n))])
+    inside = sorted((e for e in edges if e <= inner_v), key=sorted)
+    keep = draw(st.lists(st.booleans(), min_size=len(inside), max_size=len(inside)))
+    inner = Hypergraph(3, inner_v, frozenset(e for e, k in zip(inside, keep) if k))
+    return RootedPair.identity(Hypergraph(3, frozenset(range(1, n + 1)), edges), inner)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rooted_pairs(), st.integers(1, 12), st.integers(1, 8))
+def test_pair_walk_against_sign_table(pair, an, ad):
+    alpha = F(an, ad)
+    want_class = brute_pair_class(pair, alpha)
+    want_balanced = brute_pair_strictly_balanced(pair)
+    for chunk in (4, hypercore._CHUNK):  # 4 splits every walk past 2 vertices
+        with mock.patch.object(hypercore, "_CHUNK", chunk):
+            assert classify_pair(pair, alpha).value == want_class
+            assert is_pair_strictly_balanced(pair) == want_balanced

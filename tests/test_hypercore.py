@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from helpers import (
     brute_max_density,
     random_hypergraph,
 )
+from zolab import hypercore
 from zolab.errors import CapacityError, VerificationError
 from zolab.hypercore import (
     Hypergraph,
@@ -282,3 +284,30 @@ def test_count_copies_rejects_a_wrong_automorphism_count():
     motif.__dict__["_automorphism_count"] = 4  # 6 embeddings, not a multiple of 4
     with pytest.raises(VerificationError):
         count_copies(motif, host)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(hosts)
+def test_subset_walk_is_chunk_independent(g):
+    # the witness is the first maximizer in mask order, across chunk borders too
+    want = max_density(g), is_strictly_balanced(g)
+    with mock.patch.object(hypercore, "_CHUNK", 4):
+        assert (max_density(g), is_strictly_balanced(g)) == want
+    assert want[0][0] == brute_max_density(g)
+
+
+def test_subset_walk_yields_exactly_the_sized_subsets():
+    edge_bits = [0b000111, 0b011100, 0b110001]
+    for nbits in range(7):
+        bits = [b for b in edge_bits if b < 1 << nbits]
+        for lo in range(nbits + 2):
+            for hi in [None, *range(-1, nbits + 2)]:
+                top = nbits if hi is None else hi
+                want = [(m, m.bit_count(), sum(m & b == b for b in bits))
+                        for m in range(1 << nbits) if lo <= m.bit_count() <= top]
+                for chunk in (3, hypercore._CHUNK):
+                    with mock.patch.object(hypercore, "_CHUNK", chunk):
+                        got = [(int(m), int(p), int(c))
+                               for chunk_out in hypercore._walk_subsets(bits, nbits, lo, hi)
+                               for m, p, c in zip(*chunk_out)]
+                    assert got == want, (nbits, lo, hi, chunk)
