@@ -116,8 +116,9 @@ def _cmd_game(args) -> None:
     if args.formula and not dup:
         f = efgame.distinguishing_formula(left, right, args.rounds, cap=args.cap)
         payload["formula"] = folang.to_text(f)
+        compiled = folang.compile(f)
         payload["formula_verified"] = bool(
-            folang.evaluate(f, left) != folang.evaluate(f, right)
+            folang.evaluate(compiled, left) != folang.evaluate(compiled, right)
             and folang.quantifier_depth(f) <= args.rounds)
     _emit(payload)
 

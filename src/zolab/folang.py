@@ -9,7 +9,8 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping
 
 from .hypercore import Hypergraph
 
@@ -129,27 +130,6 @@ def quantifier_depth(f: Formula) -> int:
     if isinstance(f, (Exists, Forall)):
         return 1 + quantifier_depth(f.body)
     raise TypeError(f"not a formula node: {f!r}")
-
-
-def atom_arity(f: Formula) -> int | None:
-    """Common arity of all N atoms, or None when the formula has no atom."""
-    arities = {len(n.args) for n in _walk(f) if isinstance(n, Atom)}
-    if not arities:
-        return None
-    if len(arities) > 1:
-        raise ValueError(f"inconsistent N arities: {sorted(arities)}")
-    return arities.pop()
-
-
-def _walk(f: Formula) -> Iterator[Formula]:
-    yield f
-    if isinstance(f, Not):
-        yield from _walk(f.body)
-    elif isinstance(f, (And, Or, Implies)):
-        yield from _walk(f.left)
-        yield from _walk(f.right)
-    elif isinstance(f, (Exists, Forall)):
-        yield from _walk(f.body)
 
 
 # ---------------------------------------------------------------------------
@@ -311,125 +291,232 @@ def parse(text: str) -> Formula:
     if p.i < len(p.tokens):
         raise FormulaSyntaxError(f"trailing input {p.peek()!r}", p.pos())
     try:
-        atom_arity(f)
+        compile(f)  # checks that the N atoms agree in arity
     except ValueError as exc:
         raise FormulaSyntaxError(str(exc), 0) from None
     return f
 
 
 # ---------------------------------------------------------------------------
-# evaluator
+# evaluator: compiled once per formula, run once per host
 # ---------------------------------------------------------------------------
+#
+# `compile` turns the AST into closures in one bottom-up pass.  Every
+# quantifier also gets a guard: a superset of the values of its variable v that
+# can make its body true (exists) or false (forall), so that on sparse hosts it
+# tries a few co-edge neighbours instead of every vertex.  A guard is a union
+# of sources read from the environment at run time, where u is a variable
+# bound outside v's quantifier and not rebound before the atom it comes from:
+#   ("e", u)      the value of u                       from v = u
+#   ("n", u)      the co-edge neighbours of u          from N(..v..u..)
+#   ("d", None)   the vertices of degree >= 1          from N(..v..), no such u
+# The empty guard () admits no value: an atom that repeats a variable never
+# holds.  Per node, `pos` maps a quantified variable to a guard for the values
+# that can make the node true and `neg` to one for the values that can make it
+# false; a variable with no entry ranges over all vertices.
 
-class _CNode:
-    """Compiled formula node; `free` is the sorted tuple of free variables."""
-
-    __slots__ = ("kind", "a", "b", "var", "args", "free", "memo")
-
-    def __init__(self, kind, a=None, b=None, var=None, args=None, free=()):
-        self.kind = kind
-        self.a = a
-        self.b = b
-        self.var = var
-        self.args = args
-        self.free = free
-        self.memo: dict | None = None
-
-
-def _compile(f: Formula) -> _CNode:
-    if isinstance(f, Atom):
-        return _CNode("atom", args=f.args, free=tuple(sorted(set(f.args))))
-    if isinstance(f, Eq):
-        return _CNode("eq", a=f.left, b=f.right,
-                      free=tuple(sorted({f.left, f.right})))
-    if isinstance(f, Not):
-        body = _compile(f.body)
-        return _CNode("not", a=body, free=body.free)
-    if isinstance(f, (And, Or, Implies)):
-        kind = {And: "and", Or: "or", Implies: "implies"}[type(f)]
-        left, right = _compile(f.left), _compile(f.right)
-        return _CNode(kind, a=left, b=right,
-                      free=tuple(sorted(set(left.free) | set(right.free))))
-    if isinstance(f, (Exists, Forall)):
-        body = _compile(f.body)
-        kind = "exists" if isinstance(f, Exists) else "forall"
-        return _CNode(kind, a=body, var=f.var,
-                      free=tuple(v for v in body.free if v != f.var))
-    raise TypeError(f"not a formula node: {f!r}")
+_COST = {"e": 1, "n": 2, "d": 3}
 
 
-def evaluate(f: Formula, g: Hypergraph, assignment: Mapping[int, int] | None = None,
-             *, memo: bool = True) -> bool:
-    """Standard Tarskian semantics; quantifiers range over all vertices of g.
+def _cost(guard: tuple) -> int:
+    return sum([_COST[kind] for kind, _ in guard])
 
-    The assignment must cover every free variable.  Memoization is keyed on
-    (subformula, restriction of the environment to its free variables) and is
-    confined to this call.
+
+def _either(left: dict, right: dict) -> dict:
+    """Guards of a node that holds only where both sides hold: either side's."""
+    if not right:
+        return left
+    if not left:
+        return right
+    out = dict(left)
+    for v, guard in right.items():
+        old = out.get(v)
+        if old is None or _cost(guard) < _cost(old):
+            out[v] = guard
+    return out
+
+
+def _union(left: dict, right: dict) -> dict:
+    """Guards of a node that holds where either side holds: both, or none."""
+    if not (left and right):
+        return {}
+    return {v: tuple(dict.fromkeys(left[v] + right[v])) for v in left.keys() & right.keys()}
+
+
+def _bind(guards: dict, var: str) -> dict:
+    """The guards seen from outside the quantifier that binds `var`."""
+    if var not in guards:
+        return guards
+    out = dict(guards)
+    del out[var]
+    return out
+
+
+def _candidates(guard: tuple | None) -> Callable:
+    """(env, run) -> the values a guarded quantifier tries."""
+    if guard is None:
+        return lambda env, run: run.vertices
+
+    def source(kind: str, u: str | None) -> Callable:
+        if kind == "e":
+            return lambda env, run: (env[u],)
+        if kind == "n":
+            return lambda env, run: run.neighbors(env[u])
+        return lambda env, run: run.active()
+
+    parts = [source(*src) for src in guard]
+    if len(parts) == 1:
+        return parts[0]
+    return lambda env, run: set().union(*[part(env, run) for part in parts])
+
+
+class CompiledFormula:
+    """A formula turned into closures by `compile`; `evaluate` runs it.
+
+    `arity` is the common arity of the N atoms (None without atoms) and
+    `quantifiers` the number of memo tables one run needs."""
+
+    __slots__ = ("arity", "free", "quantifiers", "root")
+
+    def __init__(self, arity: int | None, free: frozenset[str], quantifiers: int,
+                 root: Callable):
+        self.arity, self.free, self.quantifiers, self.root = arity, free, quantifiers, root
+
+
+class _Run:
+    """One host's lazily built tables and a fresh memo, for one evaluation."""
+
+    __slots__ = ("g", "edges", "vertices", "memos", "_neighbors", "_active")
+
+    def __init__(self, g: Hypergraph, quantifiers: int, memo: bool):
+        self.g = g
+        self.edges = g.edges
+        self.vertices = g.vertices
+        self.memos = [{} for _ in range(quantifiers)] if memo else None
+        self._neighbors: dict[int, tuple[int, ...]] = {}
+        self._active: tuple[int, ...] | None = None
+
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        out = self._neighbors.get(v)
+        if out is None:
+            out = self._neighbors[v] = tuple(self.g.co_edge_neighbors(v))
+        return out
+
+    def active(self) -> tuple[int, ...]:
+        if self._active is None:
+            self._active = tuple(set().union(*self.edges))
+        return self._active
+
+
+def compile(f: Formula) -> CompiledFormula:
+    """Closures, free variables, N arity and quantifier guards of f, in one pass."""
+    arities: set[int] = set()
+    qids = itertools.count()
+
+    def go(f: Formula, scope: dict[str, int]):
+        """-> (closure, free variables, pos guards, neg guards).  `scope` maps
+        each variable an enclosing quantifier binds to that quantifier's
+        number, which grows inwards; a free variable of f counts as -1."""
+        kind = type(f)
+        if kind is Atom:
+            args = f.args
+            arities.add(len(args))
+            get = itemgetter(*args)  # a tuple: the host check makes the arity s >= 3
+            names = frozenset(args)
+            if len(names) == len(args):
+                pos = {}
+                for x in args:
+                    if x in scope:
+                        outer = [u for u in args if scope.get(u, -1) < scope[x]]
+                        pos[x] = (("n", outer[0]) if outer else ("d", None),)
+            else:  # a repeated variable: never s distinct vertices, never true
+                pos = dict.fromkeys(names & scope.keys(), ())
+            return (lambda env, run: frozenset(get(env)) in run.edges), names, pos, {}
+        if kind is Eq:
+            a, b = f.left, f.right
+            pos = {}
+            if a in scope and scope.get(b, -1) < scope[a]:
+                pos[a] = (("e", b),)
+            if b in scope and scope.get(a, -1) < scope[b]:
+                pos[b] = (("e", a),)
+            return (lambda env, run: env[a] == env[b]), frozenset((a, b)), pos, {}
+        if kind is Not:
+            body, free, pos, neg = go(f.body, scope)
+            return (lambda env, run: not body(env, run)), free, neg, pos
+        if kind is And or kind is Or or kind is Implies:
+            left, lfree, lpos, lneg = go(f.left, scope)
+            right, rfree, rpos, rneg = go(f.right, scope)
+            free = lfree | rfree
+            if kind is And:
+                return ((lambda env, run: left(env, run) and right(env, run)), free,
+                        _either(lpos, rpos), _union(lneg, rneg))
+            if kind is Or:
+                return ((lambda env, run: left(env, run) or right(env, run)), free,
+                        _union(lpos, rpos), _either(lneg, rneg))
+            return ((lambda env, run: not left(env, run) or right(env, run)), free,
+                    _union(lneg, rpos), _either(lpos, rneg))
+        if kind is Exists or kind is Forall:
+            qid = next(qids)
+            var = f.var
+            body, bfree, bpos, bneg = go(f.body, {**scope, var: qid})
+            free = bfree - {var}
+            key = itemgetter(*sorted(free)) if free else (lambda env: None)
+            want = kind is Exists  # the body value that decides the quantifier
+            candidates = _candidates((bpos if want else bneg).get(var))
+
+            def quantifier(env, run):
+                memos = run.memos
+                if memos is not None:
+                    table = memos[qid]
+                    k = key(env)
+                    hit = table.get(k)
+                    if hit is not None:
+                        return hit
+                saved = env.get(var, _MISSING)
+                result = not want
+                for w in candidates(env, run):
+                    env[var] = w
+                    if body(env, run) == want:
+                        result = want
+                        break
+                if saved is _MISSING:
+                    env.pop(var, None)  # the candidates may be empty
+                else:
+                    env[var] = saved
+                if memos is not None:
+                    table[k] = result
+                return result
+
+            return quantifier, free, _bind(bpos, var), _bind(bneg, var)
+        raise TypeError(f"not a formula node: {f!r}")
+
+    root, free, _, _ = go(f, {})
+    if len(arities) > 1:
+        raise ValueError(f"inconsistent N arities: {sorted(arities)}")
+    return CompiledFormula(next(iter(arities), None), free, next(qids), root)
+
+
+def evaluate(f: Formula | CompiledFormula, g: Hypergraph,
+             assignment: Mapping[str, int] | None = None, *, memo: bool = True) -> bool:
+    """Standard Tarskian semantics; quantifiers range over the vertices of g.
+
+    f is a formula, or one compiled once by `compile` to be run on many hosts.
+    The assignment must cover every free variable.  A quantifier tries only
+    the values its guard admits, which never changes the truth value.
+    Memoization is keyed on (quantifier, restriction of the environment to
+    its free variables) and is confined to this call.
     """
-    arity = atom_arity(f)
-    if arity is not None and arity != g.s:
-        raise ValueError(f"N arity {arity} does not match host arity {g.s}")
+    c = f if isinstance(f, CompiledFormula) else compile(f)
+    if c.arity is not None and c.arity != g.s:
+        raise ValueError(f"N arity {c.arity} does not match host arity {g.s}")
     env = dict(assignment or {})
-    missing = free_variables(f) - set(env)
+    missing = c.free - env.keys()
     if missing:
         raise ValueError(f"unbound free variables: {sorted(missing)}")
     for var, val in env.items():
         if val not in g.vertices:
             raise ValueError(f"assignment sends {var} to unknown vertex {val}")
-
-    verts = tuple(sorted(g.vertices))
-    edges = g.edges
-    s = g.s
-    root = _compile(f)
-
-    def ev(node: _CNode, env: dict) -> bool:
-        kind = node.kind
-        if kind == "atom":
-            vals = [env[a] for a in node.args]
-            return len(set(vals)) == s and frozenset(vals) in edges
-        if kind == "eq":
-            return env[node.a] == env[node.b]
-        if kind == "not":
-            return not ev(node.a, env)
-        if kind == "and":
-            return ev(node.a, env) and ev(node.b, env)
-        if kind == "or":
-            return ev(node.a, env) or ev(node.b, env)
-        if kind == "implies":
-            return (not ev(node.a, env)) or ev(node.b, env)
-        # quantifiers
-        if memo:
-            key = tuple(env[v] for v in node.free)
-            if node.memo is None:
-                node.memo = {}
-            hit = node.memo.get(key)
-            if hit is not None:
-                return hit
-        var, body = node.var, node.a
-        saved = env.get(var, _MISSING)
-        if kind == "exists":
-            result = False
-            for w in verts:
-                env[var] = w
-                if ev(body, env):
-                    result = True
-                    break
-        else:
-            result = True
-            for w in verts:
-                env[var] = w
-                if not ev(body, env):
-                    result = False
-                    break
-        if saved is _MISSING:
-            env.pop(var, None)  # vertex loop may be empty
-        else:
-            env[var] = saved
-        if memo:
-            node.memo[key] = result
-        return result
-
-    return ev(root, env)
+    return c.root(env, _Run(g, c.quantifiers, memo))
 
 
 _MISSING = object()

@@ -33,6 +33,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,6 +41,7 @@ import numpy as np
 from .errors import ExperimentError
 from .extlab import count_uncovered_copies, is_pair_strictly_balanced, prop1_poisson_parameter
 from .folang import Formula, evaluate
+from .folang import compile as compile_formula
 from .hypercore import Hypergraph, RootedPair, count_copies, density, has_copy, is_strictly_balanced
 
 EXACT_RANK_LIMIT = 2000
@@ -100,6 +102,12 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.method not in ("auto", "exact", "skip"):
             raise ValueError("method must be auto, exact or skip")
+
+    @cached_property
+    def _sampling(self) -> tuple[float, int, list[list[int]]]:
+        """p, the number of candidate edges and the colex unranking tables:
+        per-config work that every trial's `sample` shares."""
+        return edge_probability(self), math.comb(self.n, self.s), _comb_tables(self.n, self.s)
 
     def to_dict(self) -> dict:
         d = {"s": self.s, "n": self.n, "trials": self.trials, "seed": self.seed,
@@ -168,9 +176,8 @@ def sample(cfg: ExperimentConfig, trial_index: int) -> Hypergraph:
     n, s = cfg.n, cfg.s
     if n < s:
         raise ValueError(f"need n >= s, got n={n}, s={s}")
-    p = edge_probability(cfg)
+    p, m, tables = cfg._sampling
     verts = frozenset(range(1, n + 1))
-    m = math.comb(n, s)
     if p <= 0.0:
         return Hypergraph(s, verts, frozenset())
     if p >= 1.0:
@@ -181,7 +188,6 @@ def sample(cfg: ExperimentConfig, trial_index: int) -> Hypergraph:
     if method == "auto":
         method = "exact" if m <= EXACT_RANK_LIMIT else "skip"
     ranks = (_included_ranks_exact if method == "exact" else _included_ranks_skip)(key, m, p)
-    tables = _comb_tables(n, s)
     edges = frozenset(frozenset(v + 1 for v in _unrank(r, s, tables)) for r in ranks)
     return Hypergraph(s, verts, edges)
 
@@ -216,7 +222,7 @@ def coupled_samples(cfg: ExperimentConfig, trial_index: int,
         raise ExperimentError("coupled sampling is for small instances only")
     key = trial_key(cfg.seed, trial_index)
     u = subset_uniforms(key, 0, m)
-    tables = _comb_tables(n, s)
+    _, _, tables = cfg._sampling
     out = []
     for p in ps:
         ranks = np.flatnonzero(u < p).tolist()
@@ -481,6 +487,8 @@ def motif_predicate(motif: Hypergraph) -> Callable[[Hypergraph], bool]:
 
 
 def formula_predicate(formula: Formula) -> Callable[[Hypergraph], bool]:
+    compiled = compile_formula(formula)
+
     def pred(g: Hypergraph) -> bool:
-        return evaluate(formula, g)
+        return evaluate(compiled, g)
     return pred

@@ -9,6 +9,8 @@ import itertools
 import math
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from zolab.folang import (And, Atom, Eq, Exists, Forall, Formula, Implies, Not, Or,
                           and_all, or_all)
 from zolab.hypercore import Hypergraph
@@ -286,3 +288,11 @@ def random_hypergraph(rng, n_vertices: int, s: int = 3, p: float = 0.3) -> Hyper
     verts = tuple(range(1, n_vertices + 1))
     edges = [frozenset(c) for c in itertools.combinations(verts, s) if rng.random() < p]
     return Hypergraph(s, frozenset(verts), frozenset(edges))
+
+
+def hypergraphs(s: int, n: int):
+    """hypothesis strategy: an s-uniform host on the labels 1..n with any edge
+    set, isolated vertices and the empty edge set included."""
+    pool = list(itertools.combinations(range(1, n + 1), s))
+    edges = st.sets(st.sampled_from(pool)) if pool else st.just(set())
+    return edges.map(lambda es: Hypergraph.make(s, range(1, n + 1), es))

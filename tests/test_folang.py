@@ -3,13 +3,16 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from helpers import random_hypergraph, table_evaluate
+from helpers import hypergraphs, random_hypergraph, table_evaluate
 from zolab.folang import (
     And,
     Atom,
     Eq,
     Exists,
+    Forall,
     FormulaSyntaxError,
     Implies,
     Not,
@@ -19,6 +22,7 @@ from zolab.folang import (
     build_dist_pair,
     build_theorem6_L,
     build_theorem8_L,
+    compile,
     evaluate,
     free_variables,
     parse,
@@ -121,6 +125,67 @@ def test_memo_matches_no_memo():
         f = random_formula(rng, s=3, max_depth=3)
         g = random_hypergraph(rng, rng.randint(3, 5), p=0.4)
         assert evaluate(f, g, memo=True) == evaluate(f, g, memo=False)
+
+
+NAMES = ("x", "y", "z", "w")
+
+
+@st.composite
+def _formulas(draw, s: int, depth: int = 3, size: int = 2, scope: tuple = ()):
+    """Formulas over four names that start with a quantifier.  `scope` lists
+    the variables of the enclosing quantifiers, innermost last: quantifiers
+    often rebind one of them, and atoms and equalities, which mostly have
+    distinct arguments, often start with the innermost."""
+    kinds = ["exists", "forall"] * 2 * (depth > 0)
+    if scope:
+        kinds += ["atom", "eq"] + ["and", "or", "implies", "not"] * (size > 0)
+    kind = draw(st.sampled_from(kinds))
+    name = st.sampled_from(NAMES)
+    if kind in ("atom", "eq"):
+        arity = s if kind == "atom" else 2
+        args = draw(st.one_of(st.permutations(NAMES).map(lambda p: list(p[:arity])),
+                              st.lists(name, min_size=arity, max_size=arity)))
+        if scope[-1] not in args and draw(st.booleans()):
+            args[0] = scope[-1]
+        return Atom(tuple(args)) if kind == "atom" else Eq(*args)
+    if kind in ("exists", "forall"):
+        var = draw(st.one_of(name, st.sampled_from(scope))) if scope else draw(name)
+        body = draw(_formulas(s, depth - 1, size, scope + (var,)))
+        return Exists(var, body) if kind == "exists" else Forall(var, body)
+    if kind == "not":
+        return Not(draw(_formulas(s, depth, size - 1, scope)))
+    op = {"and": And, "or": Or, "implies": Implies}[kind]
+    return op(draw(_formulas(s, depth, size - 1, scope)),
+              draw(_formulas(s, depth, size - 1, scope)))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.data())
+def test_compiled_runs_match_table_oracle(data):
+    # one compiled formula run over several hosts must answer each host as a
+    # fresh evaluation does: quantifier guards and memo tables are per host
+    s = data.draw(st.sampled_from((3, 4)))
+    n = data.draw(st.integers(0, 6))
+    f = data.draw(_formulas(s))
+    free = sorted(free_variables(f))
+    assume(n > 0 or not free)
+    env = {v: data.draw(st.integers(1, n)) for v in free}
+    compiled = compile(f)
+    for g in data.draw(st.lists(hypergraphs(s, n), min_size=1, max_size=3)):
+        want = table_evaluate(f, g, env)
+        assert evaluate(f, g, env) == want
+        assert evaluate(f, g, env, memo=False) == want
+        assert evaluate(compiled, g, env) == want
+
+
+def test_shadowed_guard_partner():
+    # the cheapest guard for x, y = x, sits under a quantifier that rebinds y:
+    # it must give way to N(x,y,z)'s guard on the outer y
+    f = parse("exists x ((exists y (y = x & (exists w N(y,w,z)))) & N(x,y,z))")
+    g = Hypergraph.make(3, range(1, 6), [(1, 2, 3), (3, 4, 5)])
+    for y, z in itertools.product(range(1, 6), repeat=2):
+        env = {"y": y, "z": z}
+        assert evaluate(f, g, env) == table_evaluate(f, g, env)
 
 
 def test_evaluator_against_table_oracle_sample():

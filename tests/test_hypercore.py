@@ -1,7 +1,9 @@
 import itertools
 import math
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -14,6 +16,7 @@ from helpers import (
     brute_distance,
     brute_embedding_count,
     brute_max_density,
+    hypergraphs,
     random_hypergraph,
 )
 from zolab import hypercore
@@ -33,6 +36,7 @@ from zolab.hypercore import (
     max_density,
     parse_shg,
     to_shg,
+    write_shg,
 )
 
 F = Fraction
@@ -229,6 +233,17 @@ def test_shg_round_trip():
     canon, mapping = canonical_relabel(odd)
     assert parse_shg(to_shg(canon)) == canon
     assert mapping == {5: 1, 7: 2, 9: 3}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_shg_file_round_trip(data):
+    s = data.draw(st.sampled_from((3, 4)))
+    g = data.draw(hypergraphs(s, data.draw(st.integers(0, 7))))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.shg"
+        write_shg(str(path), g)
+        assert parse_shg(path.read_text(encoding="ascii")) == g
 
 
 def test_labels_need_not_be_contiguous():

@@ -2,9 +2,13 @@ import decimal
 import math
 import statistics
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zolab import randmodel
 from zolab.errors import ExperimentError
 from zolab.hypercore import Hypergraph, to_shg
 from zolab.randmodel import (
@@ -132,6 +136,18 @@ def test_coupled_monotone():
     assert g_mid == sample(cfg, 0)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 10**6),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5).map(sorted))
+def test_coupled_edge_sets_are_nested(seed, trial, ps):
+    cfg = ExperimentConfig(s=3, n=8, trials=1, seed=seed, p=0.5)
+    gs = coupled_samples(cfg, trial, ps)
+    for a, b in zip(gs, gs[1:]):
+        assert a.edges <= b.edges
+    for p, g in zip(ps, gs):
+        assert (p > 0.0 or not g.edges) and (p < 1.0 or g.num_edges == math.comb(8, 3))
+
+
 def test_coupled_predicate_monotone():
     # the satisfied set of a containment predicate grows with p under coupling
     pred = motif_predicate(H1)
@@ -178,6 +194,19 @@ def test_wilson_interval_sane():
     assert 0.94 < lo < 1 and hi == 1.0
     lo, hi = wilson_interval(50, 100)
     assert lo < 0.5 < hi
+
+
+def test_per_config_sampling_work_is_done_once():
+    # p's 50-digit logarithm and the unranking tables are per config, not per trial
+    cfg = ExperimentConfig(s=3, n=30, trials=25, seed=5, alpha=Fraction(2), method="skip")
+    with mock.patch.object(randmodel, "_comb_tables", wraps=randmodel._comb_tables) as tables, \
+            mock.patch.object(randmodel, "edge_probability",
+                              wraps=randmodel.edge_probability) as prob:
+        estimate_probability(cfg, lambda g: True)
+        for trial in range(3):
+            coupled_samples(cfg, trial, [0.1, 0.2])
+    assert tables.call_count == 1
+    assert prob.call_count == 2  # the shared value and the report's `p`
 
 
 def test_estimate_probability_reports():
