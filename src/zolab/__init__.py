@@ -25,7 +25,7 @@ from .folang import (
     quantifier_depth,
     to_text,
 )
-from .efgame import GameState, distinguishing_formula, duplicator_wins, is_partial_isomorphism
+from .efgame import distinguishing_formula, duplicator_wins
 from .extlab import (
     PairClass,
     classify_pair,

@@ -123,25 +123,6 @@ def _cmd_game(args) -> None:
     _emit(payload)
 
 
-def _parse_map(text: str) -> dict[int, int]:
-    out = {}
-    for part in text.split(","):
-        src, _, dst = part.partition(":")
-        out[int(src)] = int(dst)
-    return out
-
-
-def _cmd_extension(args) -> None:
-    template = hypercore.RootedPair.identity(
-        _load(args.template_outer), _load(args.template_inner))
-    candidate = hypercore.RootedPair.identity(
-        _load(args.candidate_outer), _load(args.candidate_inner))
-    corr = _parse_map(args.map)
-    strict = extlab.is_strict_extension(candidate, template, corr)
-    _emit({"schema": 1, "strict": strict,
-           "extension": extlab.is_extension(candidate, template, corr)})
-
-
 def _cmd_cyclic(args) -> None:
     pair = hypercore.RootedPair.identity(_load(args.outer), _load(args.inner))
     pat = extlab.match_cyclic_extension(pair, args.m, cap=args.cap)
@@ -339,14 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="extract a distinguishing formula when Spoiler wins")
     add_cap(p, default=8)
     p.set_defaults(func=_cmd_game)
-
-    p = sub.add_parser("extension", help="strict-extension template check")
-    p.add_argument("--template-outer", required=True)
-    p.add_argument("--template-inner", required=True)
-    p.add_argument("--candidate-outer", required=True)
-    p.add_argument("--candidate-inner", required=True)
-    p.add_argument("--map", required=True, metavar="SRC:DST,...")
-    p.set_defaults(func=_cmd_extension)
 
     p = sub.add_parser("cyclic", help="match a pair against the cyclic templates")
     p.add_argument("--outer", required=True)

@@ -8,9 +8,8 @@ closed formula of quantifier depth <= k is extracted.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .errors import CapacityError, VerificationError
+from .errors import CapacityError
 from .folang import Atom, Eq, Exists, Forall, Formula, Not, and_all, or_all
 from .hypercore import Hypergraph
 
@@ -19,33 +18,21 @@ DEFAULT_GAME_CAP = 8
 RULES = "classical: Spoiler chooses either structure each round"
 
 
-@dataclass(frozen=True)
-class GameState:
-    """A pebble position: equal-length pick sequences plus rounds still to play."""
+def _solver(g: Hypergraph, h: Hypergraph, rounds: int, cap: int):
+    """The solved game as three closures over pebble positions (pg, ph).
 
-    rounds_left: int
-    pebbles_g: tuple[int, ...]
-    pebbles_h: tuple[int, ...]
+    clash(pg, ph): the first atomic fact that the newest pebble pair breaks,
+    given that every shorter prefix of the position broke none.  A fact is
+    (kind, pebble indices, truth in g) with kind "eq" or "atom"; None if the
+    position is still a partial isomorphism.
 
-    def __post_init__(self) -> None:
-        if self.rounds_left < 0:
-            raise ValueError("rounds_left must be >= 0")
-        if len(self.pebbles_g) != len(self.pebbles_h):
-            raise ValueError("pebble sequences must have equal length")
+    move(pg, ph, r): Spoiler's first winning move with r rounds left from a
+    position with no clash, as (0, v) for v in g or (1, v) for v in h, g side
+    first, then the smallest label; None when Duplicator survives.
 
-    @classmethod
-    def start(cls, rounds: int) -> "GameState":
-        return cls(rounds, (), ())
-
-    def after(self, g_pick: int, h_pick: int) -> "GameState":
-        if self.rounds_left == 0:
-            raise ValueError("no rounds left")
-        return GameState(self.rounds_left - 1,
-                         self.pebbles_g + (g_pick,),
-                         self.pebbles_h + (h_pick,))
-
-
-def _check(g: Hypergraph, h: Hypergraph, rounds: int, cap: int) -> None:
+    replies(pg, ph, side, v): the positions after Spoiler pebbles v on
+    `side`, one per Duplicator reply in label order.
+    """
     if g.s != h.s:
         raise ValueError("arity mismatch between the two structures")
     if rounds < 0:
@@ -53,74 +40,61 @@ def _check(g: Hypergraph, h: Hypergraph, rounds: int, cap: int) -> None:
     if g.num_vertices > cap or h.num_vertices > cap:
         raise CapacityError(
             f"structure sizes {g.num_vertices}/{h.num_vertices} exceed the game cap {cap}")
-
-
-def _partial_iso(pg: tuple[int, ...], ph: tuple[int, ...],
-                 eg: frozenset, eh: frozenset, s: int) -> bool:
-    corr: dict[int, int] = {}
-    for a, b in zip(pg, ph):
-        prev = corr.get(a)
-        if prev is None:
-            corr[a] = b
-        elif prev != b:
-            return False
-    if len(set(corr.values())) != len(corr):
-        return False
-    keys = sorted(corr)
-    if len(keys) >= s:
-        for combo in itertools.combinations(keys, s):
-            left = frozenset(combo) in eg
-            right = frozenset(corr[x] for x in combo) in eh
-            if left != right:
-                return False
-    return True
-
-
-def is_partial_isomorphism(state: GameState, g: Hypergraph, h: Hypergraph) -> bool:
-    """Does the state's pebble correspondence preserve equality and edges both ways?"""
-    if g.s != h.s:
-        raise ValueError("arity mismatch between the two structures")
-    return _partial_iso(state.pebbles_g, state.pebbles_h, g.edges, h.edges, g.s)
-
-
-def _solver(g: Hypergraph, h: Hypergraph, rounds: int, cap: int):
-    """The game recursion: wins(pg, ph, r) is True iff Duplicator wins the
-    r remaining rounds from the pebble position (pg, ph)."""
-    _check(g, h, rounds, cap)
     vg, vh = g.sorted_vertices(), h.sorted_vertices()
     eg, eh, s = g.edges, h.edges, g.s
+    picks = [(0, v) for v in vg] + [(1, v) for v in vh]  # Spoiler's moves, in tie-break order
     memo: dict = {}
 
-    def wins(pg: tuple[int, ...], ph: tuple[int, ...], r: int) -> bool:
-        if not _partial_iso(pg, ph, eg, eh, s):
-            return False
+    def clash(pg: tuple[int, ...], ph: tuple[int, ...]):
+        n = len(pg) - 1
+        a, b = pg[n], ph[n]
+        i, j = pg.index(a), ph.index(b)
+        if i < n or j < n:
+            if i == j:
+                return None  # a consistent repeat adds no new fact
+            first = min(i, j)
+            return ("eq", (first, n), first == i)
+        if n < s - 1:
+            return None
+        # only the s-subsets through the new vertex are unchecked, visited in
+        # the order of combinations over all sorted pebbled vertices
+        corr = dict(zip(pg[:n], ph[:n]))
+        for rest in itertools.combinations(sorted(corr), s - 1):
+            left = frozenset((a, *rest)) in eg
+            if left != (frozenset([b, *(corr[x] for x in rest)]) in eh):
+                pos = {v: k for k, v in enumerate(pg)}
+                return ("atom", tuple(pos[x] for x in sorted((a, *rest))), left)
+        return None
+
+    def replies(pg, ph, side: int, v: int):
+        if side == 0:
+            return ((pg + (v,), ph + (w,)) for w in vh)
+        return ((pg + (w,), ph + (v,)) for w in vg)
+
+    def move(pg: tuple[int, ...], ph: tuple[int, ...], r: int):
         if r == 0:
-            return True
+            return None
         # game value depends only on the correspondence set, not pick order
         key = (frozenset(zip(pg, ph)), r)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        result = True
-        for v in vg:
-            if not any(wins(pg + (v,), ph + (w,), r - 1) for w in vh):
-                result = False
+        if key in memo:
+            return memo[key]
+        found = None
+        for side, v in picks:
+            if all(clash(cg, ch) is not None or move(cg, ch, r - 1) is not None
+                   for cg, ch in replies(pg, ph, side, v)):
+                found = (side, v)
                 break
-        if result:
-            for v in vh:
-                if not any(wins(pg + (w,), ph + (v,), r - 1) for w in vg):
-                    result = False
-                    break
-        memo[key] = result
-        return result
+        memo[key] = found
+        return found
 
-    return wins
+    return clash, move, replies
 
 
 def duplicator_wins(g: Hypergraph, h: Hypergraph, rounds: int,
                     cap: int = DEFAULT_GAME_CAP) -> bool:
     """True iff Duplicator has a winning strategy in the k-round game."""
-    return _solver(g, h, rounds, cap)((), (), rounds)
+    _, move, _ = _solver(g, h, rounds, cap)
+    return move((), (), rounds) is None
 
 
 def distinguishing_formula(g: Hypergraph, h: Hypergraph, rounds: int,
@@ -131,52 +105,32 @@ def distinguishing_formula(g: Hypergraph, h: Hypergraph, rounds: int,
     Extraction follows Spoiler's winning move: an existential over the chosen
     vertex with a conjunction over Duplicator replies (move in g), or a
     universal with a disjunction (move in h).  Ties break toward the smallest
-    vertex label, g-side first.
+    vertex label, g-side first; a reply that breaks an atomic fact contributes
+    that fact over the pebble variables.
     """
-    wins = _solver(g, h, rounds, cap)
-    if wins((), (), rounds):
+    clash, move, replies = _solver(g, h, rounds, cap)
+    if move((), (), rounds) is None:
         return None
-    vg, vh = g.sorted_vertices(), h.sorted_vertices()
-    eg, eh, s = g.edges, h.edges, g.s
 
     def var(i: int) -> str:
-        return f"x{i}"
-
-    def atomic_witness(pg, ph) -> Formula | None:
-        """Quantifier-free formula over pebble variables, true at pg, false at ph."""
-        n = len(pg)
-        for i, j in itertools.combinations(range(n), 2):
-            le, ri = pg[i] == pg[j], ph[i] == ph[j]
-            if le and not ri:
-                return Eq(var(i + 1), var(j + 1))
-            if ri and not le:
-                return Not(Eq(var(i + 1), var(j + 1)))
-        corr = dict(zip(pg, ph))
-        keys = sorted(corr)
-        if len(keys) >= s:
-            pos = {v: k for k, v in enumerate(pg)}
-            for combo in itertools.combinations(keys, s):
-                left = frozenset(combo) in eg
-                right = frozenset(corr[x] for x in combo) in eh
-                if left != right:
-                    atom = Atom(tuple(var(pos[x] + 1) for x in combo))
-                    return atom if left else Not(atom)
-        return None
+        return f"x{i + 1}"
 
     def distinguish(pg, ph, r) -> Formula:
         """Formula for a position Spoiler wins, read off the solved game."""
-        bad = atomic_witness(pg, ph)
-        if bad is not None:
-            return bad
-        x = var(len(pg) + 1)
-        for v in vg:
-            if not any(wins(pg + (v,), ph + (w,), r - 1) for w in vh):
-                replies = [distinguish(pg + (v,), ph + (w,), r - 1) for w in vh]
-                return Exists(x, and_all(replies) if replies else Eq(x, x))
-        for v in vh:
-            if not any(wins(pg + (w,), ph + (v,), r - 1) for w in vg):
-                replies = [distinguish(pg + (w,), ph + (v,), r - 1) for w in vg]
-                return Forall(x, or_all(replies) if replies else Not(Eq(x, x)))
-        raise VerificationError("Spoiler has no winning move in a position the solver lost")
+        side, v = move(pg, ph, r)
+        parts = []
+        for cg, ch in replies(pg, ph, side, v):
+            fact = clash(cg, ch)
+            if fact is None:
+                parts.append(distinguish(cg, ch, r - 1))
+                continue
+            kind, at, holds = fact
+            names = tuple(var(i) for i in at)
+            f = Eq(*names) if kind == "eq" else Atom(names)
+            parts.append(f if holds else Not(f))
+        x = var(len(pg))
+        if side == 0:
+            return Exists(x, and_all(parts) if parts else Eq(x, x))
+        return Forall(x, or_all(parts) if parts else Not(Eq(x, x)))
 
     return distinguish((), (), rounds)

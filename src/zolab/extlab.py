@@ -183,6 +183,7 @@ def is_kt_maximal(pair: RootedPair, kt: RootedPair, host: Hypergraph,
     g_t, h_t = pair.outer, pair.inner_image
     if not g_t.is_subhypergraph_of(host):
         raise ValueError("pair outer must be a sub-hypergraph of the host")
+    _check_search_cap(g_t, cap)
     v_t = kt.inner.num_vertices
     if v_t > g_t.num_vertices:
         return True

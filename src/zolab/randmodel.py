@@ -25,7 +25,6 @@ comparison.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import random
 import time
@@ -34,7 +33,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -45,6 +44,7 @@ from .folang import compile as compile_formula
 from .hypercore import Hypergraph, RootedPair, count_copies, density, has_copy, is_strictly_balanced
 
 EXACT_RANK_LIMIT = 2000
+CANDIDATE_EDGE_LIMIT = 1 << 22  # most candidate edges a full or coupled draw walks
 _MASK = (1 << 64) - 1
 _GOLD = 0x9E3779B97F4A7C15
 
@@ -170,26 +170,35 @@ def _included_ranks_skip(key: int, m: int, p: float) -> list[int]:
         out.append(r)
 
 
+def _host(cfg: ExperimentConfig, ranks: Iterable[int]) -> Hypergraph:
+    """The host on 1..n whose edges are the s-subsets of the given colex ranks."""
+    s, tables = cfg.s, cfg._sampling[2]
+    edges = frozenset(frozenset(v + 1 for v in _unrank(r, s, tables)) for r in ranks)
+    return Hypergraph(s, frozenset(range(1, cfg.n + 1)), edges)
+
+
 def sample(cfg: ExperimentConfig, trial_index: int) -> Hypergraph:
     """One draw of G^s(n, p): every s-subset is an edge independently with
     probability p; deterministic in (seed, trial_index, cfg)."""
     n, s = cfg.n, cfg.s
     if n < s:
         raise ValueError(f"need n >= s, got n={n}, s={s}")
-    p, m, tables = cfg._sampling
-    verts = frozenset(range(1, n + 1))
+    p, m, _ = cfg._sampling
     if p <= 0.0:
-        return Hypergraph(s, verts, frozenset())
-    if p >= 1.0:
-        return Hypergraph(s, verts,
-                          frozenset(frozenset(c) for c in itertools.combinations(verts, s)))
-    key = trial_key(cfg.seed, trial_index)
-    method = cfg.method
-    if method == "auto":
-        method = "exact" if m <= EXACT_RANK_LIMIT else "skip"
-    ranks = (_included_ranks_exact if method == "exact" else _included_ranks_skip)(key, m, p)
-    edges = frozenset(frozenset(v + 1 for v in _unrank(r, s, tables)) for r in ranks)
-    return Hypergraph(s, verts, edges)
+        ranks: Iterable[int] = ()
+    elif p >= 1.0:
+        if m > CANDIDATE_EDGE_LIMIT:
+            raise ExperimentError(
+                f"p >= 1 would build all C({n}, {s}) = {m} candidate edges, "
+                f"over the limit {CANDIDATE_EDGE_LIMIT}")
+        ranks = range(m)
+    else:
+        key = trial_key(cfg.seed, trial_index)
+        method = cfg.method
+        if method == "auto":
+            method = "exact" if m <= EXACT_RANK_LIMIT else "skip"
+        ranks = (_included_ranks_exact if method == "exact" else _included_ranks_skip)(key, m, p)
+    return _host(cfg, ranks)
 
 
 def sample_bernoulli(cfg: ExperimentConfig, trial_index: int) -> Hypergraph:
@@ -216,19 +225,11 @@ def coupled_samples(cfg: ExperimentConfig, trial_index: int,
                     ps: Sequence[float]) -> list[Hypergraph]:
     """Samples at several p sharing one set of per-subset uniforms: the edge
     set at a smaller p is contained in the edge set at any larger p."""
-    n, s = cfg.n, cfg.s
-    m = math.comb(n, s)
-    if m > 1 << 22:
+    _, m, _ = cfg._sampling
+    if m > CANDIDATE_EDGE_LIMIT:
         raise ExperimentError("coupled sampling is for small instances only")
-    key = trial_key(cfg.seed, trial_index)
-    u = subset_uniforms(key, 0, m)
-    _, _, tables = cfg._sampling
-    out = []
-    for p in ps:
-        ranks = np.flatnonzero(u < p).tolist()
-        edges = frozenset(frozenset(v + 1 for v in _unrank(r, s, tables)) for r in ranks)
-        out.append(Hypergraph(s, frozenset(range(1, n + 1)), edges))
-    return out
+    u = subset_uniforms(trial_key(cfg.seed, trial_index), 0, m)
+    return [_host(cfg, np.flatnonzero(u < p).tolist()) for p in ps]
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +278,6 @@ class ExperimentReport:
             if val not in (None, {}, []):
                 out[name] = _jsonable(val)
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _jsonable(val):

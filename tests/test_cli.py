@@ -215,7 +215,10 @@ def test_env_seed_is_read_on_every_call(shg_files, capsys, monkeypatch):
 
 def test_removed_spellings_are_usage_errors(capsys):
     for argv in (["depth", "N(x,y,z) & x = y"],
-                 ["bounds", "--s", "3", "--k", "10", "--table"]):
+                 ["bounds", "--s", "3", "--k", "10", "--table"],
+                 ["extension", "--template-outer", "a.shg", "--template-inner", "b.shg",
+                  "--candidate-outer", "c.shg", "--candidate-inner", "d.shg",
+                  "--map", "1:1"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

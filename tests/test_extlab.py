@@ -132,6 +132,10 @@ def test_kt_maximal_examples():
     # attachment hanging off the inner part only does not violate pair-maximality
     host_inner = Hypergraph.make(3, [1, 2, 3, 4, 5], [(1, 2, 3), (1, 4, 5)])
     assert is_kt_maximal(pair, kt, host_inner)
+    # the walk is over permutations of the outer vertices: the outer graph is capped
+    assert not is_kt_maximal(pair, kt, host, cap=3)
+    with pytest.raises(CapacityError):
+        is_kt_maximal(pair, kt, host, cap=2)
 
 
 def test_count_maximal_extensions():

@@ -178,6 +178,15 @@ def test_compiled_runs_match_table_oracle(data):
         assert evaluate(compiled, g, env) == want
 
 
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.data())
+def test_print_parse_round_trip(data):
+    # rebound names, repeated atom arguments and `!` over `=` must print to
+    # text that parses back to the same tree
+    f = data.draw(_formulas(data.draw(st.sampled_from((2, 3, 4)))))
+    assert parse(to_text(f)) == f
+
+
 def test_shadowed_guard_partner():
     # the cheapest guard for x, y = x, sits under a quantifier that rebinds y:
     # it must give way to N(x,y,z)'s guard on the outer y

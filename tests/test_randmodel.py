@@ -12,6 +12,7 @@ from zolab import randmodel
 from zolab.errors import ExperimentError
 from zolab.hypercore import Hypergraph, to_shg
 from zolab.randmodel import (
+    CANDIDATE_EDGE_LIMIT,
     EXACT_RANK_LIMIT,
     ExperimentConfig,
     coupled_samples,
@@ -48,6 +49,10 @@ def test_sample_edge_cases():
     assert full.num_edges == math.comb(6, 3)
     with pytest.raises(ValueError):
         sample(ExperimentConfig(s=4, n=3, trials=1, seed=1, p=0.5), 0)
+    # p = 1 walks every candidate edge, so it is capped like coupled sampling
+    assert math.comb(300, 3) > CANDIDATE_EDGE_LIMIT
+    with pytest.raises(ExperimentError, match="candidate edges"):
+        sample(ExperimentConfig(s=3, n=300, trials=1, seed=1, p=1.0), 0)
 
 
 def test_sample_reproducible_and_trials_differ():
