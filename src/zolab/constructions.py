@@ -9,16 +9,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapacityError, VerificationError
-from .extlab import is_pair_strictly_balanced
+from .extlab import _pair_strictly_balanced
 from .hypercore import (
     DEFAULT_ENUM_CAP,
     Hypergraph,
     RootedPair,
     _edge_bits,
+    _is_strictly_balanced,
+    _max_density,
     _walk_subsets,
     density,
-    is_strictly_balanced,
-    max_density,
 )
 
 
@@ -75,10 +75,9 @@ class Theorem6Witness:
         return self.pair.outer
 
 
-def theorem6_pair(s: int, l: int, m: int, verify: bool = True,
-                  balance_cap: int = DEFAULT_ENUM_CAP) -> Theorem6Witness:
-    """Build the bundle pair; verifies rho(H) = rho(G,H) = 1/alpha exactly and,
-    within the cap, strict balance of H and of the pair.
+def theorem6_pair(s: int, l: int, m: int, verify: bool = True) -> Theorem6Witness:
+    """Build the bundle pair; verifies rho(H) = rho(G,H) = 1/alpha exactly and
+    strict balance of H and of the pair.
 
     alpha = s - 1 - 1/2^l + 1/(2^l m); requires m >= 2 so alpha < s - 1 stays
     meaningful as a spectrum point.
@@ -118,9 +117,9 @@ def theorem6_pair(s: int, l: int, m: int, verify: bool = True,
         if pair.v_rel != expected_vrel:
             raise VerificationError(
                 f"v(G,H) = {pair.v_rel}, expected {expected_vrel}")
-        if pair.v_rel <= balance_cap and not is_pair_strictly_balanced(pair, cap=balance_cap):
+        if not _pair_strictly_balanced(pair):
             raise VerificationError("the pair is not strictly balanced")
-        if h.num_vertices <= balance_cap and not is_strictly_balanced(h, cap=balance_cap):
+        if not _is_strictly_balanced(h):
             raise VerificationError("H is not strictly balanced")
     return Theorem6Witness(pair=pair, alpha=alpha, endpoints=(a, b),
                            midpoints=tuple(midpoints), hub=hub)
@@ -155,9 +154,9 @@ def _three_edge_circuit(s: int, labels: _Labels) -> Hypergraph:
 
 
 def theorem8_witnesses(s: int, k: int, a1: int | None = None, a2: int | None = None,
-                       verify: bool = True,
-                       balance_cap: int = DEFAULT_ENUM_CAP) -> Theorem8Witness:
-    """Exact witness edge sets; verifies 1/rho(H) = alpha = s-1-1/(2^(k-s+1)+a).
+                       verify: bool = True) -> Theorem8Witness:
+    """Exact witness edge sets; verifies 1/rho(H) = alpha = s-1-1/(2^(k-s+1)+a)
+    and that H is its own densest sub-hypergraph.
 
     For k >= s + 2 a split a1 + a2 = a + 3 with a1, a2 in {1..2^(k-s)} must be
     supplied (the choice changes H); for k = s + 1 the parameters are fixed.
@@ -218,10 +217,8 @@ def theorem8_witnesses(s: int, k: int, a1: int | None = None, a2: int | None = N
                 f"v(H) = {h.num_vertices}, expected {expected_e * (s - 1) - 1}")
         if 1 / density(h) != alpha:
             raise VerificationError(f"1/rho(H) = {1 / density(h)} != alpha = {alpha}")
-        if h.num_vertices <= balance_cap:
-            rho_max, _ = max_density(h, cap=balance_cap)
-            if rho_max != density(h):
-                raise VerificationError("H is not its own densest sub-hypergraph")
+        if _max_density(h)[0] != density(h):
+            raise VerificationError("H is not its own densest sub-hypergraph")
     return Theorem8Witness(h=h, part1=part1, part2=part2, a=a, alpha=alpha,
                            center=center)
 

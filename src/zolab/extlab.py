@@ -11,8 +11,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-import numpy as np
-
 from .errors import CapacityError
 from .hypercore import (
     DEFAULT_ENUM_CAP,
@@ -21,7 +19,8 @@ from .hypercore import (
     RootedPair,
     _check_search_cap,
     _iter_embeddings,
-    _walk_subsets,
+    _max_closure,
+    _strictly_balanced,
     automorphisms,
     copy_images,
     max_density,
@@ -40,71 +39,78 @@ def f_alpha(pair: RootedPair, alpha: Fraction) -> Fraction:
     return Fraction(pair.v_rel) - alpha * pair.e_rel
 
 
-def _relative_edges(pair: RootedPair, cap: int) -> tuple[list[int], int, int]:
-    """The pair's edges as bitmasks over the d difference vertices V(G) - V(H).
+def _check_pair_cap(pair: RootedPair, cap: int) -> None:
+    if pair.v_rel > cap:
+        raise CapacityError(
+            f"2^{pair.v_rel} intermediate sub-hypergraphs exceed the cap 2^{cap}")
+
+
+def _relative_edges(pair: RootedPair) -> tuple[list[tuple[int, ...]], int, int]:
+    """The pair's edges over the d difference vertices V(G) - V(H), numbered
+    0..d-1.
 
     Every intermediate W = V(H) + S contains all of V(H), so only an edge's
-    difference part decides membership and d (not v(G)) bounds the walk.
-    Returns (bitmasks of the edges that meet the difference, the number of
-    edges inside V(H), d).
+    difference part decides membership.  Returns (the difference parts of
+    the edges that meet the difference, the number of edges inside V(H), d).
     """
     inner = pair.inner_image.vertices
     diff = [v for v in pair.outer.sorted_vertices() if v not in inner]
-    d = len(diff)
-    if d > cap:
-        raise CapacityError(f"2^{d} intermediate sub-hypergraphs exceed the cap 2^{cap}")
     pos = {v: i for i, v in enumerate(diff)}
-    dmasks = [sum(1 << pos[v] for v in e if v in pos) for e in pair.outer.edges]
-    return [m for m in dmasks if m], dmasks.count(0), d
+    parts = [tuple(pos[v] for v in e if v in pos) for e in pair.outer.edges]
+    return [p for p in parts if p], parts.count(()), len(diff)
 
 
 def classify_pair(pair: RootedPair, alpha: Fraction,
                   cap: int = DEFAULT_ENUM_CAP) -> PairClass:
-    """Exhaustive sign classification of f_alpha over intermediate sub-hypergraphs.
+    """Sign classification of f_alpha over intermediate sub-hypergraphs, by
+    one max-closure cut; `cap` guards the input size.
 
     Safe:    f_alpha(K, H) > 0 for every K with H < K <= G.
     Rigid:   f_alpha(G, K) < 0 for every K with H <= K < G.
     Neutral: f_alpha(K, H) > 0 strictly between, and f_alpha(G, H) = 0.
     Anything else is Other.  Checking induced K per vertex superset suffices:
     it is the extremal edge count for each sign condition.
+
+    With K spanned by V(H) + S and phi(S) = num(alpha) e(S) - den(alpha) |S|,
+    e(S) the edges that meet the difference inside S, den(alpha) f_alpha(G, K)
+    is phi(S) - phi(D) and, for H induced, den(alpha) f_alpha(K, H) is
+    -phi(S).  So rigid says D is the only maximizer of phi, safe that the
+    empty set is (no vertex lies in a maximizer), and neutral, with
+    phi(D) = 0, that they are the only two (every vertex's smallest
+    maximizer is D).
+    At alpha <= 0 every f_alpha of those conditions is positive, as at
+    alpha = 0, so phi is taken at num(alpha) = 0 there.
     """
+    _check_pair_cap(pair, cap)
+    edges, base_edges, d = _relative_edges(pair)
     an, ad = alpha.numerator, alpha.denominator
-    if max(an, ad) >= 1 << 40:
-        raise ValueError("alpha too large for vectorised classification")
-    edge_bits, base_edges, d = _relative_edges(pair, cap)
-    e_h = pair.inner.num_edges
-    induced = base_edges == e_h
-    vg_rel, eg_rel = pair.v_rel, pair.e_rel
-    above, mid_above, below = True, True, True  # over K > H, H < K < G, K < G
-    for _, v_rel, e_w in _walk_subsets(edge_bits, d):
-        e_rel = e_w + (base_edges - e_h)
-        f_kh = v_rel * ad - an * e_rel
-        f_gk = (vg_rel - v_rel) * ad - an * (eg_rel - e_rel)
-        above = above and bool(np.all(f_kh[v_rel > 0] > 0))
-        mid_above = mid_above and bool(np.all(f_kh[(v_rel > 0) & (v_rel < d)] > 0))
-        below = below and bool(np.all(f_gk[v_rel < d] < 0))
-    if induced and above:
+    induced = base_edges == pair.inner.num_edges
+    _, closure = _max_closure(edges, d, max(an, 0), ad)
+    full = (1 << d) - 1
+    if induced and all(closure(u) is None for u in range(d)):
         return PairClass.SAFE
-    if below:
+    if closure() == full:
         return PairClass.RIGID
-    if induced and vg_rel * ad == an * eg_rel and mid_above:
+    if (induced and pair.v_rel * ad == an * pair.e_rel
+            and all(closure(u) == full for u in range(d))):
         return PairClass.NEUTRAL
     return PairClass.OTHER
 
 
-def is_pair_strictly_balanced(pair: RootedPair, cap: int = DEFAULT_ENUM_CAP) -> bool:
-    """rho(G,H) > rho(K,H) for every K strictly between H and G."""
+def _pair_strictly_balanced(pair: RootedPair) -> bool:
+    """is_pair_strictly_balanced without the cap."""
     if pair.v_rel == 0:
         return False
-    edge_bits, base_edges, d = _relative_edges(pair, cap)
-    if base_edges != pair.inner.num_edges:
-        return False
-    vg_rel, eg_rel = pair.v_rel, pair.e_rel
-    # with H induced, a subset's edge count is already relative to e(H)
-    for _, v_rel, e_rel in _walk_subsets(edge_bits, d, min_size=1, max_size=d - 1):
-        if np.any(e_rel * vg_rel >= eg_rel * v_rel):
-            return False
-    return True
+    edges, base_edges, d = _relative_edges(pair)
+    # with H induced, the edges meeting the difference are the pair's edges
+    return base_edges == pair.inner.num_edges and _strictly_balanced(edges, d)
+
+
+def is_pair_strictly_balanced(pair: RootedPair, cap: int = DEFAULT_ENUM_CAP) -> bool:
+    """rho(G,H) > rho(K,H) for every K strictly between H and G, by one
+    max-closure cut; `cap` guards the input size."""
+    _check_pair_cap(pair, cap)
+    return _pair_strictly_balanced(pair)
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,13 @@ import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .errors import CapacityError, VerificationError
 
-DEFAULT_ENUM_CAP = 24    # vertex cap for 2^v subset walks
+DEFAULT_ENUM_CAP = 24    # input guard of the density calculus and the subset walk
 DEFAULT_SEARCH_CAP = 16  # vertex cap for isomorphism-type backtracking
 
 _CHUNK = 1 << 20
@@ -190,73 +190,204 @@ def _edge_bits(g: Hypergraph, order: list[int]) -> list[int]:
 def _walk_subsets(edge_bits: list[int], nbits: int, min_size: int = 0,
                   max_size: int | None = None
                   ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The subset walk: vertex subsets of an nbits-vertex set as bitmasks in
-    ascending order, in chunks of at most _CHUNK.
+    """The size-windowed subset walk: every vertex subset of an nbits-vertex
+    set with min_size to max_size vertices, once each, as bitmasks in chunks
+    of about _CHUNK (at least one row of low parts).
 
-    Yields (masks, popcounts, edge_counts) for the subsets with min_size to
-    max_size vertices; a subset's edge count is the number of `edge_bits`
-    masks it contains.  The size filter runs before edges are counted.
+    Yields (masks, popcounts, edge_counts); a subset's edge count is the
+    number of `edge_bits` masks it contains.  A subset is a high part (the
+    bits from `low_bits` up) joined to a low part; the high parts of each
+    size are made as combinations and meet only the low parts that bring
+    the size into the window, so no mask of another size is made.
     """
     top = nbits if max_size is None else min(max_size, nbits)
-    if min_size > top:
+    least = max(min_size, 0)
+    if least > top:
         return
-    # smallest mask with min_size bits, largest with top bits
-    start, stop = (1 << min_size) - 1, (1 << nbits) - (1 << (nbits - top)) + 1
-    for lo in range(start, stop, _CHUNK):
-        masks = np.arange(lo, min(lo + _CHUNK, stop), dtype=np.uint64)
-        pops = np.bitwise_count(masks)
-        if min_size > 1 or top < nbits - 1:  # else the range alone is the filter
-            keep = (pops >= min_size) & (pops <= top)
-            masks, pops = masks[keep], pops[keep]
-        counts = np.zeros(len(masks), dtype=np.int64)
-        for eb in edge_bits:
-            ebv = np.uint64(eb)
-            counts += (masks & ebv) == ebv
-        yield masks, pops.astype(np.int64), counts
+    low_bits = min(nbits, max(10, nbits - nbits // 2))
+    low = np.arange(1 << low_bits, dtype=np.uint64)
+    low_pops = np.bitwise_count(low)
+    ebv = [np.uint64(eb) for eb in edge_bits]
+    for j in range(min(top, nbits - low_bits) + 1):
+        tails = low[(low_pops >= least - j) & (low_pops <= top - j)]
+        if not len(tails):
+            continue
+        heads = np.array([sum(1 << b for b in c)
+                          for c in itertools.combinations(range(low_bits, nbits), j)],
+                         dtype=np.uint64)
+        rows = max(1, _CHUNK // len(tails))
+        for r in range(0, len(heads), rows):
+            masks = (heads[r:r + rows, None] | tails).ravel()
+            counts = np.zeros(len(masks), dtype=np.int64)
+            for e in ebv:
+                counts += (masks & e) == e
+            yield masks, np.bitwise_count(masks).astype(np.int64), counts
+
+
+def _max_closure(edges: list[tuple[int, ...]], n: int, gain: int, cost: int
+                 ) -> tuple[int, Callable[..., int | None]]:
+    """Max over vertex sets S of range(n) of gain * e(S) - cost * |S|, where
+    e(S) counts the `edges` inside S, by one integer max flow (Goldberg 1984).
+
+    The network is source -> edge node (capacity gain) -> each of its
+    vertices (uncapped) -> sink (capacity cost).  Returns the maximum and
+    `closure(u)`: the bitmask of the smallest maximizer that contains vertex
+    u (of all maximizers when u is None), or None when no maximizer contains
+    u.  The maximizers are the residual-closed vertex sets (Picard and
+    Queyranne 1982), so that smallest one is what the residual graph reaches
+    from the source and u.
+    """
+    m = len(edges)
+    src, snk = n + m, n + m + 1
+    head: list[int] = []  # arc a runs to head[a]; arc a ^ 1 is its reverse
+    res: list[int] = []   # residual capacity of each arc
+    out: list[list[int]] = [[] for _ in range(n + m + 2)]
+
+    def arc(a: int, b: int, c: int) -> None:
+        out[a].append(len(head))
+        head.append(b)
+        res.append(c)
+        out[b].append(len(head))
+        head.append(a)
+        res.append(0)
+
+    def augment(path: Iterable[int], push: int) -> None:
+        for a in path:
+            res[a] -= push
+            res[a ^ 1] += push
+
+    for v in range(n):
+        arc(v, snk, cost)  # arc 2v
+    uncapped = gain * m + 1  # above every finite cut
+    flow = 0
+    for j, e in enumerate(edges):
+        a = len(head)
+        arc(src, n + j, gain)
+        for v in e:
+            b = len(head)
+            arc(n + j, v, uncapped)
+            push = min(res[a], res[2 * v])  # greedy start: straight to the sink
+            if push:
+                augment((a, b, 2 * v), push)
+                flow += push
+    while True:  # shortest augmenting paths (Edmonds-Karp)
+        reached = bytearray(n + m + 2)
+        reached[src] = 1
+        via: dict[int, int] = {}
+        queue = [src]
+        for x in queue:
+            for a in out[x]:
+                y = head[a]
+                if res[a] and not reached[y]:
+                    reached[y] = 1
+                    via[y] = a
+                    queue.append(y)
+            if reached[snk]:
+                break
+        if not reached[snk]:
+            break  # `reached` is now the source's residual reach
+        path = []
+        y = snk
+        while y != src:
+            path.append(via[y])
+            y = head[via[y] ^ 1]
+        push = min(res[a] for a in path)
+        augment(path, push)
+        flow += push
+
+    def closure(u: int | None = None) -> int | None:
+        seen = bytearray(reached)
+        stack = []
+        if u is not None and not seen[u]:
+            seen[u] = 1
+            stack.append(u)
+        while stack:
+            for a in out[stack.pop()]:
+                y = head[a]
+                if res[a] and not seen[y]:
+                    if y == snk:
+                        return None
+                    seen[y] = 1
+                    stack.append(y)
+        return sum(1 << v for v in range(n) if seen[v])
+
+    return gain * m - flow, closure
+
+
+def _strictly_balanced(edges: list[tuple[int, ...]], n: int) -> bool:
+    """True iff every vertex set S with 0 < |S| < n spans fewer than
+    len(edges) / n edges per vertex: at that density, where the empty and the
+    full set score 0, they are the only maximizers, so every vertex's
+    smallest one is the full set.
+    """
+    rho = Fraction(len(edges), n)
+    _, closure = _max_closure(edges, n, rho.denominator, rho.numerator)
+    full = (1 << n) - 1
+    return all(closure(u) == full for u in range(n))
+
+
+def _index_edges(g: Hypergraph, order: list[int]) -> list[tuple[int, ...]]:
+    idx = {v: i for i, v in enumerate(order)}
+    return [tuple(idx[v] for v in e) for e in g.edges]
+
+
+def _check_enum_cap(g: Hypergraph, cap: int) -> None:
+    if g.num_vertices > cap:
+        raise CapacityError(f"{g.num_vertices} vertices exceeds the enumeration cap {cap}")
+
+
+def _max_density(g: Hypergraph) -> tuple[Fraction, Hypergraph]:
+    """max_density without the cap."""
+    order = g.sorted_vertices()
+    n = len(order)
+    if n == 0:
+        raise ValueError("max_density undefined on an empty vertex set")
+    edges = _index_edges(g, order)
+    masks = _edge_bits(g, order)
+    rho = Fraction(len(edges), n)
+    while True:  # Dinkelbach steps: rho rises to the maximum density
+        value, closure = _max_closure(edges, n, rho.denominator, rho.numerator)
+        if value == 0:
+            break
+        denser = closure()
+        rho = Fraction(sum(em & denser == em for em in masks), denser.bit_count())
+    # The first maximizer in mask order contains its highest vertex u and so
+    # the smallest maximizer containing u: it is that set.
+    best = None
+    for u in range(n):
+        if best is not None and best < 1 << u:
+            break  # every set containing u comes later
+        c = closure(u)
+        if c is not None and (best is None or c < best):
+            best = c
+    return rho, g.induced(order[i] for i in range(n) if best >> i & 1)
 
 
 def max_density(g: Hypergraph, cap: int = DEFAULT_ENUM_CAP) -> tuple[Fraction, Hypergraph]:
     """Maximum density over non-empty sub-hypergraphs, with one maximizing witness.
 
-    The maximum is attained on induced sub-hypergraphs, so a walk over vertex
-    subsets suffices.  The witness is the first maximizer in ascending order of
-    the subset bitmask over ascending vertex labels (deterministic).
+    The maximum is attained on induced sub-hypergraphs, and a few max-closure
+    cuts find it; `cap` guards the input size.  The witness is the first
+    maximizer in ascending order of the subset bitmask over ascending vertex
+    labels (deterministic).
     """
+    _check_enum_cap(g, cap)
+    return _max_density(g)
+
+
+def _is_strictly_balanced(g: Hypergraph) -> bool:
+    """is_strictly_balanced without the cap."""
     order = g.sorted_vertices()
-    v = len(order)
-    if v == 0:
-        raise ValueError("max_density undefined on an empty vertex set")
-    if v > cap:
-        raise CapacityError(f"{v} vertices exceeds the enumeration cap {cap}")
-    if not g.edges:
-        return Fraction(0), g.induced({order[0]})
-    best_e, best_v, best_mask = 0, 1, 1  # the single smallest vertex
-    for masks, pops, counts in _walk_subsets(_edge_bits(g, order), v, min_size=1):
-        while True:
-            hits = np.flatnonzero(counts * best_v > pops * best_e)
-            if hits.size == 0:
-                break
-            i = int(hits[0])
-            best_e, best_v, best_mask = int(counts[i]), int(pops[i]), int(masks[i])
-            keep = slice(i + 1, None)
-            masks, counts, pops = masks[keep], counts[keep], pops[keep]
-    witness = g.induced(order[i] for i in range(v) if best_mask >> i & 1)
-    return Fraction(best_e, best_v), witness
+    if not order:
+        raise ValueError("balance undefined on an empty vertex set")
+    return _strictly_balanced(_index_edges(g, order), len(order))
 
 
 def is_strictly_balanced(g: Hypergraph, cap: int = DEFAULT_ENUM_CAP) -> bool:
-    """True iff the density strictly exceeds that of every proper sub-hypergraph."""
-    order = g.sorted_vertices()
-    v = len(order)
-    if v == 0:
-        raise ValueError("balance undefined on an empty vertex set")
-    if v > cap:
-        raise CapacityError(f"{v} vertices exceeds the enumeration cap {cap}")
-    e_g = g.num_edges
-    for _, pops, counts in _walk_subsets(_edge_bits(g, order), v, min_size=1, max_size=v - 1):
-        if np.any(counts * v >= e_g * pops):
-            return False
-    return True
+    """True iff the density strictly exceeds that of every proper sub-hypergraph,
+    by one max-closure cut; `cap` guards the input size."""
+    _check_enum_cap(g, cap)
+    return _is_strictly_balanced(g)
 
 
 # ---------------------------------------------------------------------------

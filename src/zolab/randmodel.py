@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ExperimentError
+from .errors import CapacityError, ExperimentError, VerificationError
 from .extlab import count_uncovered_copies, is_pair_strictly_balanced, prop1_poisson_parameter
 from .folang import Formula, evaluate
 from .folang import compile as compile_formula
@@ -295,6 +295,15 @@ def _jsonable(val):
 # experiments
 # ---------------------------------------------------------------------------
 
+def _trial_error(exc: Exception, i: int, cfg: ExperimentConfig) -> Exception:
+    """The error of trial i, naming the trial and the config.  Capacity and
+    verification errors keep their class, so their exit codes hold; any
+    other error becomes an ExperimentError."""
+    config = ", ".join(f"{k}={v}" for k, v in cfg.to_dict().items())
+    cls = type(exc) if isinstance(exc, (CapacityError, VerificationError)) else ExperimentError
+    return cls(f"trial {i} of {{{config}}}: {exc}")
+
+
 def estimate_probability(cfg: ExperimentConfig,
                          predicate: Callable[[Hypergraph], bool]) -> ExperimentReport:
     """Fraction of trials whose sample satisfies the predicate, with a Wilson
@@ -306,7 +315,7 @@ def estimate_probability(cfg: ExperimentConfig,
         try:
             ok = bool(predicate(g))
         except Exception as exc:
-            raise ExperimentError(f"predicate failed at trial {i}: {exc}") from exc
+            raise _trial_error(exc, i, cfg) from exc
         hits += ok
     est = hits / cfg.trials
     return ExperimentReport(
@@ -373,7 +382,10 @@ def poisson_fit(cfg: ExperimentConfig, motifs: Sequence[Hypergraph]) -> Experime
     per_motif: list[list[int]] = [[] for _ in motifs]
     for i in range(cfg.trials):
         g = sample(cfg, i)
-        key = tuple(count_copies(mg, g) for mg in motifs)
+        try:
+            key = tuple(count_copies(mg, g) for mg in motifs)
+        except Exception as exc:
+            raise _trial_error(exc, i, cfg) from exc
         hist[key] = hist.get(key, 0) + 1
         for d, c in enumerate(key):
             per_motif[d].append(c)
@@ -408,9 +420,9 @@ def prop1_experiment(pair: RootedPair, cfg: ExperimentConfig,
     Verifies first that the inner graph and the pair are strictly balanced and
     that rho(H) = rho(G,H) = 1/alpha."""
     h, g = pair.inner_image, pair.outer
-    if not is_strictly_balanced(h):
+    if not is_strictly_balanced(h, cap=cap):
         raise ValueError("inner graph is not strictly balanced")
-    if not is_pair_strictly_balanced(pair):
+    if not is_pair_strictly_balanced(pair, cap=cap):
         raise ValueError("the pair is not strictly balanced")
     rho = density(h)
     if pair.rel_density() != rho:
@@ -425,7 +437,10 @@ def prop1_experiment(pair: RootedPair, cfg: ExperimentConfig,
     hist: dict[int, int] = {}
     for i in range(cfg.trials):
         host = sample(cfg, i)
-        c = count_uncovered_copies(h, g, host, cap=cap)
+        try:
+            c = count_uncovered_copies(h, g, host, cap=cap)
+        except Exception as exc:
+            raise _trial_error(exc, i, cfg) from exc
         hist[c] = hist.get(c, 0) + 1
     tv = pooled_tv_distance({(k,): v for k, v in hist.items()}, [lam], cfg.trials)
     return ExperimentReport(

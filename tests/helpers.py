@@ -65,6 +65,21 @@ def brute_max_density(g: Hypergraph) -> Fraction:
     return best
 
 
+def brute_max_density_witness(g: Hypergraph) -> tuple[Fraction, Hypergraph]:
+    """The maximum density over non-empty vertex sets and the first set that
+    reaches it in ascending bitmask order over ascending labels, as the
+    induced sub-hypergraph, by walking every mask in exact fractions."""
+    verts = sorted(g.vertices)
+    best, witness = None, None
+    for mask in range(1, 1 << len(verts)):
+        roster = frozenset(v for i, v in enumerate(verts) if mask >> i & 1)
+        inside = frozenset(e for e in g.edges if e <= roster)
+        value = Fraction(len(inside), len(roster))
+        if best is None or value > best:
+            best, witness = value, Hypergraph(g.s, roster, inside)
+    return best, witness
+
+
 def brute_omega_tilde(g: Hypergraph, alpha: Fraction, size_cap: int) -> bool:
     """No set of at most size_cap edge-covered vertices spans density above
     1/alpha, by combinations and exact fractions."""

@@ -191,6 +191,25 @@ def test_exit_codes(shg_files, capsys, tmp_path):
     assert exc.value.code == 2
 
 
+def test_capacity_errors_in_trial_loops_exit_3(shg_files, capsys, tmp_path):
+    from zolab.constructions import loose_path, theorem6_pair
+    path41 = tmp_path / "p41.shg"
+    write_shg(str(path41), loose_path(3, 20))
+    assert main(["scan", "--s", "3", "--n", "10", "--alpha", "2", "--trials", "2",
+                 "--seed", "1", "--motif", str(path41)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "capacity"
+    assert err["error"].startswith("trial 0 of {s=3, n=10, trials=2, seed=1, ")
+    w = theorem6_pair(3, 1, 2)
+    outer, inner = tmp_path / "outer.shg", tmp_path / "inner.shg"
+    write_shg(str(outer), w.g)
+    write_shg(str(inner), w.h)
+    assert main(["prop1", "--outer", str(outer), "--inner", str(inner), "--s", "3",
+                 "--n", "40", "--alpha", "7/4", "--trials", "2", "--seed", "6",
+                 "--cap", "16"]) == 3
+    assert json.loads(capsys.readouterr().err)["kind"] == "capacity"
+
+
 def test_env_var_default_seed(shg_files, capsys, monkeypatch):
     monkeypatch.setenv("ZOLAB_SEED", "77")
     code, payload = run_json(capsys, ["scan", "--s", "3", "--n", "12",

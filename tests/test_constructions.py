@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -8,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_omega_tilde, random_hypergraph
-from zolab import hypercore
+from zolab import constructions, hypercore
 from zolab.constructions import (
     loose_path,
     omega_tilde_check,
     theorem6_pair,
     theorem8_witnesses,
 )
+from zolab.errors import VerificationError
 from zolab.extlab import PairClass, classify_pair, is_pair_strictly_balanced
 from zolab.folang import build_theorem8_L, evaluate
 from zolab.hypercore import (
@@ -119,6 +121,28 @@ def test_theorem6_strict_balance_within_caps():
     for s, l, m in [(3, 1, 2), (3, 1, 3)]:
         w = theorem6_pair(s, l, m)
         assert is_strictly_balanced(w.h)
+
+
+def test_witness_builders_verify_at_every_size():
+    # v(H) = 30 and 39, past the enumeration cap: both checks still run
+    w6 = theorem6_pair(3, 2, 2)
+    assert w6.h.num_vertices == 30 and w6.g.num_vertices == 45
+    w8 = theorem8_witnesses(3, 6, 2, 5)
+    assert w8.h.num_vertices == 39
+    for k, a1, a2 in [(5, 1, 4), (6, 8, 8), (7, 1, 3), (7, 4, 9), (7, 16, 16)]:
+        start = time.process_time()
+        h = theorem8_witnesses(3, k, a1, a2).h
+        assert time.process_time() - start < 1.0, (k, a1, a2)
+    assert h.num_vertices == 121
+    with mock.patch.object(constructions, "_max_density", lambda g: (F(1), g)):
+        with pytest.raises(VerificationError):
+            theorem8_witnesses(3, 6, 2, 5)
+    with mock.patch.object(constructions, "_is_strictly_balanced", lambda g: False):
+        with pytest.raises(VerificationError):
+            theorem6_pair(3, 2, 2)
+    with mock.patch.object(constructions, "_pair_strictly_balanced", lambda p: False):
+        with pytest.raises(VerificationError):
+            theorem6_pair(3, 2, 2)
 
 
 def test_theorem8_base_variant():

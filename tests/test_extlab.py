@@ -13,7 +13,7 @@ from helpers import (
     brute_strict_extension_maps,
     random_hypergraph,
 )
-from zolab import extlab, hypercore
+from zolab import extlab
 from zolab.constructions import loose_path, theorem6_pair
 from zolab.extlab import (
     FIRST_TYPE,
@@ -422,13 +422,33 @@ def rooted_pairs(draw):
     return RootedPair.identity(Hypergraph(3, frozenset(range(1, n + 1)), edges), inner)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(rooted_pairs(), st.integers(1, 12), st.integers(1, 8))
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rooted_pairs(), st.integers(-3, 12), st.integers(1, 8))
 def test_pair_walk_against_sign_table(pair, an, ad):
+    # alpha <= 0 included: the cut then runs at alpha = 0
     alpha = F(an, ad)
-    want_class = brute_pair_class(pair, alpha)
-    want_balanced = brute_pair_strictly_balanced(pair)
-    for chunk in (4, hypercore._CHUNK):  # 4 splits every walk past 2 vertices
-        with mock.patch.object(hypercore, "_CHUNK", chunk):
-            assert classify_pair(pair, alpha).value == want_class
-            assert is_pair_strictly_balanced(pair) == want_balanced
+    assert classify_pair(pair, alpha).value == brute_pair_class(pair, alpha)
+    assert is_pair_strictly_balanced(pair) == brute_pair_strictly_balanced(pair)
+
+
+def test_pair_cuts_at_every_class_and_cap():
+    w = theorem6_pair(3, 1, 2)
+    for alpha, cls in ((w.alpha, "neutral"), (w.alpha - F(1, 8), "safe"),
+                       (w.alpha + F(1, 8), "rigid"), (F(-2), "safe")):
+        assert classify_pair(w.pair, alpha).value == cls == brute_pair_class(w.pair, alpha)
+    assert is_pair_strictly_balanced(w.pair) and brute_pair_strictly_balanced(w.pair)
+    # f_alpha(G, H) = 0, but each pendant edge alone also scores 0: other, not neutral
+    fan = Hypergraph.make(3, range(1, 6), [(1, 2, 3), (1, 4, 5)])
+    pair = RootedPair.identity(fan, Hypergraph.make(3, [1], []))
+    assert classify_pair(pair, F(2)).value == "other" == brute_pair_class(pair, F(2))
+    assert not is_pair_strictly_balanced(pair)
+    # a non-induced inner graph: two of the three triangles of a K4
+    k4 = Hypergraph.make(3, range(1, 5), itertools.combinations(range(1, 5), 3))
+    pair = RootedPair.identity(k4, Hypergraph.make(3, range(1, 4), []))
+    for alpha in (F(1, 2), F(1), F(3)):
+        assert classify_pair(pair, alpha).value == brute_pair_class(pair, alpha)
+    assert not is_pair_strictly_balanced(pair)
+    with pytest.raises(CapacityError):
+        classify_pair(w.pair, w.alpha, cap=w.pair.v_rel - 1)
+    with pytest.raises(CapacityError):
+        is_pair_strictly_balanced(w.pair, cap=w.pair.v_rel - 1)

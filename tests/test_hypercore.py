@@ -16,6 +16,7 @@ from helpers import (
     brute_distance,
     brute_embedding_count,
     brute_max_density,
+    brute_max_density_witness,
     hypergraphs,
     random_hypergraph,
 )
@@ -301,22 +302,56 @@ def test_count_copies_rejects_a_wrong_automorphism_count():
         count_copies(motif, host)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(hosts)
-def test_subset_walk_is_chunk_independent(g):
-    # the witness is the first maximizer in mask order, across chunk borders too
-    want = max_density(g), is_strictly_balanced(g)
-    with mock.patch.object(hypercore, "_CHUNK", 4):
-        assert (max_density(g), is_strictly_balanced(g)) == want
-    assert want[0][0] == brute_max_density(g)
+def _k4tail(s: int) -> Hypergraph:
+    """The complete s-graph on s + 1 vertices with a loose tail of two edges:
+    its densest part is proper."""
+    head = list(itertools.combinations(range(1, s + 2), s))
+    tail = [range(s + 1, 2 * s + 1), range(2 * s, 3 * s)]
+    return Hypergraph.make(s, range(1, 3 * s), head + tail)
+
+
+density_hosts = st.one_of(
+    st.sampled_from((3, 4)).flatmap(lambda s: st.integers(1, 9).flatmap(
+        lambda n: hypergraphs(s, n))),
+    st.sampled_from([
+        _k4tail(3), _k4tail(4),
+        Hypergraph.make(3, [7], []),                                  # one vertex
+        Hypergraph.make(3, range(1, 9), [(1, 2, 3)]),                 # isolated vertices
+        Hypergraph.make(3, range(1, 9), itertools.chain(              # two tied K4s
+            itertools.combinations(range(1, 5), 3),
+            itertools.combinations(range(5, 9), 3))),
+        Hypergraph.make(3, range(1, 9), [(5, 6, 7), (1, 2, 3), (2, 3, 4), (6, 7, 8)]),  # tied pairs
+    ]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(density_hosts)
+def test_density_cuts_against_brute_witness(g):
+    # the witness is the first maximizer in mask order, ties included
+    value, witness = brute_max_density_witness(g)
+    assert max_density(g) == (value, witness)
+    assert is_strictly_balanced(g) == (witness.vertices == g.vertices)
+
+
+def test_density_cuts_keep_their_caps():
+    g = _k4tail(3)
+    for fn in (max_density, is_strictly_balanced):
+        with pytest.raises(CapacityError):
+            fn(g, cap=g.num_vertices - 1)
+        with pytest.raises(ValueError):
+            fn(Hypergraph.make(3, [], []))
+    assert max_density(g, cap=g.num_vertices) == (F(1), g.induced(range(1, 5)))
 
 
 def test_subset_walk_yields_exactly_the_sized_subsets():
-    edge_bits = [0b000111, 0b011100, 0b110001]
-    for nbits in range(7):
+    # up to 6 bits every subset is a low part; 11 to 13 bits split into a
+    # high part and a low part
+    edge_bits = [0b000111, 0b011100, 0b110001, 0b1100000000001, 0b101000000010]
+    for nbits in [*range(7), 11, 12, 13]:
         bits = [b for b in edge_bits if b < 1 << nbits]
-        for lo in range(nbits + 2):
-            for hi in [None, *range(-1, nbits + 2)]:
+        sizes = range(nbits + 2) if nbits < 7 else (0, 2, 5, nbits)
+        for lo in sizes:
+            for hi in [None, -1, *sizes]:
                 top = nbits if hi is None else hi
                 want = [(m, m.bit_count(), sum(m & b == b for b in bits))
                         for m in range(1 << nbits) if lo <= m.bit_count() <= top]
@@ -325,4 +360,4 @@ def test_subset_walk_yields_exactly_the_sized_subsets():
                         got = [(int(m), int(p), int(c))
                                for chunk_out in hypercore._walk_subsets(bits, nbits, lo, hi)
                                for m, p, c in zip(*chunk_out)]
-                    assert got == want, (nbits, lo, hi, chunk)
+                    assert sorted(got) == want, (nbits, lo, hi, chunk)

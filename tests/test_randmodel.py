@@ -229,6 +229,46 @@ def test_estimate_probability_reports():
         estimate_probability(cfg, boom)
 
 
+def test_trial_loop_errors_name_the_trial_and_config():
+    from zolab.constructions import theorem6_pair
+    from zolab.errors import CapacityError
+
+    def over_cap_after_one(*args, **kwargs):
+        calls.append(args)
+        if len(calls) > 1:
+            raise CapacityError("over the cap")
+        return 0
+
+    w = theorem6_pair(3, 1, 2)
+    edge = Hypergraph.make(3, [1, 2, 3], [(1, 2, 3)])
+    cfg = ExperimentConfig(s=3, n=12, trials=3, seed=2, alpha=w.alpha)
+    want = r"^trial 1 of \{s=3, n=12, trials=3, seed=2, .*\}: over the cap$"
+    calls = []
+    with pytest.raises(CapacityError, match=want):
+        estimate_probability(cfg, over_cap_after_one)
+    edge_cfg = ExperimentConfig(s=3, n=12, trials=3, seed=2, alpha=Fraction(3))
+    for target, run in (("count_copies", lambda: poisson_fit(edge_cfg, [edge])),
+                        ("count_uncovered_copies",
+                         lambda: randmodel.prop1_experiment(w.pair, cfg))):
+        calls = []
+        with mock.patch.object(randmodel, target, over_cap_after_one):
+            with pytest.raises(CapacityError, match=want):
+                run()
+
+
+def test_prop1_checks_balance_under_its_own_cap():
+    from zolab.constructions import theorem6_pair
+    from zolab.errors import CapacityError
+    w = theorem6_pair(3, 2, 2)  # v(H) = 30, past the default enumeration cap
+    cfg = ExperimentConfig(s=3, n=60, trials=1, seed=1, alpha=w.alpha)
+    with mock.patch.object(randmodel, "prop1_poisson_parameter",
+                           side_effect=RuntimeError("past the balance checks")):
+        with pytest.raises(RuntimeError, match="past the balance checks"):
+            randmodel.prop1_experiment(w.pair, cfg, cap=60)
+    with pytest.raises(CapacityError, match="30 vertices"):
+        randmodel.prop1_experiment(w.pair, cfg)
+
+
 def test_pooled_tv_distance_basics():
     # empirical mass exactly at the Poisson pmf pooled cells gives ~0
     lam = 0.3
