@@ -30,6 +30,25 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational p/q: {text!r}") from exc
 
 
+# options parsed by _rational; their values may be negative, like -2/5
+_RATIONAL_OPTIONS = ("--alpha", "--alpha-grid", "--qk")
+
+
+def _bind_negative_values(argv: list[str]) -> list[str]:
+    """Join a rational option, or an abbreviation of one, and a following
+    value such as -2/5 into one token, --qk=-2/5: argparse takes a lone -2/5
+    for an option name."""
+    out: list[str] = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if (len(prev) > 2 and any(o.startswith(prev) for o in _RATIONAL_OPTIONS)
+                and token[:1] == "-" and token[1:2].isdigit()):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def _frac_dict(x: Fraction) -> dict:
     return {"num": x.numerator, "den": x.denominator}
 
@@ -419,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         seed = _default_seed()  # read on every call: a bad ZOLAB_SEED fails every command
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(
+            _bind_negative_values(sys.argv[1:] if argv is None else argv))
         if getattr(args, "seed", None) is None:
             args.seed = seed
         args.func(args)

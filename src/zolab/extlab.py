@@ -85,14 +85,13 @@ def classify_pair(pair: RootedPair, alpha: Fraction,
     edges, base_edges, d = _relative_edges(pair)
     an, ad = alpha.numerator, alpha.denominator
     induced = base_edges == pair.inner.num_edges
-    _, closure = _max_closure(edges, d, max(an, 0), ad)
+    _, closure, spans = _max_closure(edges, d, max(an, 0), ad)
     full = (1 << d) - 1
     if induced and all(closure(u) is None for u in range(d)):
         return PairClass.SAFE
     if closure() == full:
         return PairClass.RIGID
-    if (induced and pair.v_rel * ad == an * pair.e_rel
-            and all(closure(u) == full for u in range(d))):
+    if induced and pair.v_rel * ad == an * pair.e_rel and spans():
         return PairClass.NEUTRAL
     return PairClass.OTHER
 

@@ -225,7 +225,7 @@ def _walk_subsets(edge_bits: list[int], nbits: int, min_size: int = 0,
 
 
 def _max_closure(edges: list[tuple[int, ...]], n: int, gain: int, cost: int
-                 ) -> tuple[int, Callable[..., int | None]]:
+                 ) -> tuple[int, Callable[..., int | None], Callable[[], bool]]:
     """Max over vertex sets S of range(n) of gain * e(S) - cost * |S|, where
     e(S) counts the `edges` inside S, by one integer max flow (Goldberg 1984).
 
@@ -235,7 +235,8 @@ def _max_closure(edges: list[tuple[int, ...]], n: int, gain: int, cost: int
     u (of all maximizers when u is None), or None when no maximizer contains
     u.  The maximizers are the residual-closed vertex sets (Picard and
     Queyranne 1982), so that smallest one is what the residual graph reaches
-    from the source and u.
+    from the source and u.  Also returns `spans()`: whether the empty and the
+    full set are the only maximizers of a non-empty range(n).
     """
     m = len(edges)
     src, snk = n + m, n + m + 1
@@ -311,19 +312,34 @@ def _max_closure(edges: list[tuple[int, ...]], n: int, gain: int, cost: int
                     stack.append(y)
         return sum(1 << v for v in range(n) if seen[v])
 
-    return gain * m - flow, closure
+    def spans() -> bool:
+        # With the maximum 0 the empty set is the smallest maximizer, so the
+        # source reaches no vertex.  Then every vertex's smallest maximizer
+        # is full iff vertex 0's is and every vertex reaches vertex 0: one
+        # forward and one backward search from vertex 0.
+        if gain * m - flow or closure(0) != (1 << n) - 1:
+            return False
+        seen = bytearray(n + m + 2)
+        seen[0] = 1
+        stack = [0]
+        while stack:
+            for b in out[stack.pop()]:
+                x = head[b]  # arc b ^ 1 runs from x to the popped node
+                if res[b ^ 1] and not seen[x]:
+                    seen[x] = 1
+                    stack.append(x)
+        return 0 not in seen[:n]
+
+    return gain * m - flow, closure, spans
 
 
 def _strictly_balanced(edges: list[tuple[int, ...]], n: int) -> bool:
     """True iff every vertex set S with 0 < |S| < n spans fewer than
     len(edges) / n edges per vertex: at that density, where the empty and the
-    full set score 0, they are the only maximizers, so every vertex's
-    smallest one is the full set.
+    full set score 0, they are the only maximizers.
     """
     rho = Fraction(len(edges), n)
-    _, closure = _max_closure(edges, n, rho.denominator, rho.numerator)
-    full = (1 << n) - 1
-    return all(closure(u) == full for u in range(n))
+    return _max_closure(edges, n, rho.denominator, rho.numerator)[2]()
 
 
 def _index_edges(g: Hypergraph, order: list[int]) -> list[tuple[int, ...]]:
@@ -346,7 +362,7 @@ def _max_density(g: Hypergraph) -> tuple[Fraction, Hypergraph]:
     masks = _edge_bits(g, order)
     rho = Fraction(len(edges), n)
     while True:  # Dinkelbach steps: rho rises to the maximum density
-        value, closure = _max_closure(edges, n, rho.denominator, rho.numerator)
+        value, closure, _ = _max_closure(edges, n, rho.denominator, rho.numerator)
         if value == 0:
             break
         denser = closure()

@@ -264,3 +264,27 @@ def test_determinism_of_reports(shg_files, capsys):
     out2 = capsys.readouterr().out
     strip = lambda t: re.sub(r'"wall_time_s": [0-9.e-]+', '"wall_time_s": 0', t)
     assert strip(out1) == strip(out2)
+
+
+def test_negative_rationals_as_their_own_token(shg_files, capsys):
+    # argparse reads a lone -2/5 as an option name; every rational option
+    # must take it as a value, exactly as it takes --opt=-2/5
+    cases = [(["bounds", "--s", "3", "--k", "5"], "--qk", "-2/5"),
+             (["classify-pair", "--outer", shg_files["edge"],
+               "--inner", shg_files["vertex"]], "--alpha", "-7/4"),
+             (["probe", "--s", "3", "--n-grid", "8", "--trials", "2", "--seed", "1",
+               "--motif", shg_files["edge"]], "--alpha-grid", "-1/2,3/2")]
+    for argv, option, value in cases:
+        joined = run_json(capsys, argv + [f"{option}={value}"])
+        split = run_json(capsys, argv + [option, value])
+        for code, payload in (joined, split):
+            assert code == 0, (option, payload)
+            payload.pop("wall_time_s", None)
+        assert split == joined, option
+    for qk in (["--qk", "-2/5"], ["--q", "-2/5"]):  # argparse's abbreviation too
+        code, payload = run_json(capsys, ["bounds", "--s", "3", "--k", "5", *qk])
+        assert code == 0 and payload == {"alpha": {"num": -2, "den": 5}, "in_qk": False,
+                                          "schema": 1}
+    with pytest.raises(SystemExit) as exc:  # an option is still no value
+        main(["bounds", "--s", "3", "--k", "5", "--qk", "--max-candidates"])
+    assert exc.value.code == 2

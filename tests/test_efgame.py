@@ -167,3 +167,39 @@ def test_formula_text_matches_memo_free_recursion():
                 spoiler_wins += 1
                 assert to_text(got) == to_text(want)
         assert spoiler_wins >= least, (s, spoiler_wins)
+
+
+def near_copy(rng, g: Hypergraph) -> Hypergraph:
+    """g relabelled at random, with one random s-set toggled half the time:
+    pairs that often take every round to tell apart."""
+    verts = sorted(g.vertices)
+    perm = dict(zip(verts, rng.sample(verts, len(verts))))
+    edges = {frozenset(perm[x] for x in e) for e in g.edges}
+    if len(verts) >= g.s and rng.random() < 0.5:
+        edges ^= {frozenset(rng.sample(verts, g.s))}
+    return Hypergraph(g.s, g.vertices, frozenset(edges))
+
+
+def test_formula_text_matches_memo_free_recursion_at_four_rounds():
+    # gate for the type-partitioned recursion: at k = 4 the solver prunes
+    # replies by type below positions with two or more rounds left and after
+    # repeated pebbles.  Four pebbles never complete an s = 5 atom, so those
+    # pairs separate by equality facts alone.  `deep` counts the pairs that
+    # Spoiler wins in four rounds but not in three.
+    for s, low, pairs, seed, least, least_deep in ((3, 2, 100, 61, 55, 6), (5, 1, 40, 62, 8, 3)):
+        rng = random.Random(seed)
+        spoiler_wins = deep = 0
+        for _ in range(pairs):
+            g = random_hypergraph(rng, rng.randint(low, 6), s=s, p=rng.uniform(0.2, 0.7))
+            if rng.random() < 0.5:
+                h = near_copy(rng, g)
+            else:
+                h = random_hypergraph(rng, rng.randint(low, 6), s=s, p=rng.uniform(0.2, 0.7))
+            want = brute_game_formula(g, h, 4)
+            got = distinguishing_formula(g, h, 4)
+            assert (got is None) == (want is None)
+            if want is not None:
+                spoiler_wins += 1
+                deep += brute_game_formula(g, h, 3) is None
+                assert to_text(got) == to_text(want)
+        assert spoiler_wins >= least and deep >= least_deep, (s, spoiler_wins, deep)
