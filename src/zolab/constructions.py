@@ -9,16 +9,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapacityError, VerificationError
-from .extlab import _pair_strictly_balanced
+from .extlab import is_pair_strictly_balanced
 from .hypercore import (
     DEFAULT_ENUM_CAP,
     Hypergraph,
     RootedPair,
-    _edge_bits,
-    _is_strictly_balanced,
-    _max_density,
-    _walk_subsets,
     density,
+    is_strictly_balanced,
+    max_density,
 )
 
 
@@ -117,9 +115,9 @@ def theorem6_pair(s: int, l: int, m: int, verify: bool = True) -> Theorem6Witnes
         if pair.v_rel != expected_vrel:
             raise VerificationError(
                 f"v(G,H) = {pair.v_rel}, expected {expected_vrel}")
-        if not _pair_strictly_balanced(pair):
+        if not is_pair_strictly_balanced(pair, cap=pair.v_rel):
             raise VerificationError("the pair is not strictly balanced")
-        if not _is_strictly_balanced(h):
+        if not is_strictly_balanced(h, cap=h.num_vertices):
             raise VerificationError("H is not strictly balanced")
     return Theorem6Witness(pair=pair, alpha=alpha, endpoints=(a, b),
                            midpoints=tuple(midpoints), hub=hub)
@@ -217,7 +215,7 @@ def theorem8_witnesses(s: int, k: int, a1: int | None = None, a2: int | None = N
                 f"v(H) = {h.num_vertices}, expected {expected_e * (s - 1) - 1}")
         if 1 / density(h) != alpha:
             raise VerificationError(f"1/rho(H) = {1 / density(h)} != alpha = {alpha}")
-        if _max_density(h)[0] != density(h):
+        if max_density(h, cap=h.num_vertices)[0] != density(h):
             raise VerificationError("H is not its own densest sub-hypergraph")
     return Theorem8Witness(h=h, part1=part1, part2=part2, a=a, alpha=alpha,
                            center=center)
@@ -227,17 +225,31 @@ def omega_tilde_check(g: Hypergraph, alpha: Fraction, size_cap: int,
                       cap: int = DEFAULT_ENUM_CAP) -> bool:
     """True iff g has no sub-hypergraph on <= size_cap vertices denser than 1/alpha.
 
-    Isolated vertices never raise density, so the walk restricts to subsets of
-    edge-covered vertices.
+    Searches the connected unions of edges on at most size_cap vertices, grown
+    one meeting edge at a time from every edge.  That is exact for alpha > 0:
+    each vertex of a smallest too-dense set S lies on an edge inside S, or
+    dropping it would leave S too dense, and every split of S has an edge
+    across it, or one part would be too dense on its own.  `cap` guards the
+    number of edge-covered vertices.
     """
+    if alpha <= 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
     an, ad = alpha.numerator, alpha.denominator  # density > 1/alpha <=> e*an > v*ad
-    if max(an, ad) >= 1 << 40:
-        raise ValueError("alpha too large for the vectorised density check")
-    if not g.edges:
-        return True
-    covered = sorted({v for e in g.edges for v in e})
+    covered = {v for e in g.edges for v in e}
     if len(covered) > cap:
         raise CapacityError(
             f"{len(covered)} edge-covered vertices exceed the enumeration cap {cap}")
-    walk = _walk_subsets(_edge_bits(g, covered), len(covered), min_size=g.s, max_size=size_cap)
-    return not any((e_count * an > size * ad).any() for _, size, e_count in walk)
+    inc = g._incidence
+    stack = [e for e in g.edges if len(e) <= size_cap]
+    seen: set[frozenset[int]] = set()
+    while stack:
+        vs = stack.pop()
+        if vs in seen:
+            continue
+        seen.add(vs)
+        touching = {e for v in vs for e in inc[v]}
+        if sum(e <= vs for e in touching) * an > len(vs) * ad:
+            return False
+        stack.extend(u for u in (vs | e for e in touching)
+                     if len(u) <= size_cap and u not in seen)
+    return True

@@ -42,7 +42,7 @@ def f_alpha(pair: RootedPair, alpha: Fraction) -> Fraction:
 def _check_pair_cap(pair: RootedPair, cap: int) -> None:
     if pair.v_rel > cap:
         raise CapacityError(
-            f"2^{pair.v_rel} intermediate sub-hypergraphs exceed the cap 2^{cap}")
+            f"{pair.v_rel} difference vertices exceed the enumeration cap {cap}")
 
 
 def _relative_edges(pair: RootedPair) -> tuple[list[tuple[int, ...]], int, int]:
@@ -96,20 +96,15 @@ def classify_pair(pair: RootedPair, alpha: Fraction,
     return PairClass.OTHER
 
 
-def _pair_strictly_balanced(pair: RootedPair) -> bool:
-    """is_pair_strictly_balanced without the cap."""
+def is_pair_strictly_balanced(pair: RootedPair, cap: int = DEFAULT_ENUM_CAP) -> bool:
+    """rho(G,H) > rho(K,H) for every K strictly between H and G, by one
+    max-closure cut; `cap` guards the input size."""
+    _check_pair_cap(pair, cap)
     if pair.v_rel == 0:
         return False
     edges, base_edges, d = _relative_edges(pair)
     # with H induced, the edges meeting the difference are the pair's edges
     return base_edges == pair.inner.num_edges and _strictly_balanced(edges, d)
-
-
-def is_pair_strictly_balanced(pair: RootedPair, cap: int = DEFAULT_ENUM_CAP) -> bool:
-    """rho(G,H) > rho(K,H) for every K strictly between H and G, by one
-    max-closure cut; `cap` guards the input size."""
-    _check_pair_cap(pair, cap)
-    return _pair_strictly_balanced(pair)
 
 
 # ---------------------------------------------------------------------------

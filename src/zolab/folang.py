@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import reduce
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
@@ -71,31 +72,26 @@ def neq(x: str, y: str) -> Formula:
     return Not(Eq(x, y))
 
 
-def and_all(parts: Iterable[Formula]) -> Formula:
-    """Left-folded conjunction; structural duplicates are dropped."""
+def _fold(op: Callable[[Formula, Formula], Formula], parts: Iterable[Formula],
+          name: str) -> Formula:
+    """Left fold of the binary connective `op`; structural duplicates are dropped."""
     seen: list[Formula] = []
     for p in parts:
         if p not in seen:
             seen.append(p)
     if not seen:
-        raise ValueError("empty conjunction")
-    out = seen[0]
-    for p in seen[1:]:
-        out = And(out, p)
-    return out
+        raise ValueError(f"empty {name}")
+    return reduce(op, seen)
+
+
+def and_all(parts: Iterable[Formula]) -> Formula:
+    """Left-folded conjunction; structural duplicates are dropped."""
+    return _fold(And, parts, "conjunction")
 
 
 def or_all(parts: Iterable[Formula]) -> Formula:
-    seen: list[Formula] = []
-    for p in parts:
-        if p not in seen:
-            seen.append(p)
-    if not seen:
-        raise ValueError("empty disjunction")
-    out = seen[0]
-    for p in seen[1:]:
-        out = Or(out, p)
-    return out
+    """Left-folded disjunction; structural duplicates are dropped."""
+    return _fold(Or, parts, "disjunction")
 
 
 def exists_all(variables: Iterable[str], body: Formula) -> Formula:

@@ -2,8 +2,10 @@
 
 Vertices are arbitrary integer labels; nothing assumes contiguity.  All values
 are immutable after construction and safe to share across threads.  Degrees,
-neighbourhoods, distances and the matcher read a vertex -> incident-edges index
-that each `Hypergraph` builds lazily, once, on first use.
+neighbourhoods, distances, the matcher and `constructions.omega_tilde_check`
+read a vertex -> incident-edges index that each `Hypergraph` builds lazily,
+once, on first use.  Densities and balance come from integer max-closure cuts;
+the module uses the standard library only.
 """
 from __future__ import annotations
 
@@ -14,14 +16,10 @@ from functools import cache, cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
 
-import numpy as np
-
 from .errors import CapacityError, VerificationError
 
-DEFAULT_ENUM_CAP = 24    # input guard of the density calculus and the subset walk
+DEFAULT_ENUM_CAP = 24    # input guard of the density calculus and omega_tilde_check
 DEFAULT_SEARCH_CAP = 16  # vertex cap for isomorphism-type backtracking
-
-_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -182,48 +180,6 @@ def density(g: Hypergraph) -> Fraction:
     return Fraction(g.num_edges, g.num_vertices)
 
 
-def _edge_bits(g: Hypergraph, order: list[int]) -> list[int]:
-    idx = {v: i for i, v in enumerate(order)}
-    return sorted(sum(1 << idx[v] for v in e) for e in g.edges)
-
-
-def _walk_subsets(edge_bits: list[int], nbits: int, min_size: int = 0,
-                  max_size: int | None = None
-                  ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The size-windowed subset walk: every vertex subset of an nbits-vertex
-    set with min_size to max_size vertices, once each, as bitmasks in chunks
-    of about _CHUNK (at least one row of low parts).
-
-    Yields (masks, popcounts, edge_counts); a subset's edge count is the
-    number of `edge_bits` masks it contains.  A subset is a high part (the
-    bits from `low_bits` up) joined to a low part; the high parts of each
-    size are made as combinations and meet only the low parts that bring
-    the size into the window, so no mask of another size is made.
-    """
-    top = nbits if max_size is None else min(max_size, nbits)
-    least = max(min_size, 0)
-    if least > top:
-        return
-    low_bits = min(nbits, max(10, nbits - nbits // 2))
-    low = np.arange(1 << low_bits, dtype=np.uint64)
-    low_pops = np.bitwise_count(low)
-    ebv = [np.uint64(eb) for eb in edge_bits]
-    for j in range(min(top, nbits - low_bits) + 1):
-        tails = low[(low_pops >= least - j) & (low_pops <= top - j)]
-        if not len(tails):
-            continue
-        heads = np.array([sum(1 << b for b in c)
-                          for c in itertools.combinations(range(low_bits, nbits), j)],
-                         dtype=np.uint64)
-        rows = max(1, _CHUNK // len(tails))
-        for r in range(0, len(heads), rows):
-            masks = (heads[r:r + rows, None] | tails).ravel()
-            counts = np.zeros(len(masks), dtype=np.int64)
-            for e in ebv:
-                counts += (masks & e) == e
-            yield masks, np.bitwise_count(masks).astype(np.int64), counts
-
-
 def _max_closure(edges: list[tuple[int, ...]], n: int, gain: int, cost: int
                  ) -> tuple[int, Callable[..., int | None], Callable[[], bool]]:
     """Max over vertex sets S of range(n) of gain * e(S) - cost * |S|, where
@@ -352,21 +308,28 @@ def _check_enum_cap(g: Hypergraph, cap: int) -> None:
         raise CapacityError(f"{g.num_vertices} vertices exceeds the enumeration cap {cap}")
 
 
-def _max_density(g: Hypergraph) -> tuple[Fraction, Hypergraph]:
-    """max_density without the cap."""
+def max_density(g: Hypergraph, cap: int = DEFAULT_ENUM_CAP) -> tuple[Fraction, Hypergraph]:
+    """Maximum density over non-empty sub-hypergraphs, with one maximizing witness.
+
+    The maximum is attained on induced sub-hypergraphs, and a few max-closure
+    cuts find it; `cap` guards the input size.  The witness is the first
+    maximizer in ascending order of the subset bitmask over ascending vertex
+    labels (deterministic).
+    """
+    _check_enum_cap(g, cap)
     order = g.sorted_vertices()
     n = len(order)
     if n == 0:
         raise ValueError("max_density undefined on an empty vertex set")
     edges = _index_edges(g, order)
-    masks = _edge_bits(g, order)
     rho = Fraction(len(edges), n)
     while True:  # Dinkelbach steps: rho rises to the maximum density
         value, closure, _ = _max_closure(edges, n, rho.denominator, rho.numerator)
         if value == 0:
             break
         denser = closure()
-        rho = Fraction(sum(em & denser == em for em in masks), denser.bit_count())
+        rho = Fraction(sum(all(denser >> v & 1 for v in e) for e in edges),
+                       denser.bit_count())
     # The first maximizer in mask order contains its highest vertex u and so
     # the smallest maximizer containing u: it is that set.
     best = None
@@ -379,31 +342,14 @@ def _max_density(g: Hypergraph) -> tuple[Fraction, Hypergraph]:
     return rho, g.induced(order[i] for i in range(n) if best >> i & 1)
 
 
-def max_density(g: Hypergraph, cap: int = DEFAULT_ENUM_CAP) -> tuple[Fraction, Hypergraph]:
-    """Maximum density over non-empty sub-hypergraphs, with one maximizing witness.
-
-    The maximum is attained on induced sub-hypergraphs, and a few max-closure
-    cuts find it; `cap` guards the input size.  The witness is the first
-    maximizer in ascending order of the subset bitmask over ascending vertex
-    labels (deterministic).
-    """
-    _check_enum_cap(g, cap)
-    return _max_density(g)
-
-
-def _is_strictly_balanced(g: Hypergraph) -> bool:
-    """is_strictly_balanced without the cap."""
-    order = g.sorted_vertices()
-    if not order:
-        raise ValueError("balance undefined on an empty vertex set")
-    return _strictly_balanced(_index_edges(g, order), len(order))
-
-
 def is_strictly_balanced(g: Hypergraph, cap: int = DEFAULT_ENUM_CAP) -> bool:
     """True iff the density strictly exceeds that of every proper sub-hypergraph,
     by one max-closure cut; `cap` guards the input size."""
     _check_enum_cap(g, cap)
-    return _is_strictly_balanced(g)
+    order = g.sorted_vertices()
+    if not order:
+        raise ValueError("balance undefined on an empty vertex set")
+    return _strictly_balanced(_index_edges(g, order), len(order))
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,8 @@ from .errors import CapacityError, ExperimentError, VerificationError
 from .extlab import count_uncovered_copies, is_pair_strictly_balanced, prop1_poisson_parameter
 from .folang import Formula, evaluate
 from .folang import compile as compile_formula
-from .hypercore import Hypergraph, RootedPair, count_copies, density, has_copy, is_strictly_balanced
+from .hypercore import Hypergraph, RootedPair, automorphism_count, count_copies, density
+from .hypercore import has_copy, is_strictly_balanced
 
 EXACT_RANK_LIMIT = 2000
 CANDIDATE_EDGE_LIMIT = 1 << 22  # most candidate edges a full or coupled draw walks
@@ -323,7 +324,7 @@ def estimate_probability(cfg: ExperimentConfig,
         estimates={"probability": est},
         intervals={"probability": wilson_interval(hits, cfg.trials)},
         counts={"successes": hits, "trials": cfg.trials},
-        extra={"p": edge_probability(cfg)},
+        extra={"p": cfg._sampling[0]},
         wall_time_s=time.perf_counter() - t0)
 
 
@@ -375,7 +376,6 @@ def poisson_fit(cfg: ExperimentConfig, motifs: Sequence[Hypergraph]) -> Experime
         raise ValueError(f"config alpha {cfg.alpha} != 1/rho = {want_alpha}")
 
     t0 = time.perf_counter()
-    from .hypercore import automorphism_count
     auts = [automorphism_count(mg) for mg in motifs]
     lams = [1.0 / a for a in auts]
     hist: dict[tuple[int, ...], int] = {}
@@ -399,7 +399,7 @@ def poisson_fit(cfg: ExperimentConfig, motifs: Sequence[Hypergraph]) -> Experime
         correlations=corr or None,
         counts={"trials": cfg.trials},
         extra={"automorphisms": auts, "rates": lams,
-               "p": edge_probability(cfg)},
+               "p": cfg._sampling[0]},
         wall_time_s=time.perf_counter() - t0)
 
 
@@ -448,7 +448,7 @@ def prop1_experiment(pair: RootedPair, cfg: ExperimentConfig,
         histogram=hist, tv_distance=tv,
         counts={"trials": cfg.trials},
         extra={"a": param.a, "a1": param.a1, "a2": param.a2, "rate": lam,
-               "p": edge_probability(cfg)},
+               "p": cfg._sampling[0]},
         wall_time_s=time.perf_counter() - t0)
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_omega_tilde, random_hypergraph
-from zolab import constructions, hypercore
+from zolab import constructions
 from zolab.constructions import (
     loose_path,
     omega_tilde_check,
@@ -134,13 +134,13 @@ def test_witness_builders_verify_at_every_size():
         h = theorem8_witnesses(3, k, a1, a2).h
         assert time.process_time() - start < 1.0, (k, a1, a2)
     assert h.num_vertices == 121
-    with mock.patch.object(constructions, "_max_density", lambda g: (F(1), g)):
+    with mock.patch.object(constructions, "max_density", lambda g, cap: (F(1), g)):
         with pytest.raises(VerificationError):
             theorem8_witnesses(3, 6, 2, 5)
-    with mock.patch.object(constructions, "_is_strictly_balanced", lambda g: False):
+    with mock.patch.object(constructions, "is_strictly_balanced", lambda g, cap: False):
         with pytest.raises(VerificationError):
             theorem6_pair(3, 2, 2)
-    with mock.patch.object(constructions, "_pair_strictly_balanced", lambda p: False):
+    with mock.patch.object(constructions, "is_pair_strictly_balanced", lambda p, cap: False):
         with pytest.raises(VerificationError):
             theorem6_pair(3, 2, 2)
 
@@ -204,16 +204,47 @@ def test_omega_tilde_check():
     assert omega_tilde_check(Hypergraph.make(3, range(1, 6), []), F(9, 5), size_cap=5)
     # size cap below any violator keeps the check green
     assert omega_tilde_check(worse, F(9, 5), size_cap=3)
-    with pytest.raises(ValueError):  # the int64 products must stay exact
-        omega_tilde_check(worse, F(1 << 40, 3), size_cap=9)
+    # exact at any size of alpha, also right at the density 5/9 of w.h
+    big = 1 << 70
+    assert not omega_tilde_check(w.h, F(9 * big + 1, 5 * big), size_cap=9)
+    assert omega_tilde_check(w.h, F(9 * big, 5 * big + 1), size_cap=9)
+    assert not omega_tilde_check(worse, F(big, 3), size_cap=9)
+    edge = Hypergraph.make(3, [1, 2, 3], [(1, 2, 3)])
+    for alpha in (F(-1), F(0), F(-9, 5)):  # 1/alpha is negative or undefined
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            omega_tilde_check(edge, alpha, size_cap=3)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(st.integers(0, 2**32 - 1), st.integers(3, 8), st.floats(0.1, 0.6),
+def _sparse_host(rng: random.Random, n: int) -> Hypergraph:
+    """Loose paths and cycles of 3-edges over 1..n in random order, plus a
+    few random edges."""
+    order = rng.sample(range(1, n + 1), n)
+    edges = set()
+    i = 0
+    while i + 3 <= n:
+        t = rng.randint(1, 5)
+        chain = order[i:i + 2 * t + 1]
+        i += len(chain)
+        if len(chain) % 2 == 0:
+            chain.pop()
+        if len(chain) >= 7 and rng.random() < 0.5:
+            chain[-1] = chain[0]  # close the path into a loose cycle
+            i -= 1
+        edges.update(frozenset(chain[j:j + 3]) for j in range(0, len(chain) - 2, 2))
+    for _ in range(rng.randint(0, 4)):
+        edges.add(frozenset(rng.sample(range(1, n + 1), 3)))
+    return Hypergraph.make(3, range(1, n + 1), edges)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 8) | st.integers(12, 24), st.floats(0.1, 0.6),
        st.integers(1, 12), st.integers(1, 8), st.integers(0, 9))
 def test_omega_tilde_check_against_combinations(seed, n, p, an, ad, size_cap):
-    g = random_hypergraph(random.Random(seed), n, p=p)
-    want = brute_omega_tilde(g, F(an, ad), size_cap)
-    for chunk in (4, hypercore._CHUNK):
-        with mock.patch.object(hypercore, "_CHUNK", chunk):
-            assert omega_tilde_check(g, F(an, ad), size_cap) == want
+    # a random host up to 8 vertices, a sparse one from 12 on, where the
+    # oracle's combinations stay few at size_cap <= 5
+    rng = random.Random(seed)
+    if n <= 8:
+        g = random_hypergraph(rng, n, p=p)
+    else:
+        g, size_cap = _sparse_host(rng, n), min(size_cap, 5)
+    assert omega_tilde_check(g, F(an, ad), size_cap) == brute_omega_tilde(g, F(an, ad), size_cap)

@@ -448,7 +448,10 @@ def test_pair_cuts_at_every_class_and_cap():
     for alpha in (F(1, 2), F(1), F(3)):
         assert classify_pair(pair, alpha).value == brute_pair_class(pair, alpha)
     assert not is_pair_strictly_balanced(pair)
-    with pytest.raises(CapacityError):
-        classify_pair(w.pair, w.alpha, cap=w.pair.v_rel - 1)
-    with pytest.raises(CapacityError):
-        is_pair_strictly_balanced(w.pair, cap=w.pair.v_rel - 1)
+    # the message names what is capped: the difference vertices
+    d = w.pair.v_rel
+    cap_msg = f"^{d} difference vertices exceed the enumeration cap {d - 1}$"
+    with pytest.raises(CapacityError, match=cap_msg):
+        is_pair_strictly_balanced(w.pair, cap=d - 1)
+    with pytest.raises(CapacityError, match=cap_msg):
+        classify_pair(w.pair, w.alpha, cap=d - 1)

@@ -4,7 +4,6 @@ import random
 import tempfile
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +19,6 @@ from helpers import (
     hypergraphs,
     random_hypergraph,
 )
-from zolab import hypercore
 from zolab.errors import CapacityError, VerificationError
 from zolab.hypercore import (
     Hypergraph,
@@ -341,23 +339,3 @@ def test_density_cuts_keep_their_caps():
         with pytest.raises(ValueError):
             fn(Hypergraph.make(3, [], []))
     assert max_density(g, cap=g.num_vertices) == (F(1), g.induced(range(1, 5)))
-
-
-def test_subset_walk_yields_exactly_the_sized_subsets():
-    # up to 6 bits every subset is a low part; 11 to 13 bits split into a
-    # high part and a low part
-    edge_bits = [0b000111, 0b011100, 0b110001, 0b1100000000001, 0b101000000010]
-    for nbits in [*range(7), 11, 12, 13]:
-        bits = [b for b in edge_bits if b < 1 << nbits]
-        sizes = range(nbits + 2) if nbits < 7 else (0, 2, 5, nbits)
-        for lo in sizes:
-            for hi in [None, -1, *sizes]:
-                top = nbits if hi is None else hi
-                want = [(m, m.bit_count(), sum(m & b == b for b in bits))
-                        for m in range(1 << nbits) if lo <= m.bit_count() <= top]
-                for chunk in (3, hypercore._CHUNK):
-                    with mock.patch.object(hypercore, "_CHUNK", chunk):
-                        got = [(int(m), int(p), int(c))
-                               for chunk_out in hypercore._walk_subsets(bits, nbits, lo, hi)
-                               for m, p, c in zip(*chunk_out)]
-                    assert sorted(got) == want, (nbits, lo, hi, chunk)
