@@ -305,17 +305,30 @@ def parse(text: str) -> Formula:
 # bound outside v's quantifier and not rebound before the atom it comes from:
 #   ("e", u)      the value of u                       from v = u
 #   ("n", u)      the co-edge neighbours of u          from N(..v..u..)
+#   ("b", u, i)   the ball of radius i around u        from dist(v, u) <= i, below
 #   ("d", None)   the vertices of degree >= 1          from N(..v..), no such u
 # The empty guard () admits no value: an atom that repeats a variable never
 # holds.  Per node, `pos` maps a quantified variable to a guard for the values
 # that can make the node true and `neg` to one for the values that can make it
 # false; a variable with no entry ranges over all vertices.
+#
+# `compile` also recognises the distance subtrees that `_dist_at_most` emits,
+# whatever their variable names.  The leaf
+#   x = y | exists p1 .. exists p(s-2) N(x, p1, .., p(s-2), y)
+# with distinct pads, none of them x or y, says dist(x, y) <= 1; the step
+#   exists m (dist(x, m) <= a & dist(m, y) <= b)   with b - a in {0, 1}
+# and m, x, y distinct says dist(x, y) <= a + b.  Each node reads its shape off
+# its children's shapes, so recognition costs O(1) per node.  A recognised
+# subtree runs as one lookup in the run's cache of BFS balls; it guards x by
+# ("b", y, i) and y by ("b", x, i) and gives no negative guard.
 
-_COST = {"e": 1, "n": 2, "d": 3}
+# by typical size: a ball around u holds u's co-edge neighbours, and all of it
+# but u has degree >= 1
+_COST = {"e": 2, "n": 4, "b": 5, "d": 6}
 
 
 def _cost(guard: tuple) -> int:
-    return sum([_COST[kind] for kind, _ in guard])
+    return sum([_COST[src[0]] for src in guard])
 
 
 def _either(left: dict, right: dict) -> dict:
@@ -353,11 +366,13 @@ def _candidates(guard: tuple | None) -> Callable:
     if guard is None:
         return lambda env, run: run.vertices
 
-    def source(kind: str, u: str | None) -> Callable:
+    def source(kind: str, u: str | None, radius: int = 0) -> Callable:
         if kind == "e":
             return lambda env, run: (env[u],)
         if kind == "n":
             return lambda env, run: run.neighbors(env[u])
+        if kind == "b":
+            return lambda env, run: run.ball(env[u], radius)
         return lambda env, run: run.active()
 
     parts = [source(*src) for src in guard]
@@ -382,7 +397,7 @@ class CompiledFormula:
 class _Run:
     """One host's lazily built tables and a fresh memo, for one evaluation."""
 
-    __slots__ = ("g", "edges", "vertices", "memos", "_neighbors", "_active")
+    __slots__ = ("g", "edges", "vertices", "memos", "_neighbors", "_active", "_balls")
 
     def __init__(self, g: Hypergraph, quantifiers: int, memo: bool):
         self.g = g
@@ -391,6 +406,7 @@ class _Run:
         self.memos = [{} for _ in range(quantifiers)] if memo else None
         self._neighbors: dict[int, tuple[int, ...]] = {}
         self._active: tuple[int, ...] | None = None
+        self._balls: dict[int, list] = {}  # v -> [balls by radius, last layer]
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         out = self._neighbors.get(v)
@@ -403,16 +419,45 @@ class _Run:
             self._active = tuple(set().union(*self.edges))
         return self._active
 
+    def ball(self, v: int, radius: int) -> frozenset[int]:
+        """The vertices at distance <= radius from v.  The balls around v and
+        the last BFS layer are kept, and grown one layer at a time on demand."""
+        grown = self._balls.get(v)
+        if grown is None:
+            grown = self._balls[v] = [[frozenset((v,))], (v,)]
+        balls = grown[0]
+        while len(balls) <= radius:
+            last = balls[-1]
+            layer = set().union(*[self.neighbors(u) for u in grown[1]]) - last
+            grown[1] = layer
+            balls.append(last | layer if layer else last)
+        return balls[radius]
+
 
 def compile(f: Formula) -> CompiledFormula:
     """Closures, free variables, N arity and quantifier guards of f, in one pass."""
     arities: set[int] = set()
     qids = itertools.count()
 
+    def within(x: str, y: str, radius: int, scope: dict[str, int]):
+        """The compiled form of a recognised subtree dist(x, y) <= radius."""
+        pos = {}
+        for v, u in ((x, y), (y, x)):
+            if v in scope and scope.get(u, -1) < scope[v]:
+                pos[v] = (("b", u, radius),)
+        return ((lambda env, run: env[y] in run.ball(env[x], radius)),
+                frozenset((x, y)), pos, {}, ("d", x, y, radius))
+
     def go(f: Formula, scope: dict[str, int]):
-        """-> (closure, free variables, pos guards, neg guards).  `scope` maps
-        each variable an enclosing quantifier binds to that quantifier's
-        number, which grows inwards; a free variable of f counts as -1."""
+        """-> (closure, free variables, pos guards, neg guards, shape).  `scope`
+        maps each variable an enclosing quantifier binds to that quantifier's
+        number, which grows inwards; a free variable of f counts as -1.  The
+        shape is None or the part of a distance subtree that f can be:
+          ("=", x, y)           x = y with x, y distinct
+          ("N", args, j)        N(args) with distinct args, the last j pads
+                                before args[-1] bound by exists above the atom
+          ("m", x, m, y, i)     dist(x, m) <= a & dist(m, y) <= b, a + b = i
+          ("d", x, y, i)        a recognised subtree dist(x, y) <= i"""
         kind = type(f)
         if kind is Atom:
             args = f.args
@@ -425,9 +470,11 @@ def compile(f: Formula) -> CompiledFormula:
                     if x in scope:
                         outer = [u for u in args if scope.get(u, -1) < scope[x]]
                         pos[x] = (("n", outer[0]) if outer else ("d", None),)
+                shape = ("N", args, 0)
             else:  # a repeated variable: never s distinct vertices, never true
                 pos = dict.fromkeys(names & scope.keys(), ())
-            return (lambda env, run: frozenset(get(env)) in run.edges), names, pos, {}
+                shape = None
+            return (lambda env, run: frozenset(get(env)) in run.edges), names, pos, {}, shape
         if kind is Eq:
             a, b = f.left, f.right
             pos = {}
@@ -435,26 +482,44 @@ def compile(f: Formula) -> CompiledFormula:
                 pos[a] = (("e", b),)
             if b in scope and scope.get(a, -1) < scope[b]:
                 pos[b] = (("e", a),)
-            return (lambda env, run: env[a] == env[b]), frozenset((a, b)), pos, {}
+            return ((lambda env, run: env[a] == env[b]), frozenset((a, b)), pos, {},
+                    ("=", a, b) if a != b else None)
         if kind is Not:
-            body, free, pos, neg = go(f.body, scope)
-            return (lambda env, run: not body(env, run)), free, neg, pos
+            body, free, pos, neg, _ = go(f.body, scope)
+            return (lambda env, run: not body(env, run)), free, neg, pos, None
         if kind is And or kind is Or or kind is Implies:
-            left, lfree, lpos, lneg = go(f.left, scope)
-            right, rfree, rpos, rneg = go(f.right, scope)
+            left, lfree, lpos, lneg, lshape = go(f.left, scope)
+            right, rfree, rpos, rneg, rshape = go(f.right, scope)
             free = lfree | rfree
             if kind is And:
+                shape = None
+                if (lshape and rshape and lshape[0] == rshape[0] == "d"
+                        and lshape[2] == rshape[1] and lshape[1] != rshape[2]
+                        and rshape[3] - lshape[3] in (0, 1)):
+                    shape = ("m", lshape[1], lshape[2], rshape[2], lshape[3] + rshape[3])
                 return ((lambda env, run: left(env, run) and right(env, run)), free,
-                        _either(lpos, rpos), _union(lneg, rneg))
+                        _either(lpos, rpos), _union(lneg, rneg), shape)
             if kind is Or:
+                if (lshape and rshape and lshape[0] == "=" and rshape[0] == "N"
+                        and rshape[2] == len(rshape[1]) - 2
+                        and lshape[1:] == (rshape[1][0], rshape[1][-1])):
+                    return within(lshape[1], lshape[2], 1, scope)
                 return ((lambda env, run: left(env, run) or right(env, run)), free,
-                        _union(lpos, rpos), _either(lneg, rneg))
+                        _union(lpos, rpos), _either(lneg, rneg), None)
             return ((lambda env, run: not left(env, run) or right(env, run)), free,
-                    _union(lneg, rpos), _either(lpos, rneg))
+                    _union(lneg, rpos), _either(lpos, rneg), None)
         if kind is Exists or kind is Forall:
             qid = next(qids)
             var = f.var
-            body, bfree, bpos, bneg = go(f.body, {**scope, var: qid})
+            body, bfree, bpos, bneg, bshape = go(f.body, {**scope, var: qid})
+            shape = None
+            if kind is Exists and bshape:
+                if bshape[0] == "m" and bshape[2] == var:
+                    return within(bshape[1], bshape[3], bshape[4], scope)
+                if bshape[0] == "N":
+                    args, j = bshape[1], bshape[2]
+                    if j < len(args) - 2 and args[-2 - j] == var:
+                        shape = ("N", args, j + 1)
             free = bfree - {var}
             key = itemgetter(*sorted(free)) if free else (lambda env: None)
             want = kind is Exists  # the body value that decides the quantifier
@@ -483,10 +548,10 @@ def compile(f: Formula) -> CompiledFormula:
                     table[k] = result
                 return result
 
-            return quantifier, free, _bind(bpos, var), _bind(bneg, var)
+            return quantifier, free, _bind(bpos, var), _bind(bneg, var), shape
         raise TypeError(f"not a formula node: {f!r}")
 
-    root, free, _, _ = go(f, {})
+    root, free, _, _, _ = go(f, {})
     if len(arities) > 1:
         raise ValueError(f"inconsistent N arities: {sorted(arities)}")
     return CompiledFormula(next(iter(arities), None), free, next(qids), root)

@@ -221,6 +221,14 @@ def table_evaluate(f: Formula, g: Hypergraph, assignment: dict | None = None) ->
     """Bottom-up assignment-enumeration evaluator (no memoization, no
     short-circuiting): computes the full satisfying table of every subformula.
     """
+    fv, rows = truth_table(f, g)
+    env = assignment or {}
+    return rows[tuple(env[v] for v in fv)]
+
+
+def truth_table(f: Formula, g: Hypergraph) -> tuple[tuple[str, ...], dict]:
+    """The sorted free variables of f and its truth value under every
+    assignment of them, by `table_evaluate`'s table filling."""
     verts = tuple(sorted(g.vertices))
     edges = g.edges
     s = g.s
@@ -283,10 +291,7 @@ def table_evaluate(f: Formula, g: Hypergraph, assignment: dict | None = None) ->
             return fv, rows
         raise TypeError(node)
 
-    fv, rows = table(f)
-    env = assignment or {}
-    key = tuple(env[v] for v in fv)
-    return rows[key]
+    return table(f)
 
 
 def all_hypergraphs(n_vertices: int, s: int = 3, max_edges: int | None = None):

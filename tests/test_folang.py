@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import hypergraphs, random_hypergraph, table_evaluate
+from helpers import brute_distance, hypergraphs, random_hypergraph, table_evaluate, truth_table
 from zolab.folang import (
+    _Run,
     And,
     Atom,
     Eq,
@@ -23,6 +25,7 @@ from zolab.folang import (
     build_theorem6_L,
     build_theorem8_L,
     compile,
+    exists_all,
     evaluate,
     free_variables,
     parse,
@@ -176,6 +179,186 @@ def test_compiled_runs_match_table_oracle(data):
         assert evaluate(f, g, env) == want
         assert evaluate(f, g, env, memo=False) == want
         assert evaluate(compiled, g, env) == want
+
+
+# names of distance contexts and of the bound names inside distance subtrees,
+# which may rebind any context variable
+OUTER = ("x", "y", "z")
+INNER = OUTER + ("m", "p")
+
+
+LEAF_MISSES = ("pad", "repeat", "permute", "flip", "stray", "loose")
+STEP_MISSES = ("mid", "split", "swap", "unbound")
+
+
+@st.composite
+def _dist_subtree(draw, s: int, i: int, x: str, y: str, plant: tuple | None = None):
+    """`_dist_at_most(i, s, x, y)` with drawn bound names.  `plant` = (kind,
+    depth) puts one near-miss shape that `compile` must not recognise on a
+    drawn branch: a step kind on the step at that depth, a leaf kind on the
+    leaf the branch ends on.
+      leaf: a pad equal to an endpoint, a repeated pad, permuted atom
+            arguments, a flipped equality, an equality on another pair, or
+            a pad quantifier that binds another name;
+      step: a midpoint equal to an endpoint, a split with b - a outside
+            {0, 1}, or a quantifier that binds another name than the
+            midpoint."""
+    if i == 0:
+        return Eq(x, y)
+    others = [v for v in INNER if v not in (x, y)]
+    kind, depth = plant or (None, 0)
+    if i == 1:
+        miss = kind if kind in LEAF_MISSES else None
+        pads = list(draw(st.permutations(others))[:s - 2])
+        if miss == "repeat" and s > 3:
+            pads[1] = pads[0]
+        elif miss in ("pad", "repeat"):
+            pads[draw(st.integers(0, s - 3))] = draw(st.sampled_from((x, y)))
+        args = [x, *pads, y]
+        if miss == "permute":
+            args = draw(st.permutations(args))
+        eq = {"flip": Eq(y, x), "stray": Eq(x, draw(st.sampled_from(others)))}.get(miss, Eq(x, y))
+        binders = list(pads)
+        if miss == "loose":
+            binders[draw(st.integers(0, s - 3))] = draw(
+                st.sampled_from([v for v in INNER if v not in pads]))
+        return Or(eq, exists_all(binders, Atom(tuple(args))))
+    miss = kind if kind in STEP_MISSES and depth == 0 else None
+    a, b = i // 2, (i + 1) // 2
+    if miss == "split":
+        a, b = a - 1, b + 1
+    if miss == "swap":
+        a, b = b, a + (a == b)
+    mid = draw(st.sampled_from((x, y) if miss == "mid" else others))
+    bound = draw(st.sampled_from([v for v in INNER if v != mid])) if miss == "unbound" else mid
+    down = [None, None]
+    if plant and not miss:
+        down[draw(st.integers(0, 1))] = (kind, max(depth - 1, 0))
+    return Exists(bound, And(draw(_dist_subtree(s, a, x, mid, down[0])),
+                             draw(_dist_subtree(s, b, mid, y, down[1]))))
+
+
+@st.composite
+def _distance_formulas(draw, s: int, depth: int = 2, size: int = 2, scope: tuple = ()):
+    """Formulas over three names that embed distance subtrees, at most or
+    exact, in quantifier and boolean contexts.  The endpoints may be free or
+    bound; a quantifier often rebinds an enclosing variable, also one between
+    a subtree endpoint's binder and the subtree."""
+    kinds = ["exists", "forall"] * 2 * (depth > 0) + ["dist"] * 4
+    kinds += ["and", "or", "not"] * (size > 0) + ["other"] * bool(scope)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "dist":
+        x, y = draw(st.permutations(OUTER))[:2]
+        i = draw(st.integers(1, 5))
+        plants = st.one_of(st.none(), st.tuples(
+            st.sampled_from(LEAF_MISSES + STEP_MISSES), st.integers(0, 2)))
+        at_most = draw(_dist_subtree(s, i, x, y, draw(plants)))
+        if draw(st.booleans()):
+            return at_most
+        return And(at_most, Not(draw(_dist_subtree(s, i - 1, x, y, draw(plants)))))
+    if kind == "other":
+        return draw(_formulas(s, 0, 1, scope))
+    if kind in ("exists", "forall"):
+        var = draw(st.one_of(st.sampled_from(OUTER), st.sampled_from(scope))) if scope \
+            else draw(st.sampled_from(OUTER))
+        body = draw(_distance_formulas(s, depth - 1, size, scope + (var,)))
+        return Exists(var, body) if kind == "exists" else Forall(var, body)
+    if kind == "not":
+        return Not(draw(_distance_formulas(s, depth, size - 1, scope)))
+    op = And if kind == "and" else Or
+    return op(draw(_distance_formulas(s, depth, size - 1, scope)),
+              draw(_distance_formulas(s, depth, size - 1, scope)))
+
+
+def _paths_plus(s: int, n: int):
+    """hypothesis strategy: on the labels 1..n, the loose path whose
+    consecutive edges share one vertex, so that every distance up to its
+    length occurs; now and then one of its edges is dropped or one edge
+    added."""
+    path = [frozenset(range(k, k + s)) for k in range(1, n - s + 2, s - 1)]
+    pool = [frozenset(e) for e in itertools.combinations(range(1, n + 1), s)]
+    one_of = (lambda es: st.one_of(st.just(()), st.just(()), st.just(()),
+                                   st.sampled_from(es).map(lambda e: (e,)))
+              if es else st.just(()))
+    return st.tuples(one_of(path), one_of(pool)).map(
+        lambda d: Hypergraph.make(s, range(1, n + 1), (set(path) - set(d[0])) | set(d[1])))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_distance_subtrees_match_table_oracle(data):
+    # recognised distance subtrees run from the BFS ball cache, near misses on
+    # the general path; both must answer as the table oracle does under every
+    # assignment of the free variables
+    s = data.draw(st.sampled_from((3, 3, 4)))
+    top = 13 if s == 3 else 7  # a loose path with 6 or 2 edges
+    n = data.draw(st.one_of(st.just(top), st.just(top), st.integers(1, top)))
+    f = data.draw(_distance_formulas(s))
+    g = data.draw(_paths_plus(s, n))
+    compiled = compile(f)
+    free, rows = truth_table(f, g)
+    for row, (values, want) in enumerate(rows.items()):
+        env = dict(zip(free, values))
+        assert evaluate(compiled, g, env) == want
+        if row % 8 == 0:
+            assert evaluate(compiled, g, env, memo=False) == want
+
+
+def test_run_ball_matches_bfs():
+    # balls are grown one layer at a time and asked for in any order
+    rng = random.Random(41)
+    for _ in range(20):
+        g = random_hypergraph(rng, rng.randint(3, 9), p=0.08)
+        run = _Run(g, 0, True)
+        for v, radius in itertools.product(sorted(g.vertices), (3, 0, 5, 1, 2)):
+            want = {w for w in g.vertices if brute_distance(g, v, w) <= radius}
+            assert run.ball(v, radius) == want
+
+
+def test_recognised_subtree_keeps_checks():
+    f = build_dist_at_most(3, 3, "u", "v")
+    assert compile(f).arity == 3
+    assert compile(f).free == {"u", "v"}
+    g4 = Hypergraph.make(4, range(1, 5), [(1, 2, 3, 4)])
+    with pytest.raises(ValueError, match="N arity 3 does not match host arity 4"):
+        evaluate(f, g4, {"u": 1, "v": 2})
+    with pytest.raises(ValueError, match="N arity 3 does not match host arity 4"):
+        evaluate(Exists("u", Exists("v", f)), g4)
+    with pytest.raises(ValueError, match=r"unbound free variables: \['v'\]"):
+        evaluate(f, H1, {"u": 1})
+    with pytest.raises(ValueError, match=r"unbound free variables: \['u', 'v'\]"):
+        evaluate(build_dist_exact(4, 3, "u", "v"), H1)
+
+
+def test_step_needs_distinct_endpoints():
+    # dist(x, x) <= 2 must not be recognised: a step over it with midpoint x
+    # would read as dist(x, y) <= 4, while the quantifier rebinds x and f
+    # holds for every y
+    loop = build_dist_at_most(2, 3, "x", "x")
+    f = Exists("x", And(loop, build_dist_at_most(2, 3, "x", "y")))
+    path = Hypergraph.make(3, range(1, 14), [(k, k + 1, k + 2) for k in range(1, 12, 2)])
+    assert compile(f).free == {"y"}
+    for x, y in ((1, 13), (13, 1), (1, 1)):
+        assert evaluate(f, path, {"x": x, "y": y}) == table_evaluate(f, path, {"y": y})
+
+
+def test_builder_text_and_depth_pinned():
+    # compiling recognises distance subtrees without touching the formulas:
+    # their text and quantifier depth are as they were before recognition
+    pinned = {
+        build_dist_exact(5, 4): (5, 585, "2601a5e5e1c29db4"),
+        build_dist_pair(3, 2, 3): (3, 359, "56784a499eba58d8"),
+        build_theorem6_L(3, 8): (8, 1308, "94773e8f99ffcd81"),
+        build_theorem8_L(3, 5, 2, 2): (5, 639, "b1004673b5b6874c"),
+        build_theorem8_L(3, 6, 2, 5): (6, 1755, "a8d4674ca94ae652"),
+    }
+    for f, (depth, length, digest) in pinned.items():
+        text = to_text(f)
+        assert quantifier_depth(f) == depth
+        assert (len(text), hashlib.sha256(text.encode()).hexdigest()[:16]) == (length, digest)
+    assert to_text(build_dist_at_most(3, 3)) == (
+        "exists q1 (x1 = q1 | (exists q2 N(x1,q2,q1))) & (exists q3 (q1 = q3 | "
+        "(exists q4 N(q1,q4,q3))) & (q3 = x2 | (exists q5 N(q3,q5,x2))))")
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
