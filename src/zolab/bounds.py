@@ -36,6 +36,26 @@ def _check_base(s: int, k: int, min_gap: int = 1) -> None:
         raise ValueError(f"need k >= s + {min_gap}, got s={s}, k={k}")
 
 
+def theorem8_split(s: int, k: int, a1: int | None, a2: int | None) -> int:
+    """The a of the Theorem 8 point s-1-1/(2^(k-s+1) + a) that the split
+    a1 + a2 = a + 3 gives, a1, a2 in 1..2^(k-s).  The split is required for
+    k >= s + 2; at k = s + 1 it must be omitted, and a = 1."""
+    _check_base(s, k)
+    if k == s + 1:
+        if a1 is not None or a2 is not None:
+            raise ValueError("a1/a2 are fixed for k = s + 1; omit them")
+        return 1
+    if a1 is None or a2 is None:
+        raise ValueError("a1 and a2 are required for k >= s + 2")
+    lim = 1 << (k - s)
+    if not (1 <= a1 <= lim and 1 <= a2 <= lim):
+        raise ValueError(f"a1, a2 must lie in 1..{lim}")
+    a = a1 + a2 - 3
+    if not (1 <= a <= (1 << (k - s + 1)) - 3):
+        raise ValueError(f"a = a1 + a2 - 3 = {a} outside 1..{(1 << (k - s + 1)) - 3}")
+    return a
+
+
 def theorem1_region(s: int, k: int) -> Fraction:
     """Reciprocal threshold: the k-law holds whenever 1/alpha exceeds this."""
     _check_base(s, k)

@@ -78,9 +78,9 @@ def _cmd_density(args) -> None:
 
 def _cmd_balance(args) -> None:
     g = _load(args.file)
-    value, witness = hypercore.max_density(g, cap=args.cap)
+    value, witness = hypercore.max_density(g)
     _emit({"schema": 1,
-           "strictly_balanced": hypercore.is_strictly_balanced(g, cap=args.cap),
+           "strictly_balanced": hypercore.is_strictly_balanced(g),
            "density": _frac_dict(hypercore.density(g)),
            "max_density": _frac_dict(value),
            "witness_vertices": sorted(witness.vertices)})
@@ -88,7 +88,7 @@ def _cmd_balance(args) -> None:
 
 def _cmd_classify_pair(args) -> None:
     pair = hypercore.RootedPair.identity(_load(args.outer), _load(args.inner))
-    cls = extlab.classify_pair(pair, args.alpha, cap=args.cap)
+    cls = extlab.classify_pair(pair, args.alpha)
     _emit({"schema": 1, "class": cls.value,
            "f_alpha": _frac_dict(extlab.f_alpha(pair, args.alpha)),
            "alpha": _frac_dict(args.alpha)})
@@ -144,7 +144,7 @@ def _cmd_game(args) -> None:
 
 def _cmd_cyclic(args) -> None:
     pair = hypercore.RootedPair.identity(_load(args.outer), _load(args.inner))
-    pat = extlab.match_cyclic_extension(pair, args.m, cap=args.cap)
+    pat = extlab.match_cyclic_extension(pair, args.m)
     if pat is None:
         _emit({"schema": 1, "match": None})
     else:
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_cap(p, default=24):
         p.add_argument("--cap", type=int, default=default,
-                       help="search/enumeration vertex cap")
+                       help="vertex cap of the search")
 
     p = sub.add_parser("density", help="exact edge/vertex ratio of a .shg file")
     p.add_argument("file")
@@ -298,14 +298,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("balance", help="strict balance and densest sub-hypergraph")
     p.add_argument("file")
-    add_cap(p)
     p.set_defaults(func=_cmd_balance)
 
     p = sub.add_parser("classify-pair", help="safe/rigid/neutral classification")
     p.add_argument("--outer", required=True)
     p.add_argument("--inner", required=True)
     p.add_argument("--alpha", type=_rational, required=True)
-    add_cap(p)
     p.set_defaults(func=_cmd_classify_pair)
 
     p = sub.add_parser("copies", help="count copies of a motif in a host")
@@ -344,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outer", required=True)
     p.add_argument("--inner", required=True)
     p.add_argument("--m", type=int, required=True)
-    add_cap(p)
     p.set_defaults(func=_cmd_cyclic)
 
     p = sub.add_parser("decompose", help="grow a chain of cyclic extensions from a root")

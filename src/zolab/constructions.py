@@ -8,10 +8,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapacityError, VerificationError
+from .bounds import theorem8_split
+from .errors import VerificationError
 from .extlab import is_pair_strictly_balanced
 from .hypercore import (
-    DEFAULT_ENUM_CAP,
     Hypergraph,
     RootedPair,
     density,
@@ -115,9 +115,9 @@ def theorem6_pair(s: int, l: int, m: int, verify: bool = True) -> Theorem6Witnes
         if pair.v_rel != expected_vrel:
             raise VerificationError(
                 f"v(G,H) = {pair.v_rel}, expected {expected_vrel}")
-        if not is_pair_strictly_balanced(pair, cap=pair.v_rel):
+        if not is_pair_strictly_balanced(pair):
             raise VerificationError("the pair is not strictly balanced")
-        if not is_strictly_balanced(h, cap=h.num_vertices):
+        if not is_strictly_balanced(h):
             raise VerificationError("H is not strictly balanced")
     return Theorem6Witness(pair=pair, alpha=alpha, endpoints=(a, b),
                            midpoints=tuple(midpoints), hub=hub)
@@ -159,16 +159,9 @@ def theorem8_witnesses(s: int, k: int, a1: int | None = None, a2: int | None = N
     For k >= s + 2 a split a1 + a2 = a + 3 with a1, a2 in {1..2^(k-s)} must be
     supplied (the choice changes H); for k = s + 1 the parameters are fixed.
     """
-    if s < 3:
-        raise ValueError("arity must be >= 3")
-    if k < s + 1:
-        raise ValueError(f"need k >= s + 1, got s={s}, k={k}")
-
+    a = theorem8_split(s, k, a1, a2)
+    labels = _Labels(1)
     if k == s + 1:
-        if a1 is not None or a2 is not None:
-            raise ValueError("a1/a2 are fixed for k = s + 1; omit them")
-        a = 1
-        labels = _Labels(1)
         (x,) = labels.take(1)
         p1 = labels.take(2 * (s - 1) - 1)       # x^1_2 .. x^1_{2(s-1)}
         p2 = labels.take(3 * (s - 1) - 1)       # x^2_2 .. x^2_{3(s-1)}
@@ -182,18 +175,7 @@ def theorem8_witnesses(s: int, k: int, a1: int | None = None, a2: int | None = N
         h = Hypergraph.from_edges(s, edges)
         part1 = Hypergraph.from_edges(s, edges[:2])
         part2 = Hypergraph.from_edges(s, edges[2:])
-        center = x
     else:
-        lim = 1 << (k - s)
-        if a1 is None or a2 is None:
-            raise ValueError("a1 and a2 are required for k >= s + 2")
-        if not (1 <= a1 <= lim and 1 <= a2 <= lim):
-            raise ValueError(f"a1, a2 must lie in 1..{lim}")
-        a = a1 + a2 - 3
-        if not (1 <= a <= (1 << (k - s + 1)) - 3):
-            raise ValueError(
-                f"a = a1 + a2 - 3 = {a} outside 1..{(1 << (k - s + 1)) - 3}")
-        labels = _Labels(1)
         part1 = _two_edge_circuit(s, labels)
         part2 = _three_edge_circuit(s, labels)
         (x,) = labels.take(1)
@@ -203,7 +185,6 @@ def theorem8_witnesses(s: int, k: int, a1: int | None = None, a2: int | None = N
         e_path2, _ = _path_between(s, t2, x, min(part2.vertices), labels)
         h = Hypergraph.from_edges(
             s, list(part1.edges) + list(part2.edges) + e_path1 + e_path2)
-        center = x
 
     alpha = Fraction(s - 1) - Fraction(1, (1 << (k - s + 1)) + a)
     if verify:
@@ -215,30 +196,26 @@ def theorem8_witnesses(s: int, k: int, a1: int | None = None, a2: int | None = N
                 f"v(H) = {h.num_vertices}, expected {expected_e * (s - 1) - 1}")
         if 1 / density(h) != alpha:
             raise VerificationError(f"1/rho(H) = {1 / density(h)} != alpha = {alpha}")
-        if max_density(h, cap=h.num_vertices)[0] != density(h):
+        if max_density(h)[0] != density(h):
             raise VerificationError("H is not its own densest sub-hypergraph")
     return Theorem8Witness(h=h, part1=part1, part2=part2, a=a, alpha=alpha,
-                           center=center)
+                           center=x)
 
 
-def omega_tilde_check(g: Hypergraph, alpha: Fraction, size_cap: int,
-                      cap: int = DEFAULT_ENUM_CAP) -> bool:
+def omega_tilde_check(g: Hypergraph, alpha: Fraction, size_cap: int) -> bool:
     """True iff g has no sub-hypergraph on <= size_cap vertices denser than 1/alpha.
 
     Searches the connected unions of edges on at most size_cap vertices, grown
     one meeting edge at a time from every edge.  That is exact for alpha > 0:
     each vertex of a smallest too-dense set S lies on an edge inside S, or
     dropping it would leave S too dense, and every split of S has an edge
-    across it, or one part would be too dense on its own.  `cap` guards the
-    number of edge-covered vertices.
+    across it, or one part would be too dense on its own.  The search grows
+    with size_cap and the local density, not with the size of g, so size_cap
+    is its one bound.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     an, ad = alpha.numerator, alpha.denominator  # density > 1/alpha <=> e*an > v*ad
-    covered = {v for e in g.edges for v in e}
-    if len(covered) > cap:
-        raise CapacityError(
-            f"{len(covered)} edge-covered vertices exceed the enumeration cap {cap}")
     inc = g._incidence
     stack = [e for e in g.edges if len(e) <= size_cap]
     seen: set[frozenset[int]] = set()

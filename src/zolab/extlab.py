@@ -39,12 +39,6 @@ def f_alpha(pair: RootedPair, alpha: Fraction) -> Fraction:
     return Fraction(pair.v_rel) - alpha * pair.e_rel
 
 
-def _check_pair_cap(pair: RootedPair, cap: int) -> None:
-    if pair.v_rel > cap:
-        raise CapacityError(
-            f"{pair.v_rel} difference vertices exceed the enumeration cap {cap}")
-
-
 def _relative_edges(pair: RootedPair) -> tuple[list[tuple[int, ...]], int, int]:
     """The pair's edges over the d difference vertices V(G) - V(H), numbered
     0..d-1.
@@ -60,10 +54,9 @@ def _relative_edges(pair: RootedPair) -> tuple[list[tuple[int, ...]], int, int]:
     return [p for p in parts if p], parts.count(()), len(diff)
 
 
-def classify_pair(pair: RootedPair, alpha: Fraction,
-                  cap: int = DEFAULT_ENUM_CAP) -> PairClass:
+def classify_pair(pair: RootedPair, alpha: Fraction) -> PairClass:
     """Sign classification of f_alpha over intermediate sub-hypergraphs, by
-    one max-closure cut; `cap` guards the input size.
+    one max-closure cut.
 
     Safe:    f_alpha(K, H) > 0 for every K with H < K <= G.
     Rigid:   f_alpha(G, K) < 0 for every K with H <= K < G.
@@ -81,7 +74,6 @@ def classify_pair(pair: RootedPair, alpha: Fraction,
     At alpha <= 0 every f_alpha of those conditions is positive, as at
     alpha = 0, so phi is taken at num(alpha) = 0 there.
     """
-    _check_pair_cap(pair, cap)
     edges, base_edges, d = _relative_edges(pair)
     an, ad = alpha.numerator, alpha.denominator
     induced = base_edges == pair.inner.num_edges
@@ -96,10 +88,9 @@ def classify_pair(pair: RootedPair, alpha: Fraction,
     return PairClass.OTHER
 
 
-def is_pair_strictly_balanced(pair: RootedPair, cap: int = DEFAULT_ENUM_CAP) -> bool:
+def is_pair_strictly_balanced(pair: RootedPair) -> bool:
     """rho(G,H) > rho(K,H) for every K strictly between H and G, by one
-    max-closure cut; `cap` guards the input size."""
-    _check_pair_cap(pair, cap)
+    max-closure cut."""
     if pair.v_rel == 0:
         return False
     edges, base_edges, d = _relative_edges(pair)
@@ -406,8 +397,7 @@ def _iter_attachments(base_verts: frozenset[int], base_edges: frozenset[frozense
 _PATTERN_ORDER = {FIRST_TYPE: 0, SECOND_TYPE_PATH: 1, SECOND_TYPE_EDGE: 2}
 
 
-def match_cyclic_extension(pair: RootedPair, m: int,
-                           cap: int = DEFAULT_ENUM_CAP) -> CyclicPattern | None:
+def match_cyclic_extension(pair: RootedPair, m: int) -> CyclicPattern | None:
     """Match the pair's new edges against the three attachment templates.
 
     Requires max density of the outer graph below m / (m(s-1) - 1), the new
@@ -424,7 +414,7 @@ def match_cyclic_extension(pair: RootedPair, m: int,
         return None
     if any(e <= h_img.vertices for e in new_edges):
         return None  # every template edge leaves the base
-    rho_max, _ = max_density(g, cap=cap)
+    rho_max, _ = max_density(g)
     if rho_max >= density_bound(g.s, m):
         return None
     new_verts = g.vertices - h_img.vertices
@@ -472,7 +462,7 @@ def find_m_decomposition(g: Hypergraph, m: int, root: int,
             if key in seen:
                 continue
             seen.add(key)
-            if max_density(nxt, cap=cap)[0] >= bound:
+            if max_density(nxt)[0] >= bound:
                 continue
             new_chain = chain + [nxt]
             if nxt.vertices == g.vertices:
@@ -481,8 +471,7 @@ def find_m_decomposition(g: Hypergraph, m: int, root: int,
     return None
 
 
-def is_cyclically_m_maximal(pair: RootedPair, host: Hypergraph, m: int,
-                            cap: int = DEFAULT_ENUM_CAP) -> bool:
+def is_cyclically_m_maximal(pair: RootedPair, host: Hypergraph, m: int) -> bool:
     """No cyclic m-extension attaches to the outer graph in the host unless the
     same attachment is also a cyclic m-extension of the inner graph.
     """
@@ -499,13 +488,13 @@ def is_cyclically_m_maximal(pair: RootedPair, host: Hypergraph, m: int,
         seen.add(key)
         extended = Hypergraph(host.s, g.vertices | pat.new_vertices,
                               g.edges | frozenset(pat.edges))
-        if max_density(extended, cap=cap)[0] >= bound:
+        if max_density(extended)[0] >= bound:
             continue  # not a cyclic m-extension of the outer graph
         h_ext = Hypergraph(
             host.s,
             h_img.vertices | frozenset(v for e in pat.edges for v in e),
             h_img.edges | frozenset(pat.edges))
         h_pair = RootedPair.identity(h_ext, h_img)
-        if match_cyclic_extension(h_pair, m, cap=cap) is None:
+        if match_cyclic_extension(h_pair, m) is None:
             return False
     return True

@@ -13,6 +13,7 @@ from functools import reduce
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
+from .bounds import theorem8_split
 from .hypercore import Hypergraph
 
 
@@ -768,22 +769,9 @@ def build_theorem8_L(s: int, k: int, a1: int | None = None,
     a1, a2 in {1..2^(k-s)} is required; for k = s + 1 the parameters are fixed
     and a1/a2 must be omitted.
     """
-    if s < 3:
-        raise ValueError("arity must be >= 3")
-    if k < s + 1:
-        raise ValueError(f"need k >= s + 1, got s={s}, k={k}")
+    theorem8_split(s, k, a1, a2)
     if k == s + 1:
-        if a1 is not None or a2 is not None:
-            raise ValueError("a1/a2 are fixed for k = s + 1; omit them")
         return _theorem8_base(s)
-    if a1 is None or a2 is None:
-        raise ValueError("a1 and a2 are required for k >= s + 2")
-    lim = 1 << (k - s)
-    if not (1 <= a1 <= lim and 1 <= a2 <= lim):
-        raise ValueError(f"a1, a2 must lie in 1..{lim}")
-    a = a1 + a2 - 3
-    if not (1 <= a <= (1 << (k - s + 1)) - 3):
-        raise ValueError(f"a = a1 + a2 - 3 = {a} outside 1..{(1 << (k - s + 1)) - 3}")
     return _theorem8_chain(s, k, a1, a2)
 
 

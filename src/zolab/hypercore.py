@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import CapacityError, VerificationError
 
-DEFAULT_ENUM_CAP = 24    # input guard of the density calculus and omega_tilde_check
+DEFAULT_ENUM_CAP = 24    # vertex cap of find_m_decomposition and of prop1's searches
 DEFAULT_SEARCH_CAP = 16  # vertex cap for isomorphism-type backtracking
 
 
@@ -303,20 +303,13 @@ def _index_edges(g: Hypergraph, order: list[int]) -> list[tuple[int, ...]]:
     return [tuple(idx[v] for v in e) for e in g.edges]
 
 
-def _check_enum_cap(g: Hypergraph, cap: int) -> None:
-    if g.num_vertices > cap:
-        raise CapacityError(f"{g.num_vertices} vertices exceeds the enumeration cap {cap}")
-
-
-def max_density(g: Hypergraph, cap: int = DEFAULT_ENUM_CAP) -> tuple[Fraction, Hypergraph]:
+def max_density(g: Hypergraph) -> tuple[Fraction, Hypergraph]:
     """Maximum density over non-empty sub-hypergraphs, with one maximizing witness.
 
     The maximum is attained on induced sub-hypergraphs, and a few max-closure
-    cuts find it; `cap` guards the input size.  The witness is the first
-    maximizer in ascending order of the subset bitmask over ascending vertex
-    labels (deterministic).
+    cuts find it.  The witness is the first maximizer in ascending order of
+    the subset bitmask over ascending vertex labels (deterministic).
     """
-    _check_enum_cap(g, cap)
     order = g.sorted_vertices()
     n = len(order)
     if n == 0:
@@ -342,10 +335,9 @@ def max_density(g: Hypergraph, cap: int = DEFAULT_ENUM_CAP) -> tuple[Fraction, H
     return rho, g.induced(order[i] for i in range(n) if best >> i & 1)
 
 
-def is_strictly_balanced(g: Hypergraph, cap: int = DEFAULT_ENUM_CAP) -> bool:
+def is_strictly_balanced(g: Hypergraph) -> bool:
     """True iff the density strictly exceeds that of every proper sub-hypergraph,
-    by one max-closure cut; `cap` guards the input size."""
-    _check_enum_cap(g, cap)
+    by one max-closure cut."""
     order = g.sorted_vertices()
     if not order:
         raise ValueError("balance undefined on an empty vertex set")

@@ -42,7 +42,7 @@ from .extlab import count_uncovered_copies, is_pair_strictly_balanced, prop1_poi
 from .folang import Formula, evaluate
 from .folang import compile as compile_formula
 from .hypercore import Hypergraph, RootedPair, automorphism_count, count_copies, density
-from .hypercore import has_copy, is_strictly_balanced
+from .hypercore import DEFAULT_ENUM_CAP, has_copy, is_strictly_balanced
 
 EXACT_RANK_LIMIT = 2000
 CANDIDATE_EDGE_LIMIT = 1 << 22  # most candidate edges a full or coupled draw walks
@@ -414,15 +414,16 @@ def _pearson(xs: Sequence[int], ys: Sequence[int]) -> float:
 
 
 def prop1_experiment(pair: RootedPair, cfg: ExperimentConfig,
-                     cap: int = 24) -> ExperimentReport:
+                     cap: int = DEFAULT_ENUM_CAP) -> ExperimentReport:
     """Histogram of uncovered inner-copy counts against the limiting Poisson law.
 
     Verifies first that the inner graph and the pair are strictly balanced and
-    that rho(H) = rho(G,H) = 1/alpha."""
+    that rho(H) = rho(G,H) = 1/alpha.  `cap` bounds the two searches: the
+    automorphism groups behind the Poisson rate and the uncovered-copy count."""
     h, g = pair.inner_image, pair.outer
-    if not is_strictly_balanced(h, cap=cap):
+    if not is_strictly_balanced(h):
         raise ValueError("inner graph is not strictly balanced")
-    if not is_pair_strictly_balanced(pair, cap=cap):
+    if not is_pair_strictly_balanced(pair):
         raise ValueError("the pair is not strictly balanced")
     rho = density(h)
     if pair.rel_density() != rho:

@@ -119,6 +119,29 @@ def test_cyclic_and_decompose(shg_files, capsys):
     assert len(payload["decomposition"]) == 2
 
 
+def test_density_commands_answer_past_the_old_caps(capsys, tmp_path):
+    from zolab.constructions import theorem6_pair
+    w = theorem6_pair(3, 2, 2)  # g has 45 vertices, h 30, 15 difference vertices
+    outer, inner = tmp_path / "g6.shg", tmp_path / "h6.shg"
+    write_shg(str(outer), w.g)
+    write_shg(str(inner), w.h)
+    code, payload = run_json(capsys, ["balance", str(inner)])
+    assert code == 0
+    assert payload["strictly_balanced"] is True
+    assert payload["max_density"] == {"num": 8, "den": 15}
+    code, payload = run_json(capsys, ["balance", str(outer)])
+    assert code == 0
+    assert payload["strictly_balanced"] is False
+    assert payload["max_density"] == {"num": 8, "den": 15}
+    pair = ["--outer", str(outer), "--inner", str(inner)]
+    code, payload = run_json(capsys, ["classify-pair", *pair, "--alpha", "15/8"])
+    assert code == 0
+    assert payload["class"] == "neutral"
+    code, payload = run_json(capsys, ["cyclic", *pair, "--m", "2"])
+    assert code == 0
+    assert payload["match"] is None
+
+
 def test_construct_commands(shg_files, capsys, tmp_path):
     out = tmp_path / "w.shg"
     code, payload = run_json(capsys, ["construct", "theorem8", "--s", "3",
@@ -183,7 +206,7 @@ def test_poisson_prop1_cmds(shg_files, capsys, tmp_path):
 def test_exit_codes(shg_files, capsys, tmp_path):
     big = tmp_path / "big.shg"
     write_shg(str(big), Hypergraph.make(3, range(1, 31), []))
-    assert main(["balance", str(big)]) == 3          # capacity
+    assert main(["copies", "--motif", str(big), "--host", shg_files["edge"]]) == 3  # capacity
     assert main(["density", str(tmp_path / "nope.shg")]) == 2  # usage
     assert main(["eval", "--formula", "x = ", "--host", shg_files["edge"]]) == 2
     with pytest.raises(SystemExit) as exc:

@@ -124,7 +124,7 @@ def test_theorem6_strict_balance_within_caps():
 
 
 def test_witness_builders_verify_at_every_size():
-    # v(H) = 30 and 39, past the enumeration cap: both checks still run
+    # v(H) = 30 and 39: the density checks run at every size
     w6 = theorem6_pair(3, 2, 2)
     assert w6.h.num_vertices == 30 and w6.g.num_vertices == 45
     w8 = theorem8_witnesses(3, 6, 2, 5)
@@ -134,13 +134,13 @@ def test_witness_builders_verify_at_every_size():
         h = theorem8_witnesses(3, k, a1, a2).h
         assert time.process_time() - start < 1.0, (k, a1, a2)
     assert h.num_vertices == 121
-    with mock.patch.object(constructions, "max_density", lambda g, cap: (F(1), g)):
+    with mock.patch.object(constructions, "max_density", lambda g: (F(1), g)):
         with pytest.raises(VerificationError):
             theorem8_witnesses(3, 6, 2, 5)
-    with mock.patch.object(constructions, "is_strictly_balanced", lambda g, cap: False):
+    with mock.patch.object(constructions, "is_strictly_balanced", lambda g: False):
         with pytest.raises(VerificationError):
             theorem6_pair(3, 2, 2)
-    with mock.patch.object(constructions, "is_pair_strictly_balanced", lambda p, cap: False):
+    with mock.patch.object(constructions, "is_pair_strictly_balanced", lambda p: False):
         with pytest.raises(VerificationError):
             theorem6_pair(3, 2, 2)
 
@@ -209,6 +209,9 @@ def test_omega_tilde_check():
     assert not omega_tilde_check(w.h, F(9 * big + 1, 5 * big), size_cap=9)
     assert omega_tilde_check(w.h, F(9 * big, 5 * big + 1), size_cap=9)
     assert not omega_tilde_check(worse, F(big, 3), size_cap=9)
+    # 45 vertices on edges: size_cap alone bounds the search
+    w6 = theorem6_pair(3, 2, 2)
+    assert omega_tilde_check(w6.g, w6.alpha, size_cap=7)
     edge = Hypergraph.make(3, [1, 2, 3], [(1, 2, 3)])
     for alpha in (F(-1), F(0), F(-9, 5)):  # 1/alpha is negative or undefined
         with pytest.raises(ValueError, match="alpha must be positive"):

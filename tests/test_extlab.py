@@ -431,7 +431,7 @@ def test_pair_walk_against_sign_table(pair, an, ad):
     assert is_pair_strictly_balanced(pair) == brute_pair_strictly_balanced(pair)
 
 
-def test_pair_cuts_at_every_class_and_cap():
+def test_pair_cuts_at_every_class():
     w = theorem6_pair(3, 1, 2)
     for alpha, cls in ((w.alpha, "neutral"), (w.alpha - F(1, 8), "safe"),
                        (w.alpha + F(1, 8), "rigid"), (F(-2), "safe")):
@@ -448,10 +448,3 @@ def test_pair_cuts_at_every_class_and_cap():
     for alpha in (F(1, 2), F(1), F(3)):
         assert classify_pair(pair, alpha).value == brute_pair_class(pair, alpha)
     assert not is_pair_strictly_balanced(pair)
-    # the message names what is capped: the difference vertices
-    d = w.pair.v_rel
-    cap_msg = f"^{d} difference vertices exceed the enumeration cap {d - 1}$"
-    with pytest.raises(CapacityError, match=cap_msg):
-        is_pair_strictly_balanced(w.pair, cap=d - 1)
-    with pytest.raises(CapacityError, match=cap_msg):
-        classify_pair(w.pair, w.alpha, cap=d - 1)

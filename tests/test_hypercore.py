@@ -19,7 +19,7 @@ from helpers import (
     hypergraphs,
     random_hypergraph,
 )
-from zolab.errors import CapacityError, VerificationError
+from zolab.errors import VerificationError
 from zolab.hypercore import (
     Hypergraph,
     RootedPair,
@@ -77,8 +77,6 @@ def test_max_density_examples():
     h = theorem8_witnesses(3, 4).h
     assert h.num_vertices == 9 and h.num_edges == 5
     assert max_density(h)[0] == F(5, 9)
-    with pytest.raises(CapacityError):
-        max_density(Hypergraph.make(3, range(30), []), cap=24)
 
 
 def test_max_density_against_bruteforce():
@@ -331,11 +329,9 @@ def test_density_cuts_against_brute_witness(g):
     assert is_strictly_balanced(g) == (witness.vertices == g.vertices)
 
 
-def test_density_cuts_keep_their_caps():
+def test_density_cuts_reject_empty_graphs():
     g = _k4tail(3)
     for fn in (max_density, is_strictly_balanced):
-        with pytest.raises(CapacityError):
-            fn(g, cap=g.num_vertices - 1)
         with pytest.raises(ValueError):
             fn(Hypergraph.make(3, [], []))
-    assert max_density(g, cap=g.num_vertices) == (F(1), g.induced(range(1, 5)))
+    assert max_density(g) == (F(1), g.induced(range(1, 5)))

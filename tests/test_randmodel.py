@@ -256,16 +256,17 @@ def test_trial_loop_errors_name_the_trial_and_config():
                 run()
 
 
-def test_prop1_checks_balance_under_its_own_cap():
+def test_prop1_cap_reaches_only_its_searches():
     from zolab.constructions import theorem6_pair
     from zolab.errors import CapacityError
-    w = theorem6_pair(3, 2, 2)  # v(H) = 30, past the default enumeration cap
+    w = theorem6_pair(3, 2, 2)  # v(H) = 30, past the default search cap
     cfg = ExperimentConfig(s=3, n=60, trials=1, seed=1, alpha=w.alpha)
     with mock.patch.object(randmodel, "prop1_poisson_parameter",
                            side_effect=RuntimeError("past the balance checks")):
         with pytest.raises(RuntimeError, match="past the balance checks"):
-            randmodel.prop1_experiment(w.pair, cfg, cap=60)
-    with pytest.raises(CapacityError, match="30 vertices"):
+            randmodel.prop1_experiment(w.pair, cfg)
+    # the automorphism search behind the Poisson rate is what refuses H
+    with pytest.raises(CapacityError, match="^30 vertices exceeds the search cap 24$"):
         randmodel.prop1_experiment(w.pair, cfg)
 
 
