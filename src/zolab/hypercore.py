@@ -2,19 +2,22 @@
 
 Vertices are arbitrary integer labels; nothing assumes contiguity.  All values
 are immutable after construction and safe to share across threads.  Degrees,
-neighbourhoods, distances, the matcher and `constructions.omega_tilde_check`
-read a vertex -> incident-edges index that each `Hypergraph` builds lazily,
-once, on first use.  Densities and balance come from integer max-closure cuts;
-the module uses the standard library only.
+neighbourhoods, distances and `constructions.omega_tilde_check` read a
+vertex -> incident-edges index that each `Hypergraph` builds lazily, once, on
+first use.  The backtracking matcher behind automorphisms, copies and strict
+extensions reads a second lazy index, built in one pass over the edges: the
+non-isolated vertices as bits of ints, each one's co-edge neighbour mask, the
+edges' masks and the masks of vertices of degree >= d.  Densities and balance
+come from integer max-closure cuts; the module uses the standard library only.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import CapacityError, VerificationError
 
@@ -72,6 +75,43 @@ class Hypergraph:
             for v in e:
                 inc[v].append(e)
         return {v: tuple(es) for v, es in inc.items()}
+
+    @cached_property
+    def _bits(self) -> "_BitIndex":
+        """The matcher's bitset index, built once per instance from the edges
+        alone: only non-isolated vertices get a bit."""
+        bit: dict[int, int] = {}
+        labels: list[int] = []
+        adj: list[int] = []
+        deg: list[int] = []
+        masks = []
+        for e in self.edges:
+            m = 0
+            for v in e:
+                j = bit.get(v)
+                if j is None:
+                    j = bit[v] = len(labels)
+                    labels.append(v)
+                    adj.append(0)
+                    deg.append(0)
+                m |= 1 << j
+            masks.append(m)
+            for v in e:
+                j = bit[v]
+                adj[j] |= m
+                deg[j] += 1
+        at_least = [0] * (max(deg, default=0) + 1)
+        for j, d in enumerate(deg):
+            adj[j] ^= 1 << j
+            at_least[d] |= 1 << j
+        for d in range(len(at_least) - 2, -1, -1):
+            at_least[d] |= at_least[d + 1]
+        return _BitIndex(bit, labels, adj, frozenset(masks), at_least)
+
+    @cached_property
+    def _plan(self) -> "_Plan":
+        """The matcher's placement plan when no vertex is pinned."""
+        return _placement_plan(self, [])
 
     @cached_property
     def _automorphism_count(self) -> int:
@@ -410,6 +450,45 @@ def _motif_order(motif: Hypergraph, first: Iterable[int] = ()) -> list[int]:
     return order
 
 
+class _BitIndex(NamedTuple):
+    """Host vertices with an incident edge, numbered 0..k-1 as bits of ints."""
+
+    bit: dict[int, int]           # label -> bit index
+    labels: list[int]             # bit index -> label
+    adj: list[int]                # bit index -> mask of its co-edge neighbours
+    edges: frozenset[int]         # the edges' masks
+    degree_at_least: list[int]    # d -> mask of the vertices of degree >= d
+
+
+class _Plan(NamedTuple):
+    """A motif's placement: vertices in `_motif_order`, then per position the
+    earlier co-edge neighbours, the edges completed there (as their earlier
+    positions) and the motif degree.  Vertices of degree 0 that are not pinned
+    come last; `searched` is the number of positions before them."""
+
+    order: tuple[int, ...]
+    back: tuple[tuple[int, ...], ...]
+    ready: tuple[tuple[tuple[int, ...], ...], ...]
+    need: tuple[int, ...]
+    searched: int
+
+
+def _placement_plan(motif: Hypergraph, first: list[int]) -> _Plan:
+    order = _motif_order(motif, first)
+    pos = {v: i for i, v in enumerate(order)}
+    back = tuple(tuple(sorted(pos[u] for u in motif.co_edge_neighbors(v) if pos[u] < i))
+                 for i, v in enumerate(order))
+    ready: list[list[tuple[int, ...]]] = [[] for _ in order]
+    for e in motif.edges:
+        last = max(pos[v] for v in e)
+        ready[last].append(tuple(sorted(pos[v] for v in e if pos[v] != last)))
+    need = tuple(motif.degree(v) for v in order)
+    searched = len(order)
+    while searched > len(first) and need[searched - 1] == 0:
+        searched -= 1
+    return _Plan(tuple(order), back, tuple(map(tuple, ready)), need, searched)
+
+
 def _iter_embeddings(motif: Hypergraph, host: Hypergraph, *, exact: bool,
                      fixed: Mapping[int, int] | None = None,
                      avoid: frozenset[frozenset[int]] = frozenset()
@@ -419,8 +498,14 @@ def _iter_embeddings(motif: Hypergraph, host: Hypergraph, *, exact: bool,
     exact=True additionally requires a bijection with e(motif) = e(host), which
     together with forward edge preservation forces an isomorphism.  `fixed`
     pins motif vertices to host vertices; they are placed first.  No motif
-    edge may land on a host edge in `avoid`.  Host neighbourhoods are built
-    only for host vertices the search places.
+    edge may land on a host edge in `avoid`.
+
+    A bitset search over the host's `_bits` index.  A position's candidates
+    are the AND of the co-edge masks of its placed neighbours' images, the
+    host vertices of the required degree (exact: of the same invariant label)
+    and the unused ones; a completed motif edge is checked as the OR of its
+    images' bits.  Unpinned motif vertices of degree 0 come last and take the
+    unused host vertices by label, isolated ones included.
     """
     if motif.s != host.s:
         raise ValueError("arity mismatch between motif and host")
@@ -431,55 +516,93 @@ def _iter_embeddings(motif: Hypergraph, host: Hypergraph, *, exact: bool,
         return
 
     fixed = dict(fixed or {})
-    order = _motif_order(motif, first=sorted(fixed))
-    pos = {v: i for i, v in enumerate(order)}
-    # per position: neighbours placed earlier, the label a candidate must
-    # match (exact) or the degree it must reach, and the edges completed there
-    back_nbrs = [[u for u in motif.co_edge_neighbors(v) if pos[u] < i]
-                 for i, v in enumerate(order)]
+    order, back, ready, need, searched = (_placement_plan(motif, sorted(fixed)) if fixed
+                                          else motif._plan)
+    idx = host._bits
+    adj, labels = idx.adj, idx.labels
+    edges = idx.edges
+    if avoid:
+        edges = edges - {sum(1 << idx.bit[v] for v in e)
+                         for e in avoid if e <= idx.bit.keys()}
     if exact:
         inv_m = _invariants(motif)
         inv_h = inv_m if host is motif else _invariants(host)
-        need = [inv_m[v] for v in order]
+        by_label: dict[int, int] = {}
+        for v, i in idx.bit.items():
+            by_label[inv_h[v]] = by_label.get(inv_h[v], 0) | 1 << i
+        allow = [by_label.get(inv_m[v], 0) for v in order]
     else:
-        need = [motif.degree(v) for v in order]
-    edge_ready: list[list[frozenset[int]]] = [[] for _ in order]
-    for e in motif.edges:
-        edge_ready[max(pos[v] for v in e)].append(e)
+        deg_ge = idx.degree_at_least
+        allow = [deg_ge[d] if d < len(deg_ge) else 0 for d in need]
 
-    host_inc = host._incidence
-    host_edges = host.edges - avoid if avoid else host.edges
-    host_adj = cache(host.co_edge_neighbors)  # only for host vertices placed
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def place(i: int) -> Iterator[dict[int, int]]:
-        if i == len(order):
-            yield dict(mapping)
-            return
-        mv = order[i]
-        if mv in fixed:
-            cands: Iterable[int] = [fixed[mv]]
-        elif back_nbrs[i]:
-            cands = sorted(set.intersection(*(host_adj(mapping[u]) for u in back_nbrs[i])))
+    # Per position: its image's bit (0 for a pinned host vertex without one),
+    # bit index and label.  Images are distinct bits, so an edge's OR is the
+    # sum of its images' bits.
+    k = len(order)
+    img = [0] * k
+    at = [0] * k
+    lab = [0] * k
+    used = 0
+    for i, mv in enumerate(order[:len(fixed)]):
+        hv = fixed[mv]
+        j = idx.bit.get(hv)
+        b = 0 if j is None else 1 << j
+        if exact:
+            ok = inv_h.get(hv) == inv_m[mv]
         else:
-            cands = host.sorted_vertices()
-        for hv in cands:
-            if hv in used:
-                continue
-            if exact:
-                if inv_h.get(hv) != need[i]:
-                    continue
-            elif len(host_inc.get(hv, ())) < need[i]:
-                continue
-            mapping[mv] = hv
-            if all(frozenset([mapping[u] for u in e]) in host_edges for e in edge_ready[i]):
-                used.add(hv)
-                yield from place(i + 1)
-                used.discard(hv)
-            del mapping[mv]
+            ok = need[i] == 0 or bool(allow[i] & b)
+        if (not ok or hv in lab[:i]
+                or any(sum(map(img.__getitem__, e)) | b not in edges for e in ready[i])):
+            return
+        img[i], at[i], lab[i] = b, j or 0, hv
+        used |= b
 
-    yield from place(0)
+    def complete() -> Iterator[dict[int, int]]:
+        if searched == k:
+            yield dict(zip(order, lab))
+            return
+        taken = set(lab[:searched])
+        free = [v for v in host.vertices if v not in taken
+                and (not exact or inv_h[v] == inv_m[order[-1]])]
+        for rest in itertools.permutations(free, k - searched):
+            yield dict(zip(order, lab[:searched] + list(rest)))
+
+    lo = len(fixed)
+    if lo == searched:
+        yield from complete()
+        return
+    cand = [0] * k   # the untried candidates of each placed position
+    part: list[list[int]] = [[]] * k  # the placed bits of each edge completed there
+    i, c = lo, None
+    while True:
+        if c is None:  # entering position i
+            c = allow[i] & ~used
+            for p in back[i]:
+                c &= adj[at[p]]
+            ps = part[i] = [sum(map(img.__getitem__, e)) for e in ready[i]] if ready[i] else ()
+        while c:
+            b = c & -c
+            c ^= b
+            for p in ps:
+                if p | b not in edges:
+                    break
+            else:
+                break
+        else:  # no candidate left: back up
+            i -= 1
+            if i < lo:
+                return
+            used ^= img[i]
+            c, ps = cand[i], part[i]
+            continue
+        j = b.bit_length() - 1
+        img[i], at[i], lab[i] = b, j, labels[j]
+        if i + 1 < searched:
+            cand[i] = c
+            used |= b
+            i, c = i + 1, None
+        else:
+            yield from complete()
 
 
 def _check_search_cap(g: Hypergraph, cap: int) -> None:

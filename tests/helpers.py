@@ -316,3 +316,11 @@ def hypergraphs(s: int, n: int):
     pool = list(itertools.combinations(range(1, n + 1), s))
     edges = st.sets(st.sampled_from(pool)) if pool else st.just(set())
     return edges.map(lambda es: Hypergraph.make(s, range(1, n + 1), es))
+
+
+def scrambled(g: Hypergraph, rng, isolated: int = 0) -> Hypergraph:
+    """g relabelled to shuffled, non-contiguous labels (negatives included),
+    with `isolated` further vertices that no edge meets."""
+    labels = rng.sample(range(-60, 61), g.num_vertices + isolated)
+    h = g.relabel(dict(zip(g.sorted_vertices(), labels)))
+    return Hypergraph(g.s, h.vertices | frozenset(labels[g.num_vertices:]), h.edges)

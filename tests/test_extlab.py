@@ -12,6 +12,7 @@ from helpers import (
     brute_pair_strictly_balanced,
     brute_strict_extension_maps,
     random_hypergraph,
+    scrambled,
 )
 from zolab import extlab
 from zolab.constructions import loose_path, theorem6_pair
@@ -240,6 +241,38 @@ def test_maximal_extensions_match_permutation_search(seed, n, p, which, data):
     with mock.patch.object(extlab, "_strict_extension_maps",
                            brute_strict_extension_maps):
         assert count_maximal_extensions(template, host, anchor, kts) == fast
+
+
+def _ext_templates(s: int) -> list[RootedPair]:
+    """A pendant edge on one anchor, a loose 2-path joining two anchors, an
+    edge completed on s anchors, and a pendant edge on an anchored edge (whose
+    other anchors no new edge meets)."""
+    edge = Hypergraph.make(s, range(1, s + 1), [range(1, s + 1)])
+    fork = Hypergraph.make(s, range(1, 2 * s), [range(1, s + 1), [1, *range(s + 1, 2 * s)]])
+    return [RootedPair.identity(edge, Hypergraph.make(s, [1], [])),
+            RootedPair.identity(loose_path(s, 2, endpoints=(1, 2)),
+                                Hypergraph.make(s, [1, 2], [])),
+            RootedPair.identity(edge, Hypergraph.make(s, range(1, s + 1), [])),
+            RootedPair.identity(fork, edge)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([3, 4]), st.integers(0, 2**32 - 1), st.integers(0, 3),
+       st.booleans())
+def test_strict_extension_maps_match_permutation_search(s, seed, which, carried):
+    rng = random.Random(seed)
+    template = _ext_templates(s)[which]
+    k = template.inner.num_vertices
+    host = scrambled(random_hypergraph(rng, rng.randint(k + 1, s + 4), s, rng.uniform(0.1, 0.6)),
+                     rng, rng.randint(0, 2))
+    pool = sorted(host.vertices)
+    if which == 2 and host.edges and rng.random() < 0.5:
+        pool = sorted(rng.choice(host.sorted_edges()))  # anchor on a host edge
+    anchor = tuple(rng.sample(pool, k))
+    anchor_edges = host.induced(anchor).edges if carried else frozenset()
+    fast = extlab._strict_extension_maps(template, host, anchor, anchor_edges)
+    brute = brute_strict_extension_maps(template, host, anchor, anchor_edges)
+    assert {frozenset(m.items()) for m in fast} == {frozenset(m.items()) for m in brute}
 
 
 def test_prop1_parameters():

@@ -18,6 +18,7 @@ from helpers import (
     brute_max_density_witness,
     hypergraphs,
     random_hypergraph,
+    scrambled,
 )
 from zolab.errors import VerificationError
 from zolab.hypercore import (
@@ -288,6 +289,45 @@ def test_incidence_index_against_edge_scans(g):
         for y in g.vertices:
             assert distance(g, v, y) == brute_distance(g, v, y)
     assert g.degree(max(g.vertices) + 1) == 0
+
+
+def _members(labels: list[int], mask: int) -> set[int]:
+    return {v for j, v in enumerate(labels) if mask >> j & 1}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([3, 4]), st.integers(0, 2**32 - 1))
+def test_matcher_on_scrambled_labels(s, seed):
+    rng = random.Random(seed)
+    host = scrambled(random_hypergraph(rng, rng.randint(s, 7), s, rng.uniform(0.05, 0.6)),
+                     rng, rng.randint(0, 2))
+    motif = scrambled(random_hypergraph(rng, rng.randint(s, s + 2), s, rng.uniform(0.2, 0.8)),
+                      rng, rng.randint(0, 1))
+    emb = brute_embedding_count(motif, host)
+    aut = brute_automorphism_count(motif)
+    assert automorphism_count(motif) == aut
+    assert count_embeddings(motif, host) == emb
+    assert count_copies(motif, host) == emb // aut
+    assert has_copy(motif, host) == (emb > 0)
+    images = copy_images(motif, host)
+    assert len(images) == emb // aut
+    for vs, es in images:
+        assert len(vs) == motif.num_vertices and es <= host.edges and vs <= host.vertices
+    induced = {(vs, es) for vs, es in images
+               if all(e in es for e in host.edges if e <= vs)}
+    assert copy_images(motif, host, induced=True) == induced
+    assert count_copies(motif, host, induced=True) == len(induced)
+    # the matcher's bitset index against edge scans
+    for g in (host, motif):
+        idx = g._bits
+        assert set(idx.bit) == {v for v in g.vertices if g.degree(v)}
+        assert [idx.bit[v] for v in idx.labels] == list(range(len(idx.labels)))
+        for v, j in idx.bit.items():
+            assert _members(idx.labels, idx.adj[j]) == g.co_edge_neighbors(v)
+        assert len(idx.degree_at_least) == max(map(g.degree, g.vertices)) + 1
+        for d, mask in enumerate(idx.degree_at_least):
+            assert _members(idx.labels, mask) == {v for v in idx.bit if g.degree(v) >= d}
+        assert idx.edges == {sum(1 << idx.bit[v] for v in e) for e in g.edges}
 
 
 def test_count_copies_rejects_a_wrong_automorphism_count():
