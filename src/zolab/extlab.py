@@ -70,20 +70,27 @@ def classify_pair(pair: RootedPair, alpha: Fraction) -> PairClass:
     -phi(S).  So rigid says D is the only maximizer of phi, safe that the
     empty set is (no vertex lies in a maximizer), and neutral, with
     phi(D) = 0, that they are the only two (every vertex's smallest
-    maximizer is D).
-    At alpha <= 0 every f_alpha of those conditions is positive, as at
-    alpha = 0, so phi is taken at num(alpha) = 0 there.
+    maximizer is D).  Edges of G inside V(H) but not in H make the pair
+    non-induced: K on V(H) alone, with some of them, has f_alpha(K, H) of
+    the sign of -alpha.
+
+    So at alpha < 0 every pair is safe.  At alpha <= 0 no pair is rigid but
+    G = H, which is safe: dropping a vertex or an edge from G gives
+    f_alpha(G, K) >= 0.  With no difference vertices every K lies on V(H),
+    and at alpha = 0 the pair is neutral iff G adds exactly one edge, so
+    that no K lies strictly between.
     """
     edges, base_edges, d = _relative_edges(pair)
     an, ad = alpha.numerator, alpha.denominator
-    induced = base_edges == pair.inner.num_edges
-    _, closure, spans = _max_closure(edges, d, max(an, 0), ad)
-    full = (1 << d) - 1
-    if induced and all(closure(u) is None for u in range(d)):
+    if an < 0:
         return PairClass.SAFE
-    if closure() == full:
+    extra = base_edges - pair.inner.num_edges  # edges of G inside V(H), not in H
+    _, closure, spans = _max_closure(edges, d, an, ad)
+    if not extra and all(closure(u) is None for u in range(d)):
+        return PairClass.SAFE
+    if an > 0 and closure() == (1 << d) - 1:
         return PairClass.RIGID
-    if induced and pair.v_rel * ad == an * pair.e_rel and spans():
+    if pair.v_rel * ad == an * pair.e_rel and ((not extra and spans()) if d else extra == 1):
         return PairClass.NEUTRAL
     return PairClass.OTHER
 

@@ -5,16 +5,20 @@ are immutable after construction and safe to share across threads.  Degrees,
 neighbourhoods, distances and `constructions.omega_tilde_check` read a
 vertex -> incident-edges index that each `Hypergraph` builds lazily, once, on
 first use.  The backtracking matcher behind automorphisms, copies and strict
-extensions reads a second lazy index, built in one pass over the edges: the
-non-isolated vertices as bits of ints, each one's co-edge neighbour mask, the
-edges' masks and the masks of vertices of degree >= d.  Densities and balance
-come from integer max-closure cuts; the module uses the standard library only.
+extensions reads a second lazy index, made by the one builder `_bit_index` in
+one pass over the edges: the non-isolated vertices as bits of ints in
+ascending label order, each one's co-edge neighbour mask, the edges' masks
+and the masks of vertices of degree >= d.  A sampled host carries a callable
+that gives the builder its edges as bit-number rows, taken from the arrays it
+was unranked from; it runs only when the matcher first reads the index.
+Densities and balance come from integer max-closure cuts; the module uses the
+standard library only.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
@@ -32,6 +36,12 @@ class Hypergraph:
     s: int
     vertices: frozenset[int]
     edges: frozenset[frozenset[int]]
+    # Optional source of the bitset index: returns the non-isolated vertices
+    # in ascending order and each edge as the list of their positions there.
+    # Samplers that already hold their edges as arrays set it; it takes no
+    # part in equality.
+    _rows: Callable[[], tuple[list[int], list[list[int]]]] | None = field(
+        default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.s < 3:
@@ -78,35 +88,16 @@ class Hypergraph:
 
     @cached_property
     def _bits(self) -> "_BitIndex":
-        """The matcher's bitset index, built once per instance from the edges
-        alone: only non-isolated vertices get a bit."""
-        bit: dict[int, int] = {}
-        labels: list[int] = []
-        adj: list[int] = []
-        deg: list[int] = []
-        masks = []
-        for e in self.edges:
-            m = 0
-            for v in e:
-                j = bit.get(v)
-                if j is None:
-                    j = bit[v] = len(labels)
-                    labels.append(v)
-                    adj.append(0)
-                    deg.append(0)
-                m |= 1 << j
-            masks.append(m)
-            for v in e:
-                j = bit[v]
-                adj[j] |= m
-                deg[j] += 1
-        at_least = [0] * (max(deg, default=0) + 1)
-        for j, d in enumerate(deg):
-            adj[j] ^= 1 << j
-            at_least[d] |= 1 << j
-        for d in range(len(at_least) - 2, -1, -1):
-            at_least[d] |= at_least[d + 1]
-        return _BitIndex(bit, labels, adj, frozenset(masks), at_least)
+        """The matcher's bitset index, built once per instance on first use
+        from the edges alone (through `_rows` when set): only non-isolated
+        vertices get a bit."""
+        if self._rows is not None:
+            labels, rows = self._rows()
+        else:
+            labels = sorted(set().union(*self.edges))
+            bit = dict(zip(labels, range(len(labels))))
+            rows = [[bit[v] for v in e] for e in self.edges]
+        return _bit_index(labels, rows)
 
     @cached_property
     def _plan(self) -> "_Plan":
@@ -458,6 +449,31 @@ class _BitIndex(NamedTuple):
     adj: list[int]                # bit index -> mask of its co-edge neighbours
     edges: frozenset[int]         # the edges' masks
     degree_at_least: list[int]    # d -> mask of the vertices of degree >= d
+
+
+def _bit_index(labels: list[int], rows: Iterable[list[int]]) -> _BitIndex:
+    """The bitset index of the vertices `labels`, bit j standing for
+    labels[j], and of the edges `rows`, each given as its vertices' bits."""
+    k = len(labels)
+    adj = [0] * k
+    deg = [0] * k
+    masks = []
+    for row in rows:
+        m = 0
+        for j in row:
+            m |= 1 << j
+        masks.append(m)
+        for j in row:
+            adj[j] |= m
+            deg[j] += 1
+    at_least = [0] * (max(deg, default=0) + 1)
+    for j, d in enumerate(deg):
+        b = 1 << j
+        adj[j] ^= b
+        at_least[d] |= b
+    for d in range(len(at_least) - 2, -1, -1):
+        at_least[d] |= at_least[d + 1]
+    return _BitIndex(dict(zip(labels, range(k))), labels, adj, frozenset(masks), at_least)
 
 
 class _Plan(NamedTuple):

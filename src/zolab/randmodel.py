@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -105,10 +105,24 @@ class ExperimentConfig:
             raise ValueError("method must be auto, exact or skip")
 
     @cached_property
-    def _sampling(self) -> tuple[float, int, list[list[int]]]:
-        """p, the number of candidate edges and the colex unranking tables:
-        per-config work that every trial's `sample` shares."""
-        return edge_probability(self), math.comb(self.n, self.s), _comb_tables(self.n, self.s)
+    def _sampling(self) -> tuple[float, int, list[tuple[np.ndarray, np.ndarray]]]:
+        """p, the number of candidate edges and the colex unranking columns:
+        per-config work that every trial's `sample` shares.
+
+        Column j, from s down to 1, is the table C(c, j) for c = 0..n-1 and
+        the same table shifted up one place, so that the label c + 1 which
+        `searchsorted` returns indexes C(c, j).  Both are int64 when every
+        rank and entry fits, else arrays of Python ints: unranking stays
+        exact on one code path.
+        """
+        m = math.comb(self.n, self.s)
+        tables = _comb_tables(self.n, self.s)
+        dtype = np.int64 if max(itertools.chain([m], *tables)) < 1 << 63 else object
+        columns = []
+        for t in reversed(tables):
+            tab = np.array(t, dtype=dtype)
+            columns.append((tab, np.concatenate([tab[:1], tab])))
+        return edge_probability(self), m, columns
 
     def to_dict(self) -> dict:
         d = {"s": self.s, "n": self.n, "trials": self.trials, "seed": self.seed,
@@ -149,13 +163,9 @@ def _unrank(rank: int, s: int, tables: list[list[int]]) -> tuple[int, ...]:
     return tuple(out[::-1])
 
 
-def _included_ranks_exact(key: int, m: int, p: float) -> list[int]:
-    out: list[int] = []
-    for lo in range(0, m, 1 << 20):
-        hi = min(lo + (1 << 20), m)
-        u = subset_uniforms(key, lo, hi)
-        out.extend((np.flatnonzero(u < p) + lo).tolist())
-    return out
+def _included_ranks_exact(key: int, m: int, p: float) -> np.ndarray:
+    return np.concatenate([np.flatnonzero(subset_uniforms(key, lo, min(lo + (1 << 20), m)) < p)
+                           + lo for lo in range(0, m, 1 << 20)])
 
 
 def _included_ranks_skip(key: int, m: int, p: float) -> list[int]:
@@ -171,11 +181,34 @@ def _included_ranks_skip(key: int, m: int, p: float) -> list[int]:
         out.append(r)
 
 
-def _host(cfg: ExperimentConfig, ranks: Iterable[int]) -> Hypergraph:
-    """The host on 1..n whose edges are the s-subsets of the given colex ranks."""
-    s, tables = cfg.s, cfg._sampling[2]
-    edges = frozenset(frozenset(v + 1 for v in _unrank(r, s, tables)) for r in ranks)
-    return Hypergraph(s, frozenset(range(1, cfg.n + 1)), edges)
+def _host(cfg: ExperimentConfig, ranks: Sequence[int]) -> Hypergraph:
+    """The host on 1..n whose edges are the s-subsets of the given colex ranks.
+
+    All ranks are unranked together, one vertex column at a time from the
+    largest.  The host's matcher index is built from the same rows, on first
+    use only.
+    """
+    s, vertices = cfg.s, frozenset(range(1, cfg.n + 1))
+    if len(ranks) == 0:
+        return Hypergraph(s, vertices, frozenset())
+    columns = cfg._sampling[2]
+    r = np.asarray(ranks, dtype=columns[0][0].dtype)
+    labels = []
+    for tab, shifted in columns:
+        c = tab.searchsorted(r, side="right")
+        labels.append(c)
+        r = r - shifted[c]
+    rows = np.array(labels[::-1]).T  # each edge's labels, ascending
+
+    def index_rows() -> tuple[list[int], list[list[int]]]:
+        # the non-isolated labels in ascending order, and each edge as their
+        # positions there (by a lookup over 0..n, not a sort)
+        present = np.zeros(cfg.n + 1, dtype=bool)
+        present[rows] = True
+        position = np.cumsum(present) - 1
+        return np.flatnonzero(present).tolist(), position[rows].tolist()
+
+    return Hypergraph(s, vertices, frozenset(map(frozenset, rows.tolist())), index_rows)
 
 
 def sample(cfg: ExperimentConfig, trial_index: int) -> Hypergraph:
@@ -186,7 +219,7 @@ def sample(cfg: ExperimentConfig, trial_index: int) -> Hypergraph:
         raise ValueError(f"need n >= s, got n={n}, s={s}")
     p, m, _ = cfg._sampling
     if p <= 0.0:
-        ranks: Iterable[int] = ()
+        ranks: Sequence[int] = ()
     elif p >= 1.0:
         if m > CANDIDATE_EDGE_LIMIT:
             raise ExperimentError(
@@ -230,7 +263,7 @@ def coupled_samples(cfg: ExperimentConfig, trial_index: int,
     if m > CANDIDATE_EDGE_LIMIT:
         raise ExperimentError("coupled sampling is for small instances only")
     u = subset_uniforms(trial_key(cfg.seed, trial_index), 0, m)
-    return [_host(cfg, np.flatnonzero(u < p).tolist()) for p in ps]
+    return [_host(cfg, np.flatnonzero(u < p)) for p in ps]
 
 
 # ---------------------------------------------------------------------------

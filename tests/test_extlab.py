@@ -4,7 +4,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -457,8 +457,14 @@ def rooted_pairs(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(rooted_pairs(), st.integers(-3, 12), st.integers(1, 8))
+# a non-induced inner graph is safe at alpha < 0
+@example(RootedPair.identity(Hypergraph.make(3, range(1, 5), [(1, 2, 3)]),
+                             Hypergraph.make(3, [1, 2, 3], [])), -1, 1)
+# no difference vertices and one added edge: neutral at alpha = 0
+@example(RootedPair.identity(Hypergraph.make(3, range(1, 7), [(4, 5, 6)]),
+                             Hypergraph.make(3, range(1, 7), [])), 0, 1)
 def test_pair_walk_against_sign_table(pair, an, ad):
-    # alpha <= 0 included: the cut then runs at alpha = 0
+    # alpha <= 0 included
     alpha = F(an, ad)
     assert classify_pair(pair, alpha).value == brute_pair_class(pair, alpha)
     assert is_pair_strictly_balanced(pair) == brute_pair_strictly_balanced(pair)

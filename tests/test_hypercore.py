@@ -322,6 +322,7 @@ def test_matcher_on_scrambled_labels(s, seed):
         idx = g._bits
         assert set(idx.bit) == {v for v in g.vertices if g.degree(v)}
         assert [idx.bit[v] for v in idx.labels] == list(range(len(idx.labels)))
+        assert idx.labels == sorted(idx.labels)  # bits in ascending label order
         for v, j in idx.bit.items():
             assert _members(idx.labels, idx.adj[j]) == g.co_edge_neighbors(v)
         assert len(idx.degree_at_least) == max(map(g.degree, g.vertices)) + 1

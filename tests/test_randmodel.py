@@ -1,4 +1,6 @@
 import decimal
+import hashlib
+import itertools
 import math
 import statistics
 from fractions import Fraction
@@ -8,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import brute_automorphism_count, brute_embedding_count
 from zolab import randmodel
 from zolab.errors import ExperimentError
-from zolab.hypercore import Hypergraph, to_shg
+from zolab.hypercore import Hypergraph, copy_images, count_copies, has_copy, to_shg
 from zolab.randmodel import (
     CANDIDATE_EDGE_LIMIT,
     EXACT_RANK_LIMIT,
@@ -82,6 +85,92 @@ def test_bernoulli_reference_identity_small():
     cfg4 = ExperimentConfig(s=4, n=10, trials=2, seed=5, p=0.15)
     for t in range(2):
         assert sample(cfg4, t) == sample_bernoulli(cfg4, t)
+
+
+# SHA-256 over the hosts of `_pinned_hosts`, each as "s n sorted-edge-list"
+PINNED_HOSTS_SHA256 = "e12e3e57ad04331f9d93d98f4ce635f2f019dcf087325d3d67615531667085f4"
+
+
+def _pinned_hosts():
+    for n in (10, 25, 200, 300):
+        for alpha in (F(3, 2), F(2), F(5, 2)):
+            for method in ("exact", "skip"):
+                cfg = ExperimentConfig(s=3, n=n, trials=5, seed=2024, alpha=alpha, method=method)
+                for t in range(5):
+                    yield sample(cfg, t)
+    for n in (5, 8):
+        for p in (0.0, 1.0):
+            yield sample(ExperimentConfig(s=3, n=n, trials=1, seed=3, p=p), 0)
+    cfg = ExperimentConfig(s=3, n=20, trials=3, seed=99, p=0.1)
+    for t in range(3):
+        yield from coupled_samples(cfg, t, [0.03, 0.12])
+
+
+def test_sampled_hosts_are_pinned():
+    # both samplers, p = 0 and 1 and coupled draws give the same hosts as
+    # the scalar colex unranking they replaced
+    digest = hashlib.sha256()
+    for g in _pinned_hosts():
+        digest.update(f"{g.s} {g.num_vertices} {g.sorted_edges()}\n".encode())
+    assert digest.hexdigest() == PINNED_HOSTS_SHA256
+
+
+def test_ranks_beyond_int64_unrank_exactly():
+    n, s, p = 500, 10, 1e-19
+    m = math.comb(n, s)
+    assert m >= 1 << 63  # the unranking tables hold Python ints
+    cfg = ExperimentConfig(s=s, n=n, trials=3, seed=5, p=p, method="skip")
+    tables = randmodel._comb_tables(n, s)
+    for t in range(3):
+        ranks = randmodel._included_ranks_skip(randmodel.trial_key(5, t), m, p)
+        assert ranks and max(ranks) >= 1 << 63
+        want = sorted(tuple(v + 1 for v in randmodel._unrank(r, s, tables)) for r in ranks)
+        assert sample(cfg, t).sorted_edges() == want
+
+
+def _brute_copy_images(motif, host):
+    mv = sorted(motif.vertices)
+    out = set()
+    for image in itertools.permutations(sorted(host.vertices), len(mv)):
+        m = dict(zip(mv, image))
+        es = frozenset(frozenset(m[v] for v in e) for e in motif.edges)
+        if es <= host.edges:
+            out.add((frozenset(image), es))
+    return out
+
+
+def _lazy_index_hosts():
+    for s, n in ((3, 7), (3, 9), (4, 8)):
+        for p in (0.0, 0.02, 0.1, 0.3):
+            for method in ("exact", "skip"):
+                cfg = ExperimentConfig(s=s, n=n, trials=2, seed=11, p=p, method=method)
+                yield from (sample(cfg, t) for t in range(2))
+        yield from coupled_samples(ExperimentConfig(s=s, n=n, trials=1, seed=4, p=0.5), 0,
+                                   [0.05, 0.25])
+    yield sample(ExperimentConfig(s=10, n=500, trials=1, seed=5, p=1e-19), 0)
+
+
+def test_lazy_index_of_sampled_hosts():
+    hosts = list(_lazy_index_hosts())
+    assert any(not g.edges for g in hosts)
+    assert any(g.edges and len(set().union(*g.edges)) < g.num_vertices for g in hosts)
+    for g in hosts:
+        assert "_bits" not in g.__dict__  # sampling alone builds no index
+        generic = Hypergraph(g.s, g.vertices, g.edges)
+        assert generic == g and generic._rows is None
+        # the same labels, neighbour masks, edge masks and degree masks
+        assert g._bits == generic._bits
+        assert g._bits.labels == sorted(set().union(*g.edges))
+        if g.s == 10:
+            continue
+        edge = Hypergraph.make(g.s, range(g.s), [range(g.s)])
+        pair = Hypergraph.make(g.s, range(g.s + 1), [range(g.s), range(1, g.s + 1)])
+        loose = Hypergraph.make(g.s, range(g.s + 1), [range(g.s)])  # one isolated vertex
+        for motif in (edge, pair, loose):
+            emb = brute_embedding_count(motif, g)
+            assert has_copy(motif, g) == (emb > 0)
+            assert count_copies(motif, g) == emb // brute_automorphism_count(motif)
+            assert copy_images(motif, g) == _brute_copy_images(motif, g)
 
 
 def test_skip_sampler_mean_matches_binomial():
