@@ -8,11 +8,11 @@ first use.  The backtracking matcher behind automorphisms, copies and strict
 extensions reads a second lazy index, made by the one builder `_bit_index` in
 one pass over the edges: the non-isolated vertices as bits of ints in
 ascending label order, each one's co-edge neighbour mask, the edges' masks
-and the masks of vertices of degree >= d.  A sampled host carries a callable
-that gives the builder its edges as bit-number rows, taken from the arrays it
-was unranked from; it runs only when the matcher first reads the index.
-Densities and balance come from integer max-closure cuts; the module uses the
-standard library only.
+and the masks of vertices of degree >= d.  The builder takes the edges as
+rows of bit numbers; a sampled host (`Hypergraph._from_rows`) supplies them
+renumbered from the arrays it was unranked from, which saves sorting and
+numbering its edge sets.  Densities and balance come from integer
+max-closure cuts; the module uses the standard library only.
 """
 from __future__ import annotations
 
@@ -36,12 +36,9 @@ class Hypergraph:
     s: int
     vertices: frozenset[int]
     edges: frozenset[frozenset[int]]
-    # Optional source of the bitset index: returns the non-isolated vertices
-    # in ascending order and each edge as the list of their positions there.
-    # Samplers that already hold their edges as arrays set it; it takes no
-    # part in equality.
+    # Set by `_from_rows` only: the bit-number rows of the matcher's index.
     _rows: Callable[[], tuple[list[int], list[list[int]]]] | None = field(
-        default=None, compare=False, repr=False)
+        default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.s < 3:
@@ -62,6 +59,17 @@ class Hypergraph:
         es = frozenset(frozenset(e) for e in edges)
         verts = frozenset(itertools.chain(extra_vertices, *es))
         return cls(s, verts, es)
+
+    @classmethod
+    def _from_rows(cls, s: int, vertices: frozenset[int], edges: frozenset[frozenset[int]],
+                   rows: Callable[[], tuple[list[int], list[list[int]]]]) -> "Hypergraph":
+        """A hypergraph whose bitset index is built, on first use, from
+        `rows()`: the non-isolated vertices in ascending order and each edge
+        as the list of their positions there.  The caller vouches that the
+        rows are the edges; `rows` must pickle for the host to pickle."""
+        g = cls(s, vertices, edges)
+        object.__setattr__(g, "_rows", rows)
+        return g
 
     @property
     def num_vertices(self) -> int:
@@ -89,7 +97,7 @@ class Hypergraph:
     @cached_property
     def _bits(self) -> "_BitIndex":
         """The matcher's bitset index, built once per instance on first use
-        from the edges alone (through `_rows` when set): only non-isolated
+        from the edges alone (from `_rows` when set): only non-isolated
         vertices get a bit."""
         if self._rows is not None:
             labels, rows = self._rows()

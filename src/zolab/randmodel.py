@@ -32,7 +32,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -185,8 +185,8 @@ def _host(cfg: ExperimentConfig, ranks: Sequence[int]) -> Hypergraph:
     """The host on 1..n whose edges are the s-subsets of the given colex ranks.
 
     All ranks are unranked together, one vertex column at a time from the
-    largest.  The host's matcher index is built from the same rows, on first
-    use only.
+    largest.  The host's matcher index, when first read, is numbered from
+    the same rows.
     """
     s, vertices = cfg.s, frozenset(range(1, cfg.n + 1))
     if len(ranks) == 0:
@@ -199,16 +199,18 @@ def _host(cfg: ExperimentConfig, ranks: Sequence[int]) -> Hypergraph:
         labels.append(c)
         r = r - shifted[c]
     rows = np.array(labels[::-1]).T  # each edge's labels, ascending
+    return Hypergraph._from_rows(s, vertices, frozenset(map(frozenset, rows.tolist())),
+                                 partial(_index_rows, cfg.n, rows))
 
-    def index_rows() -> tuple[list[int], list[list[int]]]:
-        # the non-isolated labels in ascending order, and each edge as their
-        # positions there (by a lookup over 0..n, not a sort)
-        present = np.zeros(cfg.n + 1, dtype=bool)
-        present[rows] = True
-        position = np.cumsum(present) - 1
-        return np.flatnonzero(present).tolist(), position[rows].tolist()
 
-    return Hypergraph(s, vertices, frozenset(map(frozenset, rows.tolist())), index_rows)
+def _index_rows(n: int, rows: np.ndarray) -> tuple[list[int], list[list[int]]]:
+    """The non-isolated labels of a host on 1..n whose edges are `rows`, in
+    ascending order, and each edge as their positions there: a lookup over
+    0..n, not a sort."""
+    present = np.zeros(n + 1, dtype=bool)
+    present[rows] = True
+    position = np.cumsum(present) - 1
+    return np.flatnonzero(present).tolist(), position[rows].tolist()
 
 
 def sample(cfg: ExperimentConfig, trial_index: int) -> Hypergraph:

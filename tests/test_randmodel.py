@@ -1,7 +1,9 @@
+import dataclasses
 import decimal
 import hashlib
 import itertools
 import math
+import pickle
 import statistics
 from fractions import Fraction
 from unittest import mock
@@ -158,6 +160,9 @@ def test_lazy_index_of_sampled_hosts():
         assert "_bits" not in g.__dict__  # sampling alone builds no index
         generic = Hypergraph(g.s, g.vertices, g.edges)
         assert generic == g and generic._rows is None
+        assert dataclasses.replace(g)._rows is None  # a copy never inherits the rows
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and copy._bits == generic._bits
         # the same labels, neighbour masks, edge masks and degree masks
         assert g._bits == generic._bits
         assert g._bits.labels == sorted(set().union(*g.edges))
