@@ -87,7 +87,7 @@ def _cmd_balance(args) -> None:
 
 
 def _cmd_classify_pair(args) -> None:
-    pair = hypercore.RootedPair.identity(_load(args.outer), _load(args.inner))
+    pair = hypercore.RootedPair(_load(args.outer), _load(args.inner))
     cls = extlab.classify_pair(pair, args.alpha)
     _emit({"schema": 1, "class": cls.value,
            "f_alpha": _frac_dict(extlab.f_alpha(pair, args.alpha)),
@@ -143,7 +143,7 @@ def _cmd_game(args) -> None:
 
 
 def _cmd_cyclic(args) -> None:
-    pair = hypercore.RootedPair.identity(_load(args.outer), _load(args.inner))
+    pair = hypercore.RootedPair(_load(args.outer), _load(args.inner))
     pat = extlab.match_cyclic_extension(pair, args.m)
     if pat is None:
         _emit({"schema": 1, "match": None})
@@ -212,7 +212,7 @@ def _cmd_poisson(args) -> None:
 
 
 def _cmd_prop1(args) -> None:
-    pair = hypercore.RootedPair.identity(_load(args.outer), _load(args.inner))
+    pair = hypercore.RootedPair(_load(args.outer), _load(args.inner))
     rep = randmodel.prop1_experiment(pair, _make_config(args), cap=args.cap)
     _emit(rep.to_dict())
 

@@ -73,7 +73,7 @@ class Theorem6Witness:
         return self.pair.outer
 
 
-def theorem6_pair(s: int, l: int, m: int, verify: bool = True) -> Theorem6Witness:
+def theorem6_pair(s: int, l: int, m: int) -> Theorem6Witness:
     """Build the bundle pair; verifies rho(H) = rho(G,H) = 1/alpha exactly and
     strict balance of H and of the pair.
 
@@ -102,23 +102,22 @@ def theorem6_pair(s: int, l: int, m: int, verify: bool = True) -> Theorem6Witnes
         edges, _ = _path_between(s, t, hub, midpoints[i], labels)
         g_edges.extend(edges)
     g = Hypergraph.from_edges(s, g_edges)
-    pair = RootedPair.identity(g, h)
+    pair = RootedPair(g, h)
     alpha = Fraction(s - 1) - Fraction(1, t) + Fraction(1, t * m)
 
-    if verify:
-        if density(h) != 1 / alpha:
-            raise VerificationError(f"rho(H) = {density(h)} != 1/alpha = {1 / alpha}")
-        if pair.rel_density() != 1 / alpha:
-            raise VerificationError(
-                f"rho(G,H) = {pair.rel_density()} != 1/alpha = {1 / alpha}")
-        expected_vrel = m * (t * (s - 1) - 1) + 1
-        if pair.v_rel != expected_vrel:
-            raise VerificationError(
-                f"v(G,H) = {pair.v_rel}, expected {expected_vrel}")
-        if not is_pair_strictly_balanced(pair):
-            raise VerificationError("the pair is not strictly balanced")
-        if not is_strictly_balanced(h):
-            raise VerificationError("H is not strictly balanced")
+    if density(h) != 1 / alpha:
+        raise VerificationError(f"rho(H) = {density(h)} != 1/alpha = {1 / alpha}")
+    if pair.rel_density() != 1 / alpha:
+        raise VerificationError(
+            f"rho(G,H) = {pair.rel_density()} != 1/alpha = {1 / alpha}")
+    expected_vrel = m * (t * (s - 1) - 1) + 1
+    if pair.v_rel != expected_vrel:
+        raise VerificationError(
+            f"v(G,H) = {pair.v_rel}, expected {expected_vrel}")
+    if not is_pair_strictly_balanced(pair):
+        raise VerificationError("the pair is not strictly balanced")
+    if not is_strictly_balanced(h):
+        raise VerificationError("H is not strictly balanced")
     return Theorem6Witness(pair=pair, alpha=alpha, endpoints=(a, b),
                            midpoints=tuple(midpoints), hub=hub)
 
@@ -151,8 +150,8 @@ def _three_edge_circuit(s: int, labels: _Labels) -> Hypergraph:
     return Hypergraph.from_edges(s, [e1, e2, e3])
 
 
-def theorem8_witnesses(s: int, k: int, a1: int | None = None, a2: int | None = None,
-                       verify: bool = True) -> Theorem8Witness:
+def theorem8_witnesses(s: int, k: int, a1: int | None = None,
+                       a2: int | None = None) -> Theorem8Witness:
     """Exact witness edge sets; verifies 1/rho(H) = alpha = s-1-1/(2^(k-s+1)+a)
     and that H is its own densest sub-hypergraph.
 
@@ -187,17 +186,16 @@ def theorem8_witnesses(s: int, k: int, a1: int | None = None, a2: int | None = N
             s, list(part1.edges) + list(part2.edges) + e_path1 + e_path2)
 
     alpha = Fraction(s - 1) - Fraction(1, (1 << (k - s + 1)) + a)
-    if verify:
-        expected_e = (1 << (k - s + 1)) + a
-        if h.num_edges != expected_e:
-            raise VerificationError(f"e(H) = {h.num_edges}, expected {expected_e}")
-        if h.num_vertices != expected_e * (s - 1) - 1:
-            raise VerificationError(
-                f"v(H) = {h.num_vertices}, expected {expected_e * (s - 1) - 1}")
-        if 1 / density(h) != alpha:
-            raise VerificationError(f"1/rho(H) = {1 / density(h)} != alpha = {alpha}")
-        if max_density(h)[0] != density(h):
-            raise VerificationError("H is not its own densest sub-hypergraph")
+    expected_e = (1 << (k - s + 1)) + a
+    if h.num_edges != expected_e:
+        raise VerificationError(f"e(H) = {h.num_edges}, expected {expected_e}")
+    if h.num_vertices != expected_e * (s - 1) - 1:
+        raise VerificationError(
+            f"v(H) = {h.num_vertices}, expected {expected_e * (s - 1) - 1}")
+    if 1 / density(h) != alpha:
+        raise VerificationError(f"1/rho(H) = {1 / density(h)} != alpha = {alpha}")
+    if max_density(h)[0] != density(h):
+        raise VerificationError("H is not its own densest sub-hypergraph")
     return Theorem8Witness(h=h, part1=part1, part2=part2, a=a, alpha=alpha,
                            center=x)
 

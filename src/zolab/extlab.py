@@ -1,6 +1,7 @@
-"""Extension calculus for rooted pairs: the f_alpha classification, strict
-extensions, (K, T)-maximality, uncovered-copy counting, and the three cyclic
-attachment patterns with their decomposition and maximality notions.
+"""Extension calculus for rooted pairs (G, H), H a sub-hypergraph of G: the
+f_alpha classification, strict extensions, (K, T)-maximality, uncovered-copy
+counting, and the three cyclic attachment patterns with their decomposition
+and maximality notions.
 """
 from __future__ import annotations
 
@@ -47,7 +48,7 @@ def _relative_edges(pair: RootedPair) -> tuple[list[tuple[int, ...]], int, int]:
     difference part decides membership.  Returns (the difference parts of
     the edges that meet the difference, the number of edges inside V(H), d).
     """
-    inner = pair.inner_image.vertices
+    inner = pair.inner.vertices
     diff = [v for v in pair.outer.sorted_vertices() if v not in inner]
     pos = {v: i for i, v in enumerate(diff)}
     parts = [tuple(pos[v] for v in e if v in pos) for e in pair.outer.edges]
@@ -118,8 +119,8 @@ def _correspondence_checks(candidate: RootedPair, template: RootedPair,
         raise ValueError("correspondence is not injective")
     if set(corr.values()) != candidate.outer.vertices:
         raise ValueError("correspondence must cover the candidate outer vertex set")
-    t_inner = template.inner_image.vertices
-    c_inner = candidate.inner_image.vertices
+    t_inner = template.inner.vertices
+    c_inner = candidate.inner.vertices
     if {corr[v] for v in t_inner} != c_inner:
         raise ValueError("correspondence must map inner vertices onto inner vertices")
     return corr
@@ -129,8 +130,8 @@ def is_extension(candidate: RootedPair, template: RootedPair,
                  correspondence: Mapping[int, int]) -> bool:
     """One-directional variant: template-new edges map into candidate-new edges."""
     corr = _correspondence_checks(candidate, template, correspondence)
-    t_new = template.outer.edges - template.inner_image.edges
-    c_new = candidate.outer.edges - candidate.inner_image.edges
+    t_new = template.outer.edges - template.inner.edges
+    c_new = candidate.outer.edges - candidate.inner.edges
     return all(frozenset(corr[v] for v in e) in c_new for e in t_new)
 
 
@@ -138,8 +139,8 @@ def is_strict_extension(candidate: RootedPair, template: RootedPair,
                         correspondence: Mapping[int, int]) -> bool:
     """Both directions: new edges correspond exactly under the vertex map."""
     corr = _correspondence_checks(candidate, template, correspondence)
-    t_new = template.outer.edges - template.inner_image.edges
-    c_new = candidate.outer.edges - candidate.inner_image.edges
+    t_new = template.outer.edges - template.inner.edges
+    c_new = candidate.outer.edges - candidate.inner.edges
     return {frozenset(corr[v] for v in e) for e in t_new} == c_new
 
 
@@ -157,10 +158,9 @@ def _strict_extension_maps(template: RootedPair, host: Hypergraph,
         raise ValueError("anchor length must equal the template inner size")
     if len(set(anchor)) != len(anchor) or not set(anchor) <= host.vertices:
         raise ValueError("anchor must be distinct host vertices")
-    emb = template.embedding_map
-    fixed = {emb[v]: anchor[i] for i, v in enumerate(inner_sorted)}
+    fixed = dict(zip(inner_sorted, anchor))
     new_part = Hypergraph(host.s, template.outer.vertices,
-                          template.outer.edges - template.inner_image.edges)
+                          template.outer.edges - template.inner.edges)
     return _iter_embeddings(new_part, host, exact=False, fixed=fixed, avoid=anchor_edges)
 
 
@@ -178,7 +178,7 @@ def is_kt_maximal(pair: RootedPair, kt: RootedPair, host: Hypergraph,
     outer graph except through T' (the empty-edge-set side condition, read on
     the host-induced union).
     """
-    g_t, h_t = pair.outer, pair.inner_image
+    g_t, h_t = pair.outer, pair.inner
     if not g_t.is_subhypergraph_of(host):
         raise ValueError("pair outer must be a sub-hypergraph of the host")
     _check_search_cap(g_t, cap)
@@ -207,7 +207,7 @@ def is_kt_maximal(pair: RootedPair, kt: RootedPair, host: Hypergraph,
                     k_verts = frozenset(phi.values())
                     w = (k_verts | g_t.vertices) - t_set
                     k_out = {frozenset(phi[v] for v in e)
-                             for e in kt.outer.edges - kt.inner_image.edges}
+                             for e in kt.outer.edges - kt.inner.edges}
                     k_out = {e for e in k_out if not e & t_set}
                     g_out = {e for e in g_t.edges if not e & t_set}
                     if all(f in k_out or f in g_out
@@ -227,7 +227,7 @@ def count_maximal_extensions(template: RootedPair, host: Hypergraph,
         raise CapacityError("extension template exceeds the search cap")
     h_tilde = host.induced(anchor)
     realized: set[tuple[frozenset[int], frozenset[frozenset[int]]]] = set()
-    new_edges = template.outer.edges - template.inner_image.edges
+    new_edges = template.outer.edges - template.inner.edges
     for phi in _strict_extension_maps(template, host, anchor, h_tilde.edges):
         verts = frozenset(phi.values())
         edges = frozenset(frozenset(phi[v] for v in e) for e in new_edges) | h_tilde.edges
@@ -236,7 +236,7 @@ def count_maximal_extensions(template: RootedPair, host: Hypergraph,
     count = 0
     for verts, edges in sorted(realized, key=lambda t: (sorted(t[0]), sorted(map(sorted, t[1])))):
         g_tilde = Hypergraph(host.s, verts, edges)
-        pair = RootedPair.identity(g_tilde, h_tilde)
+        pair = RootedPair(g_tilde, h_tilde)
         if all(is_kt_maximal(pair, kt, host, cap=cap) for kt in kt_list):
             count += 1
     return count
@@ -288,15 +288,14 @@ def prop1_poisson_parameter(pair: RootedPair,
     """Brute-forced (a(H), a_1, a_2) for the pair; the caller forms the rate
     (1/a) * exp(-a / (a1 * a2)).
     """
-    h_img = pair.inner_image
-    g = pair.outer
-    aut_h = automorphisms(h_img, cap=cap)
+    g, h = pair.outer, pair.inner
+    aut_h = automorphisms(h, cap=cap)
     aut_g = automorphisms(g, cap=cap)
-    order = sorted(h_img.vertices)
+    order = sorted(h.vertices)
     restrictions = {
         tuple(sig[v] for v in order)
         for sig in aut_g
-        if all(sig[v] in h_img.vertices for v in order)
+        if all(sig[v] in h.vertices for v in order)
     }
     a1 = sum(1 for tau in aut_h if tuple(tau[v] for v in order) in restrictions)
     a2 = sum(1 for sig in aut_g if all(sig[v] == v for v in order))
@@ -414,20 +413,19 @@ def match_cyclic_extension(pair: RootedPair, m: int) -> CyclicPattern | None:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    g = pair.outer
-    h_img = pair.inner_image
-    new_edges = g.edges - h_img.edges
+    g, h = pair.outer, pair.inner
+    new_edges = g.edges - h.edges
     if not new_edges:
         return None
-    if any(e <= h_img.vertices for e in new_edges):
+    if any(e <= h.vertices for e in new_edges):
         return None  # every template edge leaves the base
     rho_max, _ = max_density(g)
     if rho_max >= density_bound(g.s, m):
         return None
-    new_verts = g.vertices - h_img.vertices
+    new_verts = g.vertices - h.vertices
     sub_host = Hypergraph(g.s, g.vertices, new_edges)
     best: CyclicPattern | None = None
-    for pat in _iter_attachments(h_img.vertices, frozenset(), sub_host, m):
+    for pat in _iter_attachments(h.vertices, frozenset(), sub_host, m):
         if frozenset(pat.edges) != new_edges or pat.new_vertices != new_verts:
             continue
         if best is None or _PATTERN_ORDER[pat.kind] < _PATTERN_ORDER[best.kind]:
@@ -482,8 +480,7 @@ def is_cyclically_m_maximal(pair: RootedPair, host: Hypergraph, m: int) -> bool:
     """No cyclic m-extension attaches to the outer graph in the host unless the
     same attachment is also a cyclic m-extension of the inner graph.
     """
-    g = pair.outer
-    h_img = pair.inner_image
+    g, h = pair.outer, pair.inner
     if not g.is_subhypergraph_of(host):
         raise ValueError("pair outer must be a sub-hypergraph of the host")
     bound = density_bound(host.s, m)
@@ -499,9 +496,9 @@ def is_cyclically_m_maximal(pair: RootedPair, host: Hypergraph, m: int) -> bool:
             continue  # not a cyclic m-extension of the outer graph
         h_ext = Hypergraph(
             host.s,
-            h_img.vertices | frozenset(v for e in pat.edges for v in e),
-            h_img.edges | frozenset(pat.edges))
-        h_pair = RootedPair.identity(h_ext, h_img)
+            h.vertices | frozenset(v for e in pat.edges for v in e),
+            h.edges | frozenset(pat.edges))
+        h_pair = RootedPair(h_ext, h)
         if match_cyclic_extension(h_pair, m) is None:
             return False
     return True

@@ -1,4 +1,5 @@
-"""s-uniform hypergraphs: densities, balance, automorphisms, copy counting, distances.
+"""s-uniform hypergraphs and rooted pairs (G, H), H a sub-hypergraph of G:
+densities, balance, automorphisms, copy counting, distances.
 
 Vertices are arbitrary integer labels; nothing assumes contiguity.  All values
 are immutable after construction and safe to share across threads.  Degrees,
@@ -8,7 +9,8 @@ first use.  The backtracking matcher behind automorphisms, copies and strict
 extensions reads a second lazy index, made by the one builder `_bit_index` in
 one pass over the edges: the non-isolated vertices as bits of ints in
 ascending label order, each one's co-edge neighbour mask, the edges' masks
-and the masks of vertices of degree >= d.  The builder takes the edges as
+and the masks of vertices of degree >= d, which filter every search's
+candidates (automorphisms by exact degree).  The builder takes the edges as
 rows of bit numbers; a sampled host (`Hypergraph._from_rows`) supplies them
 renumbered from the arrays it was unranked from, which saves sorting and
 numbering its edge sets.  Densities and balance come from integer
@@ -54,11 +56,9 @@ class Hypergraph:
         return cls(s, frozenset(vertices), frozenset(frozenset(e) for e in edges))
 
     @classmethod
-    def from_edges(cls, s: int, edges: Iterable[Iterable[int]],
-                   extra_vertices: Iterable[int] = ()) -> "Hypergraph":
+    def from_edges(cls, s: int, edges: Iterable[Iterable[int]]) -> "Hypergraph":
         es = frozenset(frozenset(e) for e in edges)
-        verts = frozenset(itertools.chain(extra_vertices, *es))
-        return cls(s, verts, es)
+        return cls(s, frozenset().union(*es), es)
 
     @classmethod
     def _from_rows(cls, s: int, vertices: frozenset[int], edges: frozenset[frozenset[int]],
@@ -155,44 +155,14 @@ class Hypergraph:
 
 @dataclass(frozen=True)
 class RootedPair:
-    """A pair (G, H) with H embedded into G by an injective, edge-onto-edge map."""
+    """A pair (G, H) with H a sub-hypergraph of G."""
 
     outer: Hypergraph
     inner: Hypergraph
-    embedding: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.outer.s != self.inner.s:
-            raise ValueError("arity mismatch between outer and inner")
-        emb = dict(self.embedding)
-        if set(emb) != self.inner.vertices:
-            raise ValueError("embedding domain must be the inner vertex set")
-        if len(set(emb.values())) != len(emb):
-            raise ValueError("embedding is not injective")
-        if not set(emb.values()) <= self.outer.vertices:
-            raise ValueError("embedding image leaves the outer vertex set")
-        for e in self.inner.edges:
-            if frozenset(emb[v] for v in e) not in self.outer.edges:
-                raise ValueError(f"inner edge {sorted(e)} does not map onto an outer edge")
-        if self.outer.num_vertices < self.inner.num_vertices:
-            raise ValueError("outer has fewer vertices than inner")
-
-    @classmethod
-    def identity(cls, outer: Hypergraph, inner: Hypergraph) -> "RootedPair":
-        return cls(outer, inner, tuple((v, v) for v in inner.sorted_vertices()))
-
-    @property
-    def embedding_map(self) -> dict[int, int]:
-        return dict(self.embedding)
-
-    @property
-    def inner_image(self) -> Hypergraph:
-        emb = self.embedding_map
-        return Hypergraph(
-            self.outer.s,
-            frozenset(emb[v] for v in self.inner.vertices),
-            frozenset(frozenset(emb[v] for v in e) for e in self.inner.edges),
-        )
+        if not self.inner.is_subhypergraph_of(self.outer):
+            raise ValueError("inner is not a sub-hypergraph of outer")
 
     @property
     def v_rel(self) -> int:
@@ -417,20 +387,6 @@ def distance(g: Hypergraph, x: int, y: int) -> int | float:
 # isomorphism search: automorphisms, copies, embeddings
 # ---------------------------------------------------------------------------
 
-def _invariants(g: Hypergraph, rounds: int = 2) -> dict[int, int]:
-    """Iterated degree refinement; equal labels are a necessary match condition."""
-    inc = g._incidence
-    label = {v: len(es) for v, es in inc.items()}
-    for _ in range(rounds):
-        sig = {}
-        for v, es in inc.items():
-            profile = sorted(tuple(sorted(label[u] for u in e if u != v)) for e in es)
-            sig[v] = (label[v], tuple(profile))
-        canon = {t: i for i, t in enumerate(sorted(set(sig.values())))}
-        label = {v: canon[sig[v]] for v in g.vertices}
-    return label
-
-
 def _motif_order(motif: Hypergraph, first: Iterable[int] = ()) -> list[int]:
     """Static placement order: `first` as given, then highest degree first and
     greedy by placed co-edge ties."""
@@ -526,7 +482,7 @@ def _iter_embeddings(motif: Hypergraph, host: Hypergraph, *, exact: bool,
 
     A bitset search over the host's `_bits` index.  A position's candidates
     are the AND of the co-edge masks of its placed neighbours' images, the
-    host vertices of the required degree (exact: of the same invariant label)
+    host vertices of at least (exact: of exactly) the motif vertex's degree
     and the unused ones; a completed motif edge is checked as the OR of its
     images' bits.  Unpinned motif vertices of degree 0 come last and take the
     unused host vertices by label, isolated ones included.
@@ -548,16 +504,11 @@ def _iter_embeddings(motif: Hypergraph, host: Hypergraph, *, exact: bool,
     if avoid:
         edges = edges - {sum(1 << idx.bit[v] for v in e)
                          for e in avoid if e <= idx.bit.keys()}
-    if exact:
-        inv_m = _invariants(motif)
-        inv_h = inv_m if host is motif else _invariants(host)
-        by_label: dict[int, int] = {}
-        for v, i in idx.bit.items():
-            by_label[inv_h[v]] = by_label.get(inv_h[v], 0) | 1 << i
-        allow = [by_label.get(inv_m[v], 0) for v in order]
-    else:
-        deg_ge = idx.degree_at_least
-        allow = [deg_ge[d] if d < len(deg_ge) else 0 for d in need]
+    deg_ge = idx.degree_at_least
+    top = len(deg_ge)
+    allow = [deg_ge[d] if d < top else 0 for d in need]
+    if exact:  # of exactly the degree: drop the vertices of higher degree
+        allow = [a & ~deg_ge[d + 1] if d + 1 < top else a for a, d in zip(allow, need)]
 
     # Per position: its image's bit (0 for a pinned host vertex without one),
     # bit index and label.  Images are distinct bits, so an edge's OR is the
@@ -571,10 +522,7 @@ def _iter_embeddings(motif: Hypergraph, host: Hypergraph, *, exact: bool,
         hv = fixed[mv]
         j = idx.bit.get(hv)
         b = 0 if j is None else 1 << j
-        if exact:
-            ok = inv_h.get(hv) == inv_m[mv]
-        else:
-            ok = need[i] == 0 or bool(allow[i] & b)
+        ok = need[i] == 0 or bool(allow[i] & b)
         if (not ok or hv in lab[:i]
                 or any(sum(map(img.__getitem__, e)) | b not in edges for e in ready[i])):
             return
@@ -586,8 +534,7 @@ def _iter_embeddings(motif: Hypergraph, host: Hypergraph, *, exact: bool,
             yield dict(zip(order, lab))
             return
         taken = set(lab[:searched])
-        free = [v for v in host.vertices if v not in taken
-                and (not exact or inv_h[v] == inv_m[order[-1]])]
+        free = [v for v in host.vertices if v not in taken]
         for rest in itertools.permutations(free, k - searched):
             yield dict(zip(order, lab[:searched] + list(rest)))
 

@@ -46,6 +46,7 @@ from .hypercore import DEFAULT_ENUM_CAP, has_copy, is_strictly_balanced
 
 EXACT_RANK_LIMIT = 2000
 CANDIDATE_EDGE_LIMIT = 1 << 22  # most candidate edges a full or coupled draw walks
+POOL_AT = 5  # pooled_tv_distance pools each count's tail at >= POOL_AT
 _MASK = (1 << 64) - 1
 _GOLD = 0x9E3779B97F4A7C15
 
@@ -213,19 +214,22 @@ def _index_rows(n: int, rows: np.ndarray) -> tuple[list[int], list[list[int]]]:
     return np.flatnonzero(present).tolist(), position[rows].tolist()
 
 
+def _check_order(cfg: ExperimentConfig) -> None:
+    if cfg.n < cfg.s:
+        raise ValueError(f"need n >= s, got n={cfg.n}, s={cfg.s}")
+
+
 def sample(cfg: ExperimentConfig, trial_index: int) -> Hypergraph:
     """One draw of G^s(n, p): every s-subset is an edge independently with
     probability p; deterministic in (seed, trial_index, cfg)."""
-    n, s = cfg.n, cfg.s
-    if n < s:
-        raise ValueError(f"need n >= s, got n={n}, s={s}")
+    _check_order(cfg)
     p, m, _ = cfg._sampling
     if p <= 0.0:
         ranks: Sequence[int] = ()
     elif p >= 1.0:
         if m > CANDIDATE_EDGE_LIMIT:
             raise ExperimentError(
-                f"p >= 1 would build all C({n}, {s}) = {m} candidate edges, "
+                f"p >= 1 would build all C({cfg.n}, {cfg.s}) = {m} candidate edges, "
                 f"over the limit {CANDIDATE_EDGE_LIMIT}")
         ranks = range(m)
     else:
@@ -243,9 +247,8 @@ def sample_bernoulli(cfg: ExperimentConfig, trial_index: int) -> Hypergraph:
     Identical output to sample(method='exact') by construction; quadratic in
     instance size, for verification only.
     """
+    _check_order(cfg)
     n, s = cfg.n, cfg.s
-    if n < s:
-        raise ValueError(f"need n >= s, got n={n}, s={s}")
     p = edge_probability(cfg)
     key = trial_key(cfg.seed, trial_index)
     tables = _comb_tables(n, s)
@@ -261,6 +264,7 @@ def coupled_samples(cfg: ExperimentConfig, trial_index: int,
                     ps: Sequence[float]) -> list[Hypergraph]:
     """Samples at several p sharing one set of per-subset uniforms: the edge
     set at a smaller p is contained in the edge set at any larger p."""
+    _check_order(cfg)
     _, m, _ = cfg._sampling
     if m > CANDIDATE_EDGE_LIMIT:
         raise ExperimentError("coupled sampling is for small instances only")
@@ -363,23 +367,22 @@ def estimate_probability(cfg: ExperimentConfig,
         wall_time_s=time.perf_counter() - t0)
 
 
-def _poisson_pmf_pooled(lam: float, pool_at: int) -> list[float]:
-    masses = [math.exp(-lam) * lam ** j / math.factorial(j) for j in range(pool_at)]
+def _poisson_pmf_pooled(lam: float) -> list[float]:
+    masses = [math.exp(-lam) * lam ** j / math.factorial(j) for j in range(POOL_AT)]
     return masses + [max(0.0, 1.0 - sum(masses))]
 
 
-def pooled_tv_distance(counts: dict, lams: Sequence[float], trials: int,
-                       pool_at: int = 5) -> float:
+def pooled_tv_distance(counts: dict, lams: Sequence[float], trials: int) -> float:
     """Total-variation distance between the empirical joint histogram and the
-    product of Poisson laws, with per-coordinate tails pooled at >= pool_at."""
+    product of Poisson laws, with per-coordinate tails pooled at >= POOL_AT."""
     dims = len(lams)
     pooled: dict[tuple[int, ...], int] = {}
     for key, c in counts.items():
-        cell = tuple(min(int(x), pool_at) for x in key)
+        cell = tuple(min(int(x), POOL_AT) for x in key)
         pooled[cell] = pooled.get(cell, 0) + c
-    pmfs = [_poisson_pmf_pooled(lam, pool_at) for lam in lams]
+    pmfs = [_poisson_pmf_pooled(lam) for lam in lams]
     tv = 0.0
-    for cell in itertools.product(range(pool_at + 1), repeat=dims):
+    for cell in itertools.product(range(POOL_AT + 1), repeat=dims):
         theory = math.prod(pmfs[d][cell[d]] for d in range(dims))
         emp = pooled.get(cell, 0) / trials
         tv += abs(emp - theory)
@@ -455,7 +458,7 @@ def prop1_experiment(pair: RootedPair, cfg: ExperimentConfig,
     Verifies first that the inner graph and the pair are strictly balanced and
     that rho(H) = rho(G,H) = 1/alpha.  `cap` bounds the two searches: the
     automorphism groups behind the Poisson rate and the uncovered-copy count."""
-    h, g = pair.inner_image, pair.outer
+    h, g = pair.inner, pair.outer
     if not is_strictly_balanced(h):
         raise ValueError("inner graph is not strictly balanced")
     if not is_pair_strictly_balanced(pair):

@@ -16,14 +16,18 @@ from zolab.folang import (And, Atom, Eq, Exists, Forall, Formula, Implies, Not, 
 from zolab.hypercore import Hypergraph
 
 
-def brute_automorphism_count(g: Hypergraph) -> int:
+def brute_automorphisms(g: Hypergraph) -> list[dict[int, int]]:
     verts = sorted(g.vertices)
-    count = 0
+    out = []
     for perm in itertools.permutations(verts):
         m = dict(zip(verts, perm))
         if all(frozenset(m[v] for v in e) in g.edges for e in g.edges):
-            count += 1
-    return count
+            out.append(m)
+    return out
+
+
+def brute_automorphism_count(g: Hypergraph) -> int:
+    return len(brute_automorphisms(g))
 
 
 def brute_embedding_count(motif: Hypergraph, host: Hypergraph) -> int:
@@ -41,10 +45,9 @@ def brute_strict_extension_maps(template, host: Hypergraph, anchor: tuple[int, .
     """Every injective map pinning the template's sorted inner vertices to the
     anchor that sends each new template edge to a host edge not carried by the
     anchor (not one of `anchor_edges` inside it), by permutation."""
-    emb = template.embedding_map
-    base = {emb[v]: a for v, a in zip(sorted(template.inner.vertices), anchor)}
+    base = dict(zip(sorted(template.inner.vertices), anchor))
     new_vts = sorted(template.outer.vertices - set(base))
-    new_edges = template.outer.edges - template.inner_image.edges
+    new_edges = template.outer.edges - template.inner.edges
     free = sorted(host.vertices - set(anchor))
     for image in itertools.permutations(free, len(new_vts)):
         m = {**base, **dict(zip(new_vts, image))}
@@ -95,7 +98,7 @@ def brute_omega_tilde(g: Hypergraph, alpha: Fraction, size_cap: int) -> bool:
 def brute_intermediates(pair) -> list[Hypergraph]:
     """Every sub-hypergraph K with H <= K <= G: each intermediate vertex set
     with each edge set between E(H) and the edges it induces in G."""
-    g, h = pair.outer, pair.inner_image
+    g, h = pair.outer, pair.inner
     rest = sorted(g.vertices - h.vertices)
     out = []
     for r in range(len(rest) + 1):
@@ -115,7 +118,7 @@ def _sign(x: Fraction) -> int:
 def brute_f_alpha_signs(pair, alpha: Fraction) -> dict:
     """K -> (sign of f_alpha(K, H), sign of f_alpha(G, K)) over every
     intermediate K, with f_alpha(A, B) = v(A) - v(B) - alpha (e(A) - e(B))."""
-    g, h = pair.outer, pair.inner_image
+    g, h = pair.outer, pair.inner
 
     def f(a: Hypergraph, b: Hypergraph) -> Fraction:
         return (a.num_vertices - b.num_vertices) - alpha * (a.num_edges - b.num_edges)
@@ -125,7 +128,7 @@ def brute_f_alpha_signs(pair, alpha: Fraction) -> dict:
 
 def brute_pair_class(pair, alpha: Fraction) -> str:
     """The safe/rigid/neutral/other class read off the f_alpha sign table."""
-    g, h = pair.outer, pair.inner_image
+    g, h = pair.outer, pair.inner
     signs = brute_f_alpha_signs(pair, alpha)
     if all(kh > 0 for k, (kh, _) in signs.items() if k != h):
         return "safe"
@@ -139,7 +142,7 @@ def brute_pair_class(pair, alpha: Fraction) -> str:
 def brute_pair_strictly_balanced(pair) -> bool:
     """rho(G, H) > rho(K, H) for every K strictly between; rho(K, H) counts as
     infinite when K adds edges but no vertices."""
-    g, h = pair.outer, pair.inner_image
+    g, h = pair.outer, pair.inner
     v_g, e_g = g.num_vertices - h.num_vertices, g.num_edges - h.num_edges
     if v_g == 0:
         return False

@@ -209,6 +209,10 @@ def test_exit_codes(shg_files, capsys, tmp_path):
     assert main(["copies", "--motif", str(big), "--host", shg_files["edge"]]) == 3  # capacity
     assert main(["density", str(tmp_path / "nope.shg")]) == 2  # usage
     assert main(["eval", "--formula", "x = ", "--host", shg_files["edge"]]) == 2
+    # a pair's inner graph must lie inside its outer graph: edges, then vertices
+    for outer in ("bare", "vertex"):
+        assert main(["classify-pair", "--outer", shg_files[outer],
+                     "--inner", shg_files["edge"], "--alpha", "7/4"]) == 2
     with pytest.raises(SystemExit) as exc:
         main(["balance"])  # argparse usage error
     assert exc.value.code == 2

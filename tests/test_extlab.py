@@ -47,20 +47,20 @@ H2 = Hypergraph.make(3, range(1, 7), [(1, 2, 3), (3, 4, 5), (5, 6, 1)])
 
 
 def test_f_alpha_examples():
-    pair = RootedPair.identity(EDGE_EXT, VERTEX)
+    pair = RootedPair(EDGE_EXT, VERTEX)
     assert f_alpha(pair, F(7, 4)) == F(1, 4)
     w = theorem6_pair(3, 1, 2)
     assert f_alpha(w.pair, F(7, 4)) == 0
-    noedges = RootedPair.identity(Hypergraph.make(3, [1, 2, 3], []), VERTEX)
+    noedges = RootedPair(Hypergraph.make(3, [1, 2, 3], []), VERTEX)
     assert f_alpha(noedges, F(7, 4)) == 2
 
 
 def test_classify_examples():
-    assert classify_pair(RootedPair.identity(EDGE_EXT, VERTEX), F(7, 4)) == PairClass.SAFE
+    assert classify_pair(RootedPair(EDGE_EXT, VERTEX), F(7, 4)) == PairClass.SAFE
     w = theorem6_pair(3, 1, 2)
     assert classify_pair(w.pair, w.alpha) == PairClass.NEUTRAL
     path = loose_path(3, 2, endpoints=(1, 2))
-    rigid = RootedPair.identity(path, Hypergraph.make(3, [1, 2], []))
+    rigid = RootedPair(path, Hypergraph.make(3, [1, 2], []))
     assert classify_pair(rigid, F(7, 4)) == PairClass.RIGID
 
 
@@ -73,7 +73,7 @@ def test_classification_sign_consequences():
         inner_size = rng.randint(1, g.num_vertices - 1)
         inner_verts = frozenset(sorted(g.vertices)[:inner_size])
         inner = g.induced(inner_verts)
-        pair = RootedPair.identity(g, inner)
+        pair = RootedPair(g, inner)
         for alpha in alphas:
             cls = classify_pair(pair, alpha)
             seen.add(cls)
@@ -97,19 +97,19 @@ def test_neutral_iff_balanced_pair_at_critical_alpha():
 def test_extension_checks():
     t_inner = Hypergraph.make(3, [1], [])
     t_outer = Hypergraph.make(3, [1, 2, 3], [(1, 2, 3)])
-    template = RootedPair.identity(t_outer, t_inner)
+    template = RootedPair(t_outer, t_inner)
     c_inner = Hypergraph.make(3, [10], [])
     c_outer = Hypergraph.make(3, [10, 20, 30], [(10, 20, 30)])
-    cand = RootedPair.identity(c_outer, c_inner)
+    cand = RootedPair(c_outer, c_inner)
     corr = {1: 10, 2: 20, 3: 30}
     assert is_strict_extension(cand, template, corr)
     assert is_extension(cand, template, corr)
 
     # candidate with an extra outside edge fails strictness only
     t_outer4 = Hypergraph.make(3, [1, 2, 3, 4], [(1, 2, 3)])
-    template4 = RootedPair.identity(t_outer4, t_inner)
+    template4 = RootedPair(t_outer4, t_inner)
     c_outer4 = Hypergraph.make(3, [10, 20, 30, 40], [(10, 20, 30), (20, 30, 40)])
-    cand4 = RootedPair.identity(c_outer4, c_inner)
+    cand4 = RootedPair(c_outer4, c_inner)
     corr4 = {1: 10, 2: 20, 3: 30, 4: 40}
     assert not is_strict_extension(cand4, template4, corr4)
     assert is_extension(cand4, template4, corr4)
@@ -121,13 +121,13 @@ def test_extension_checks():
 def test_kt_maximal_examples():
     g_t = Hypergraph.make(3, [1, 2, 3], [(1, 2, 3)])
     h_t = Hypergraph.make(3, [1], [])
-    pair = RootedPair.identity(g_t, h_t)
-    kt = RootedPair.identity(Hypergraph.make(3, [1, 2, 3], [(1, 2, 3)]),
+    pair = RootedPair(g_t, h_t)
+    kt = RootedPair(Hypergraph.make(3, [1, 2, 3], [(1, 2, 3)]),
                              Hypergraph.make(3, [1], []))
     assert is_kt_maximal(pair, kt, g_t)
     host = Hypergraph.make(3, [1, 2, 3, 4, 5], [(1, 2, 3), (2, 4, 5)])
     assert not is_kt_maximal(pair, kt, host)
-    big_t = RootedPair.identity(Hypergraph.make(3, [1, 2, 3, 4, 5], [(1, 2, 3)]),
+    big_t = RootedPair(Hypergraph.make(3, [1, 2, 3, 4, 5], [(1, 2, 3)]),
                                 Hypergraph.make(3, [1, 2, 3, 4], []))
     assert is_kt_maximal(pair, big_t, host)
     # attachment hanging off the inner part only does not violate pair-maximality
@@ -140,7 +140,7 @@ def test_kt_maximal_examples():
 
 
 def test_count_maximal_extensions():
-    template = RootedPair.identity(EDGE_EXT, VERTEX)
+    template = RootedPair(EDGE_EXT, VERTEX)
     star = Hypergraph.make(3, [1, 2, 3, 4, 5, 6, 7],
                            [(1, 2, 3), (1, 4, 5), (1, 6, 7)])
     assert count_maximal_extensions(template, star, (1,)) == 3
@@ -148,7 +148,7 @@ def test_count_maximal_extensions():
     # extension edges {1,2,3}; path edge {3,8,9} attaches to T'={3}
     host = Hypergraph.make(3, list(range(1, 10)),
                            [(1, 2, 3), (1, 4, 5), (3, 8, 9)])
-    kt = RootedPair.identity(Hypergraph.make(3, [1, 2, 3], [(1, 2, 3)]),
+    kt = RootedPair(Hypergraph.make(3, [1, 2, 3], [(1, 2, 3)]),
                              Hypergraph.make(3, [1], []))
     assert count_maximal_extensions(template, host, (1,), [kt]) == 1
     assert count_maximal_extensions(template, host, (1,)) == 2
@@ -159,12 +159,12 @@ def test_kt_maximal_edge_completion_template():
     # strict completion of the edge-free choice of T', so maximality fails
     g_t = Hypergraph.make(3, [1, 2, 3], [(1, 2, 3)])
     h_t = Hypergraph.make(3, [1], [])
-    pair = RootedPair.identity(g_t, h_t)
-    kt = RootedPair.identity(Hypergraph.make(3, [1, 2, 3], [(1, 2, 3)]),
+    pair = RootedPair(g_t, h_t)
+    kt = RootedPair(Hypergraph.make(3, [1, 2, 3], [(1, 2, 3)]),
                              Hypergraph.make(3, [1, 2, 3], []))
     assert not is_kt_maximal(pair, kt, g_t)
     # with no edge available on any triple outside the inner graph it holds
-    sparse_pair = RootedPair.identity(Hypergraph.make(3, [1, 2, 3, 4], []),
+    sparse_pair = RootedPair(Hypergraph.make(3, [1, 2, 3, 4], []),
                                       Hypergraph.make(3, [1], []))
     assert is_kt_maximal(sparse_pair, kt, Hypergraph.make(3, [1, 2, 3, 4], []))
 
@@ -172,7 +172,7 @@ def test_kt_maximal_edge_completion_template():
 def test_count_extensions_of_a_vertex_pair():
     # template: a loose 2-path joining the two anchor vertices
     path = loose_path(3, 2, endpoints=(1, 2))
-    template = RootedPair.identity(path, Hypergraph.make(3, [1, 2], []))
+    template = RootedPair(path, Hypergraph.make(3, [1, 2], []))
     # host carries two internally disjoint 2-paths from 10 to 20 plus noise
     host = Hypergraph.make(
         3, [10, 20, 31, 32, 33, 41, 42, 43, 50],
@@ -217,14 +217,14 @@ def test_uncovered_copies_checks_the_cap_up_front():
 # strict-extension templates: a pendant edge on one anchor, a loose 2-path
 # joining two anchors, and an edge completed on three anchors
 EXT_TEMPLATES = [
-    RootedPair.identity(EDGE_EXT, VERTEX),
-    RootedPair.identity(loose_path(3, 2, endpoints=(1, 2)),
+    RootedPair(EDGE_EXT, VERTEX),
+    RootedPair(loose_path(3, 2, endpoints=(1, 2)),
                         Hypergraph.make(3, [1, 2], [])),
-    RootedPair.identity(EDGE_EXT, Hypergraph.make(3, [1, 2, 3], [])),
+    RootedPair(EDGE_EXT, Hypergraph.make(3, [1, 2, 3], [])),
 ]
 KT_PAIRS = [
-    RootedPair.identity(EDGE_EXT, VERTEX),
-    RootedPair.identity(EDGE_EXT, Hypergraph.make(3, [1, 2, 3], [])),
+    RootedPair(EDGE_EXT, VERTEX),
+    RootedPair(EDGE_EXT, Hypergraph.make(3, [1, 2, 3], [])),
 ]
 
 
@@ -249,11 +249,11 @@ def _ext_templates(s: int) -> list[RootedPair]:
     other anchors no new edge meets)."""
     edge = Hypergraph.make(s, range(1, s + 1), [range(1, s + 1)])
     fork = Hypergraph.make(s, range(1, 2 * s), [range(1, s + 1), [1, *range(s + 1, 2 * s)]])
-    return [RootedPair.identity(edge, Hypergraph.make(s, [1], [])),
-            RootedPair.identity(loose_path(s, 2, endpoints=(1, 2)),
+    return [RootedPair(edge, Hypergraph.make(s, [1], [])),
+            RootedPair(loose_path(s, 2, endpoints=(1, 2)),
                                 Hypergraph.make(s, [1, 2], [])),
-            RootedPair.identity(edge, Hypergraph.make(s, range(1, s + 1), [])),
-            RootedPair.identity(fork, edge)]
+            RootedPair(edge, Hypergraph.make(s, range(1, s + 1), [])),
+            RootedPair(fork, edge)]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -276,9 +276,9 @@ def test_strict_extension_maps_match_permutation_search(s, seed, which, carried)
 
 
 def test_prop1_parameters():
-    p = prop1_poisson_parameter(RootedPair.identity(EDGE_EXT, VERTEX))
+    p = prop1_poisson_parameter(RootedPair(EDGE_EXT, VERTEX))
     assert (p.a, p.a1, p.a2) == (1, 1, 2)
-    g_equal = RootedPair.identity(H1, H1)
+    g_equal = RootedPair(H1, H1)
     pd = prop1_poisson_parameter(g_equal)
     assert pd.a == pd.a1 and pd.a2 == 1
     assert pd.rate_inverse == F(1, pd.a) and pd.exponent == F(pd.a, pd.a1)
@@ -303,29 +303,29 @@ def test_prop1_parameters_theorem6_pair_against_bruteforce():
 
 def test_cyclic_pattern_examples():
     base2 = Hypergraph.make(3, [1, 2], [])
-    one_edge = RootedPair.identity(Hypergraph.make(3, [1, 2, 3], [(1, 2, 3)]), base2)
+    one_edge = RootedPair(Hypergraph.make(3, [1, 2, 3], [(1, 2, 3)]), base2)
     pat = match_cyclic_extension(one_edge, 2)
     assert pat is not None and pat.kind == SECOND_TYPE_EDGE and pat.l == 2
 
-    disjoint = RootedPair.identity(
+    disjoint = RootedPair(
         Hypergraph.make(3, [1, 2, 3, 4, 5], [(3, 4, 5)]), base2)
     assert match_cyclic_extension(disjoint, 2) is None
 
-    second = RootedPair.identity(
+    second = RootedPair(
         Hypergraph.make(3, [1, 2, 3, 4], [(1, 3, 4), (2, 4, 3)]), base2)
     pat2 = match_cyclic_extension(second, 2)
     assert pat2 is not None and pat2.kind == SECOND_TYPE_PATH
     assert pat2.k == 1 and pat2.l == 0
 
     # first type: triangle closing back on the root vertex, m = 3
-    tri = RootedPair.identity(H2, Hypergraph.make(3, [1], []))
+    tri = RootedPair(H2, Hypergraph.make(3, [1], []))
     pat3 = match_cyclic_extension(tri, 3)
     assert pat3 is not None and pat3.kind == FIRST_TYPE and pat3.k == 2
     assert match_cyclic_extension(tri, 2) is None  # first type needs k <= m-1
 
 
 def test_cyclic_match_rechecks_density():
-    pair = RootedPair.identity(Hypergraph.make(3, [1, 2, 3], [(1, 2, 3)]),
+    pair = RootedPair(Hypergraph.make(3, [1, 2, 3], [(1, 2, 3)]),
                                Hypergraph.make(3, [1, 2], []))
     for m in (1, 2, 5):
         pat = match_cyclic_extension(pair, m)
@@ -343,7 +343,7 @@ def test_cyclic_step_accounting():
         (H2, Hypergraph.make(3, [1], []), 3),
     ]
     for outer, inner, m in cases:
-        pair = RootedPair.identity(outer, inner)
+        pair = RootedPair(outer, inner)
         pat = match_cyclic_extension(pair, m)
         assert pat is not None
         v_rel, e_rel = pair.v_rel, pair.e_rel
@@ -369,13 +369,13 @@ def test_decomposition_examples():
 def test_decomposition_steps_are_cyclic_extensions():
     chain = find_m_decomposition(H2, 3, 1)
     for prev, nxt in zip(chain, chain[1:]):
-        step = RootedPair.identity(nxt, prev)
+        step = RootedPair(nxt, prev)
         assert match_cyclic_extension(step, 3) is not None
 
 
 def _verify_pattern_witness(pair, pat, m):
     """Re-check every clause of the matched template from scratch."""
-    g, h = pair.outer, pair.inner_image
+    g, h = pair.outer, pair.inner
     s = g.s
     new_edges = g.edges - h.edges
     assert frozenset(pat.edges) == new_edges
@@ -421,7 +421,7 @@ def test_cyclic_witnesses_satisfy_template_clauses():
         g = random_hypergraph(rng, rng.randint(3, 7), p=rng.uniform(0.05, 0.35))
         inner_size = rng.randint(1, g.num_vertices - 1)
         inner = g.induced(frozenset(sorted(g.vertices)[:inner_size]))
-        pair = RootedPair.identity(g, inner)
+        pair = RootedPair(g, inner)
         for m in (1, 2, 3):
             pat = match_cyclic_extension(pair, m)
             if pat is not None:
@@ -433,7 +433,7 @@ def test_cyclic_witnesses_satisfy_template_clauses():
 def test_cyclic_maximality_examples():
     base2 = Hypergraph.make(3, [1, 2], [])
     g = Hypergraph.make(3, [1, 2, 3, 4], [(1, 3, 4), (2, 4, 3)])
-    pair = RootedPair.identity(g, base2)
+    pair = RootedPair(g, base2)
     assert is_cyclically_m_maximal(pair, g, 2)
     host_bad = Hypergraph.make(3, [1, 2, 3, 4, 5], [(1, 3, 4), (2, 4, 3), (3, 4, 5)])
     assert not is_cyclically_m_maximal(pair, host_bad, 2)
@@ -452,16 +452,16 @@ def rooted_pairs(draw):
     inside = sorted((e for e in edges if e <= inner_v), key=sorted)
     keep = draw(st.lists(st.booleans(), min_size=len(inside), max_size=len(inside)))
     inner = Hypergraph(3, inner_v, frozenset(e for e, k in zip(inside, keep) if k))
-    return RootedPair.identity(Hypergraph(3, frozenset(range(1, n + 1)), edges), inner)
+    return RootedPair(Hypergraph(3, frozenset(range(1, n + 1)), edges), inner)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(rooted_pairs(), st.integers(-3, 12), st.integers(1, 8))
 # a non-induced inner graph is safe at alpha < 0
-@example(RootedPair.identity(Hypergraph.make(3, range(1, 5), [(1, 2, 3)]),
+@example(RootedPair(Hypergraph.make(3, range(1, 5), [(1, 2, 3)]),
                              Hypergraph.make(3, [1, 2, 3], [])), -1, 1)
 # no difference vertices and one added edge: neutral at alpha = 0
-@example(RootedPair.identity(Hypergraph.make(3, range(1, 7), [(4, 5, 6)]),
+@example(RootedPair(Hypergraph.make(3, range(1, 7), [(4, 5, 6)]),
                              Hypergraph.make(3, range(1, 7), [])), 0, 1)
 def test_pair_walk_against_sign_table(pair, an, ad):
     # alpha <= 0 included
@@ -478,12 +478,12 @@ def test_pair_cuts_at_every_class():
     assert is_pair_strictly_balanced(w.pair) and brute_pair_strictly_balanced(w.pair)
     # f_alpha(G, H) = 0, but each pendant edge alone also scores 0: other, not neutral
     fan = Hypergraph.make(3, range(1, 6), [(1, 2, 3), (1, 4, 5)])
-    pair = RootedPair.identity(fan, Hypergraph.make(3, [1], []))
+    pair = RootedPair(fan, Hypergraph.make(3, [1], []))
     assert classify_pair(pair, F(2)).value == "other" == brute_pair_class(pair, F(2))
     assert not is_pair_strictly_balanced(pair)
     # a non-induced inner graph: two of the three triangles of a K4
     k4 = Hypergraph.make(3, range(1, 5), itertools.combinations(range(1, 5), 3))
-    pair = RootedPair.identity(k4, Hypergraph.make(3, range(1, 4), []))
+    pair = RootedPair(k4, Hypergraph.make(3, range(1, 4), []))
     for alpha in (F(1, 2), F(1), F(3)):
         assert classify_pair(pair, alpha).value == brute_pair_class(pair, alpha)
     assert not is_pair_strictly_balanced(pair)

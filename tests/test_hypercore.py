@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from helpers import (
     all_hypergraphs,
     brute_automorphism_count,
+    brute_automorphisms,
     brute_distance,
     brute_embedding_count,
     brute_max_density,
@@ -20,11 +21,13 @@ from helpers import (
     random_hypergraph,
     scrambled,
 )
+from zolab.constructions import loose_path
 from zolab.errors import VerificationError
 from zolab.hypercore import (
     Hypergraph,
     RootedPair,
     automorphism_count,
+    automorphisms,
     canonical_relabel,
     copy_images,
     count_copies,
@@ -130,14 +133,50 @@ def test_automorphism_examples():
     assert automorphism_count(H2) == 6
 
 
+def _map_set(maps) -> set[tuple[tuple[int, int], ...]]:
+    return {tuple(sorted(m.items())) for m in maps}
+
+
 def test_automorphism_matches_factorial_enumeration():
-    # exhaustive on 4 vertices, sampled on 5..7
-    for g in all_hypergraphs(4):
-        assert automorphism_count(g) == brute_automorphism_count(g)
+    # exhaustive on 4 vertices, sampled on 5..7: the same maps, not just as many
     rng = random.Random(99)
-    for _ in range(25):
-        g = random_hypergraph(rng, rng.randint(5, 7), p=rng.uniform(0.1, 0.5))
-        assert automorphism_count(g) == brute_automorphism_count(g)
+    graphs = [random_hypergraph(rng, rng.randint(5, 7), p=rng.uniform(0.1, 0.5))
+              for _ in range(25)]
+    for g in itertools.chain(all_hypergraphs(4), graphs):
+        brute = brute_automorphisms(g)
+        assert automorphism_count(g) == len(brute)
+        assert _map_set(automorphisms(g)) == _map_set(brute)
+
+
+def _loose_cycle(t: int, first: int = 1) -> list[tuple[int, int, int]]:
+    """Loose 3-uniform cycle of t edges on the labels first .. first + 2t - 1."""
+    junction = [first + 2 * i for i in range(t)]
+    return [(junction[i], junction[i] + 1, junction[(i + 1) % t]) for i in range(t)]
+
+
+def test_automorphism_groups_of_known_order():
+    # Degree is the matcher's only vertex filter.  A loose path's end vertices
+    # and its middle edges' pendants all have degree 1, and only their
+    # neighbours' degrees tell them apart; every vertex of AG(2,3) has degree 4.
+    points = [(x, y) for x in range(3) for y in range(3)]
+    label = {p: i + 1 for i, p in enumerate(points)}
+    lines = {frozenset(label[(x0 + k * dx) % 3, (y0 + k * dy) % 3] for k in range(3))
+             for x0, y0 in points for dx, dy in ((0, 1), (1, 0), (1, 1), (1, 2))}
+    cases = [(Hypergraph.make(3, range(1, 2 * t + 1), _loose_cycle(t)), 2 * t)
+             for t in (3, 4, 5, 8)]
+    cases.append((Hypergraph.make(3, range(1, 13), _loose_cycle(3) + _loose_cycle(3, 7)), 72))
+    cases += [(loose_path(3, t), 8) for t in (3, 4)]
+    cases.append((Hypergraph.make(3, range(1, 10), lines), 432))
+    assert len(lines) == 12
+    for g, order in cases:
+        maps = automorphisms(g)
+        assert automorphism_count(g) == len(maps) == order
+        assert len(_map_set(maps)) == order
+        for m in maps:
+            assert sorted(m) == sorted(m.values()) == g.sorted_vertices()
+            assert {frozenset(m[v] for v in e) for e in g.edges} == g.edges
+        if g.num_vertices <= 8:
+            assert _map_set(maps) == _map_set(brute_automorphisms(g))
 
 
 def test_copy_examples():
@@ -199,16 +238,17 @@ def test_density_le_max_density():
 
 
 def test_rooted_pair_invariants():
-    pair = RootedPair.identity(H1, EDGE)
+    pair = RootedPair(H1, EDGE)
     assert pair.v_rel == 1 and pair.e_rel == 1
     assert pair.rel_density() == F(1, 1)
-    # embedding must map edges onto edges
-    with pytest.raises(ValueError):
-        RootedPair(H1, EDGE, ((1, 1), (2, 2), (3, 4)))
-    # relabeled inner through an explicit embedding
-    inner = Hypergraph.make(3, [10, 20, 30], [(10, 20, 30)])
-    pair2 = RootedPair(H1, inner, ((10, 1), (20, 2), (30, 3)))
-    assert pair2.inner_image.edges == EDGE.edges
+    # an inner edge that is not an outer edge, inner vertices outside outer
+    # with or without an edge on them, and an arity mismatch
+    for inner in (Hypergraph.make(3, [1, 2, 4], [(1, 2, 4)]),
+                  Hypergraph.make(3, [1, 2, 3, 9], [(1, 2, 3)]),
+                  Hypergraph.make(3, [10, 20, 30], [(10, 20, 30)]),
+                  Hypergraph.make(4, [1, 2, 3, 4], [])):
+        with pytest.raises(ValueError, match="inner is not a sub-hypergraph of outer"):
+            RootedPair(H1, inner)
 
 
 def test_shg_round_trip():

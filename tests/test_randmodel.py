@@ -54,6 +54,12 @@ def test_sample_edge_cases():
     assert full.num_edges == math.comb(6, 3)
     with pytest.raises(ValueError):
         sample(ExperimentConfig(s=4, n=3, trials=1, seed=1, p=0.5), 0)
+    # every sampler rejects n < s alike
+    small = ExperimentConfig(s=3, n=2, trials=1, seed=1, p=0.5)
+    for draw in (lambda: sample(small, 0), lambda: sample_bernoulli(small, 0),
+                 lambda: coupled_samples(small, 0, [0.5])):
+        with pytest.raises(ValueError, match="need n >= s, got n=2, s=3"):
+            draw()
     # p = 1 walks every candidate edge, so it is capped like coupled sampling
     assert math.comb(300, 3) > CANDIDATE_EDGE_LIMIT
     with pytest.raises(ExperimentError, match="candidate edges"):
