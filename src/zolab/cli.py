@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="zero-one k-law laboratory for random s-uniform hypergraphs")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_cap(p, default=24):
+    def add_cap(p, default=hypercore.DEFAULT_ENUM_CAP):
         p.add_argument("--cap", type=int, default=default,
                        help="vertex cap of the search")
 
@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--motif", required=True)
     p.add_argument("--host", required=True)
     p.add_argument("--induced", action="store_true")
-    add_cap(p, default=16)
+    add_cap(p, default=hypercore.DEFAULT_SEARCH_CAP)
     p.set_defaults(func=_cmd_copies)
 
     p = sub.add_parser("distance", help="chain distance between two vertices")
@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, required=True)
     p.add_argument("--formula", action="store_true",
                    help="extract a distinguishing formula when Spoiler wins")
-    add_cap(p, default=8)
+    add_cap(p, default=efgame.DEFAULT_GAME_CAP)
     p.set_defaults(func=_cmd_game)
 
     p = sub.add_parser("cyclic", help="match a pair against the cyclic templates")

@@ -135,19 +135,13 @@ class Theorem8Witness:
     center: int
 
 
-def _two_edge_circuit(s: int, labels: _Labels) -> Hypergraph:
-    v = labels.take(2 * (s - 1))
-    e1 = frozenset(v[0:s])
-    e2 = frozenset(v[s - 1:] + [v[0]])
-    return Hypergraph.from_edges(s, [e1, e2])
-
-
-def _three_edge_circuit(s: int, labels: _Labels) -> Hypergraph:
-    v = labels.take(3 * (s - 1))
-    e1 = frozenset(v[0:s])
-    e2 = frozenset(v[s - 1:2 * s - 1])
-    e3 = frozenset(v[2 * s - 2:] + [v[0]])
-    return Hypergraph.from_edges(s, [e1, e2, e3])
+def _circuit(s: int, t: int, labels: _Labels, through: tuple[int, ...] = ()) -> Hypergraph:
+    """t edges on t(s-1) vertices, consecutive ones sharing one vertex and the
+    last closing on the first vertex: the given `through` vertex, else a
+    fresh label.  The other vertices are fresh labels in path order."""
+    v = [*through, *labels.take(t * (s - 1) - len(through))]
+    v.append(v[0])
+    return Hypergraph.from_edges(s, [v[j * (s - 1):j * (s - 1) + s] for j in range(t)])
 
 
 def theorem8_witnesses(s: int, k: int, a1: int | None = None,
@@ -160,23 +154,14 @@ def theorem8_witnesses(s: int, k: int, a1: int | None = None,
     """
     a = theorem8_split(s, k, a1, a2)
     labels = _Labels(1)
-    if k == s + 1:
+    if k == s + 1:  # both circuits pass through the center
         (x,) = labels.take(1)
-        p1 = labels.take(2 * (s - 1) - 1)       # x^1_2 .. x^1_{2(s-1)}
-        p2 = labels.take(3 * (s - 1) - 1)       # x^2_2 .. x^2_{3(s-1)}
-        edges = [
-            frozenset([x] + p1[: s - 1]),
-            frozenset(p1[s - 2:] + [x]),
-            frozenset([x] + p2[: s - 1]),
-            frozenset(p2[s - 2: 2 * s - 2]),
-            frozenset(p2[2 * s - 3:] + [x]),
-        ]
-        h = Hypergraph.from_edges(s, edges)
-        part1 = Hypergraph.from_edges(s, edges[:2])
-        part2 = Hypergraph.from_edges(s, edges[2:])
+        part1 = _circuit(s, 2, labels, through=(x,))
+        part2 = _circuit(s, 3, labels, through=(x,))
+        h = part1.union(part2)
     else:
-        part1 = _two_edge_circuit(s, labels)
-        part2 = _three_edge_circuit(s, labels)
+        part1 = _circuit(s, 2, labels)
+        part2 = _circuit(s, 3, labels)
         (x,) = labels.take(1)
         t1 = a1 + (1 << (k - s)) - 4
         t2 = a2 + (1 << (k - s)) - 4

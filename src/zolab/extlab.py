@@ -161,7 +161,7 @@ def _strict_extension_maps(template: RootedPair, host: Hypergraph,
     fixed = dict(zip(inner_sorted, anchor))
     new_part = Hypergraph(host.s, template.outer.vertices,
                           template.outer.edges - template.inner.edges)
-    return _iter_embeddings(new_part, host, exact=False, fixed=fixed, avoid=anchor_edges)
+    return _iter_embeddings(new_part, host, fixed=fixed, avoid=anchor_edges)
 
 
 # ---------------------------------------------------------------------------

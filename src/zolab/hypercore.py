@@ -10,11 +10,11 @@ extensions reads a second lazy index, made by the one builder `_bit_index` in
 one pass over the edges: the non-isolated vertices as bits of ints in
 ascending label order, each one's co-edge neighbour mask, the edges' masks
 and the masks of vertices of degree >= d, which filter every search's
-candidates (automorphisms by exact degree).  The builder takes the edges as
-rows of bit numbers; a sampled host (`Hypergraph._from_rows`) supplies them
-renumbered from the arrays it was unranked from, which saves sorting and
-numbering its edge sets.  Densities and balance come from integer
-max-closure cuts; the module uses the standard library only.
+candidates.  The builder takes the edges as rows of bit numbers; a sampled
+host (`Hypergraph._from_rows`) supplies them renumbered from the arrays it
+was unranked from, which saves sorting and numbering its edge sets.
+Densities and balance come from integer max-closure cuts; the module uses
+the standard library only.
 """
 from __future__ import annotations
 
@@ -114,7 +114,7 @@ class Hypergraph:
 
     @cached_property
     def _automorphism_count(self) -> int:
-        return sum(1 for _ in _iter_embeddings(self, self, exact=True))
+        return sum(1 for _ in _iter_embeddings(self, self))
 
     def degree(self, v: int) -> int:
         return len(self._incidence.get(v, ()))
@@ -469,29 +469,26 @@ def _placement_plan(motif: Hypergraph, first: list[int]) -> _Plan:
     return _Plan(tuple(order), back, tuple(map(tuple, ready)), need, searched)
 
 
-def _iter_embeddings(motif: Hypergraph, host: Hypergraph, *, exact: bool,
+def _iter_embeddings(motif: Hypergraph, host: Hypergraph, *,
                      fixed: Mapping[int, int] | None = None,
                      avoid: frozenset[frozenset[int]] = frozenset()
                      ) -> Iterator[dict[int, int]]:
     """Injective maps sending every motif edge to a host edge.
 
-    exact=True additionally requires a bijection with e(motif) = e(host), which
-    together with forward edge preservation forces an isomorphism.  `fixed`
-    pins motif vertices to host vertices; they are placed first.  No motif
-    edge may land on a host edge in `avoid`.
+    With host = motif such a map is a bijection on the vertices and on the
+    edges, so these are exactly the automorphisms.  `fixed` pins motif
+    vertices to host vertices; they are placed first.  No motif edge may land
+    on a host edge in `avoid`.
 
     A bitset search over the host's `_bits` index.  A position's candidates
     are the AND of the co-edge masks of its placed neighbours' images, the
-    host vertices of at least (exact: of exactly) the motif vertex's degree
-    and the unused ones; a completed motif edge is checked as the OR of its
-    images' bits.  Unpinned motif vertices of degree 0 come last and take the
-    unused host vertices by label, isolated ones included.
+    host vertices of at least the motif vertex's degree and the unused ones;
+    a completed motif edge is checked as the OR of its images' bits.
+    Unpinned motif vertices of degree 0 come last and take the unused host
+    vertices by label, isolated ones included.
     """
     if motif.s != host.s:
         raise ValueError("arity mismatch between motif and host")
-    if exact and (motif.num_vertices != host.num_vertices
-                  or motif.num_edges != host.num_edges):
-        return
     if motif.num_vertices > host.num_vertices or motif.num_edges > host.num_edges:
         return
 
@@ -507,8 +504,6 @@ def _iter_embeddings(motif: Hypergraph, host: Hypergraph, *, exact: bool,
     deg_ge = idx.degree_at_least
     top = len(deg_ge)
     allow = [deg_ge[d] if d < top else 0 for d in need]
-    if exact:  # of exactly the degree: drop the vertices of higher degree
-        allow = [a & ~deg_ge[d + 1] if d + 1 < top else a for a, d in zip(allow, need)]
 
     # Per position: its image's bit (0 for a pinned host vertex without one),
     # bit index and label.  Images are distinct bits, so an edge's OR is the
@@ -584,7 +579,7 @@ def _check_search_cap(g: Hypergraph, cap: int) -> None:
 def automorphisms(g: Hypergraph, cap: int = DEFAULT_SEARCH_CAP) -> list[dict[int, int]]:
     """All edge-preserving vertex bijections of g onto itself."""
     _check_search_cap(g, cap)
-    return list(_iter_embeddings(g, g, exact=True))
+    return list(_iter_embeddings(g, g))
 
 
 def automorphism_count(g: Hypergraph, cap: int = DEFAULT_SEARCH_CAP) -> int:
@@ -597,7 +592,7 @@ def count_embeddings(motif: Hypergraph, host: Hypergraph,
                      cap: int = DEFAULT_SEARCH_CAP) -> int:
     """Injective maps of motif into host sending every motif edge to a host edge."""
     _check_search_cap(motif, cap)
-    return sum(1 for _ in _iter_embeddings(motif, host, exact=False))
+    return sum(1 for _ in _iter_embeddings(motif, host))
 
 
 def count_copies(motif: Hypergraph, host: Hypergraph, cap: int = DEFAULT_SEARCH_CAP,
@@ -612,7 +607,7 @@ def count_copies(motif: Hypergraph, host: Hypergraph, cap: int = DEFAULT_SEARCH_
     if induced:
         return len(copy_images(motif, host, cap=cap, induced=True))
     aut = automorphism_count(motif, cap=cap)
-    total = sum(1 for _ in _iter_embeddings(motif, host, exact=False))
+    total = sum(1 for _ in _iter_embeddings(motif, host))
     if total % aut:
         raise VerificationError(
             f"{total} embeddings are not a multiple of {aut} automorphisms")
@@ -624,7 +619,7 @@ def copy_images(motif: Hypergraph, host: Hypergraph, cap: int = DEFAULT_SEARCH_C
     """Distinct copy images as (vertex set, edge set) pairs."""
     _check_search_cap(motif, cap)
     out: set[tuple[frozenset[int], frozenset[frozenset[int]]]] = set()
-    for m in _iter_embeddings(motif, host, exact=False):
+    for m in _iter_embeddings(motif, host):
         vs = frozenset(m.values())
         es = frozenset(frozenset(m[u] for u in e) for e in motif.edges)
         if induced and any(e <= vs and e not in es
@@ -637,7 +632,7 @@ def copy_images(motif: Hypergraph, host: Hypergraph, cap: int = DEFAULT_SEARCH_C
 def has_copy(motif: Hypergraph, host: Hypergraph, cap: int = DEFAULT_SEARCH_CAP) -> bool:
     """Early-exit containment test (non-induced copies)."""
     _check_search_cap(motif, cap)
-    return next(_iter_embeddings(motif, host, exact=False), None) is not None
+    return next(_iter_embeddings(motif, host), None) is not None
 
 
 # ---------------------------------------------------------------------------

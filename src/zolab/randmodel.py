@@ -13,10 +13,11 @@ own uniform
 
     u_r = sm64(key xor ((r + 1) * 0x9E3779B97F4A7C15 mod 2^64)) >> 11  /  2^53
 
-and the edge is present iff u_r < p; the same uniforms back the coupled
-sampling API, so inclusion is monotone across p by construction.  Above the
-limit a geometric-skip walk over the ranks is used instead, driven by a
-Mersenne stream seeded with the same key (one jump per present edge).
+and the edge is present iff u_r < p.  The uniforms do not depend on p, so
+exact-sampler hosts at several p for one seed and trial are coupled: each
+host's edge set contains those at every smaller p.  Above the limit a
+geometric-skip walk over the ranks is used instead, driven by a Mersenne
+stream seeded with the same key (one jump per present edge).
 
 When p comes from a rational alpha, p = exp(-alpha ln n) is evaluated with
 50-digit Decimal arithmetic and rounded once to a float for the 53-bit
@@ -29,6 +30,7 @@ import math
 import random
 import time
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -45,7 +47,7 @@ from .hypercore import Hypergraph, RootedPair, automorphism_count, count_copies,
 from .hypercore import DEFAULT_ENUM_CAP, has_copy, is_strictly_balanced
 
 EXACT_RANK_LIMIT = 2000
-CANDIDATE_EDGE_LIMIT = 1 << 22  # most candidate edges a full or coupled draw walks
+CANDIDATE_EDGE_LIMIT = 1 << 22  # most candidate edges a draw at p = 1 builds
 POOL_AT = 5  # pooled_tv_distance pools each count's tail at >= POOL_AT
 _MASK = (1 << 64) - 1
 _GOLD = 0x9E3779B97F4A7C15
@@ -260,18 +262,6 @@ def sample_bernoulli(cfg: ExperimentConfig, trial_index: int) -> Hypergraph:
     return Hypergraph(s, frozenset(range(1, n + 1)), frozenset(edges))
 
 
-def coupled_samples(cfg: ExperimentConfig, trial_index: int,
-                    ps: Sequence[float]) -> list[Hypergraph]:
-    """Samples at several p sharing one set of per-subset uniforms: the edge
-    set at a smaller p is contained in the edge set at any larger p."""
-    _check_order(cfg)
-    _, m, _ = cfg._sampling
-    if m > CANDIDATE_EDGE_LIMIT:
-        raise ExperimentError("coupled sampling is for small instances only")
-    u = subset_uniforms(trial_key(cfg.seed, trial_index), 0, m)
-    return [_host(cfg, np.flatnonzero(u < p)) for p in ps]
-
-
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -335,13 +325,22 @@ def _jsonable(val):
 # experiments
 # ---------------------------------------------------------------------------
 
-def _trial_error(exc: Exception, i: int, cfg: ExperimentConfig) -> Exception:
-    """The error of trial i, naming the trial and the config.  Capacity and
-    verification errors keep their class, so their exit codes hold; any
-    other error becomes an ExperimentError."""
-    config = ", ".join(f"{k}={v}" for k, v in cfg.to_dict().items())
-    cls = type(exc) if isinstance(exc, (CapacityError, VerificationError)) else ExperimentError
-    return cls(f"trial {i} of {{{config}}}: {exc}")
+def _outcomes(cfg: ExperimentConfig, statistic: Callable[[Hypergraph], object]) -> list:
+    """statistic(sample(cfg, i)) for every trial i: the one trial loop of the
+    experiments.  An error in trial i, drawing the host or checking it, names
+    the trial and the config.  Capacity and verification errors keep their
+    class, so their exit codes hold; any other error becomes an
+    ExperimentError."""
+    out = []
+    for i in range(cfg.trials):
+        try:
+            out.append(statistic(sample(cfg, i)))
+        except Exception as exc:
+            config = ", ".join(f"{k}={v}" for k, v in cfg.to_dict().items())
+            kept = isinstance(exc, (CapacityError, VerificationError))
+            cls = type(exc) if kept else ExperimentError
+            raise cls(f"trial {i} of {{{config}}}: {exc}") from exc
+    return out
 
 
 def estimate_probability(cfg: ExperimentConfig,
@@ -349,14 +348,7 @@ def estimate_probability(cfg: ExperimentConfig,
     """Fraction of trials whose sample satisfies the predicate, with a Wilson
     95% interval."""
     t0 = time.perf_counter()
-    hits = 0
-    for i in range(cfg.trials):
-        g = sample(cfg, i)
-        try:
-            ok = bool(predicate(g))
-        except Exception as exc:
-            raise _trial_error(exc, i, cfg) from exc
-        hits += ok
+    hits = sum(_outcomes(cfg, lambda g: bool(predicate(g))))
     est = hits / cfg.trials
     return ExperimentReport(
         kind="estimate_probability", config=cfg.to_dict(),
@@ -394,7 +386,7 @@ def poisson_fit(cfg: ExperimentConfig, motifs: Sequence[Hypergraph]) -> Experime
     its distance to the product of the limiting Poisson laws.
 
     Preconditions: every motif strictly balanced, all densities equal; the
-    config must carry alpha = 1/rho (or alpha=None in which case it is derived).
+    config must carry alpha = 1/rho.
     """
     if not motifs:
         raise ValueError("need at least one motif")
@@ -405,28 +397,15 @@ def poisson_fit(cfg: ExperimentConfig, motifs: Sequence[Hypergraph]) -> Experime
     for mg in motifs:
         if not is_strictly_balanced(mg):
             raise ValueError("every motif must be strictly balanced")
-    want_alpha = 1 / rho
-    if cfg.alpha is None:
-        cfg = ExperimentConfig(s=cfg.s, n=cfg.n, trials=cfg.trials, seed=cfg.seed,
-                               alpha=want_alpha, method=cfg.method,
-                               property_spec=cfg.property_spec)
-    elif cfg.alpha != want_alpha:
-        raise ValueError(f"config alpha {cfg.alpha} != 1/rho = {want_alpha}")
+    if cfg.alpha != 1 / rho:
+        raise ValueError(f"config alpha {cfg.alpha} != 1/rho = {1 / rho}")
 
     t0 = time.perf_counter()
     auts = [automorphism_count(mg) for mg in motifs]
     lams = [1.0 / a for a in auts]
-    hist: dict[tuple[int, ...], int] = {}
-    per_motif: list[list[int]] = [[] for _ in motifs]
-    for i in range(cfg.trials):
-        g = sample(cfg, i)
-        try:
-            key = tuple(count_copies(mg, g) for mg in motifs)
-        except Exception as exc:
-            raise _trial_error(exc, i, cfg) from exc
-        hist[key] = hist.get(key, 0) + 1
-        for d, c in enumerate(key):
-            per_motif[d].append(c)
+    counts = _outcomes(cfg, lambda g: tuple(count_copies(mg, g) for mg in motifs))
+    hist = Counter(counts)
+    per_motif = list(zip(*counts))
     tv = pooled_tv_distance(hist, lams, cfg.trials)
     corr = {}
     for i, j in itertools.combinations(range(len(motifs)), 2):
@@ -473,14 +452,7 @@ def prop1_experiment(pair: RootedPair, cfg: ExperimentConfig,
     t0 = time.perf_counter()
     param = prop1_poisson_parameter(pair, cap=cap)
     lam = param.rate()
-    hist: dict[int, int] = {}
-    for i in range(cfg.trials):
-        host = sample(cfg, i)
-        try:
-            c = count_uncovered_copies(h, g, host, cap=cap)
-        except Exception as exc:
-            raise _trial_error(exc, i, cfg) from exc
-        hist[c] = hist.get(c, 0) + 1
+    hist = Counter(_outcomes(cfg, lambda host: count_uncovered_copies(h, g, host, cap=cap)))
     tv = pooled_tv_distance({(k,): v for k, v in hist.items()}, [lam], cfg.trials)
     return ExperimentReport(
         kind="prop1", config=cfg.to_dict(),

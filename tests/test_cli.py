@@ -216,6 +216,14 @@ def test_exit_codes(shg_files, capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["balance"])  # argparse usage error
     assert exc.value.code == 2
+    # the sampler's own error in a trial names the trial and the config
+    capsys.readouterr()
+    assert main(["scan", "--s", "3", "--n", "2", "--p", "0.5", "--trials", "2", "--seed", "1",
+                 "--formula", "exists x x = x"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "usage"
+    assert err["error"].startswith("trial 0 of {s=3, n=2, trials=2, seed=1, ")
+    assert err["error"].endswith("}: need n >= s, got n=2, s=3")
 
 
 def test_capacity_errors_in_trial_loops_exit_3(shg_files, capsys, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -183,6 +184,31 @@ def test_theorem8_chain_variant():
         theorem8_witnesses(3, 4, 1, 1)
     with pytest.raises(ValueError):
         theorem8_witnesses(3, 5)
+
+
+# SHA-256 over `_theorem8_pinned` lines "s k a1 a2 sorted-edge-list center"
+THEOREM8_WITNESSES_SHA256 = "1ebc3dfb99f4ee0e13b6e50f8f6336b798c5fce1e8af421600569ae53d7b6cdb"
+
+
+def _theorem8_pinned():
+    for s in (3, 4, 5):
+        yield s, s + 1, None, None
+        for k in (s + 2, s + 3):
+            for a1, a2 in itertools.product(range(1, (1 << (k - s)) + 1), repeat=2):
+                if a1 + a2 >= 4:  # a = a1 + a2 - 3 >= 1
+                    yield s, k, a1, a2
+
+
+def test_theorem8_witnesses_are_pinned():
+    # every witness for s = 3..5, k = s+1..s+3 and every valid split keeps its labels
+    digest = hashlib.sha256()
+    count = 0
+    for s, k, a1, a2 in _theorem8_pinned():
+        w = theorem8_witnesses(s, k, a1, a2)
+        digest.update(f"{s} {k} {a1} {a2} {w.h.sorted_edges()} {w.center}\n".encode())
+        count += 1
+    assert count == 225
+    assert digest.hexdigest() == THEOREM8_WITNESSES_SHA256
 
 
 def test_theorem8_counts_match_closed_form():

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import pickle
+import re
 import statistics
 from fractions import Fraction
 from unittest import mock
@@ -20,7 +21,6 @@ from zolab.randmodel import (
     CANDIDATE_EDGE_LIMIT,
     EXACT_RANK_LIMIT,
     ExperimentConfig,
-    coupled_samples,
     edge_probability,
     estimate_probability,
     motif_predicate,
@@ -35,6 +35,13 @@ from zolab.randmodel import (
 F = Fraction
 H1 = Hypergraph.make(3, range(1, 5), [(1, 2, 3), (3, 4, 1)])
 H2 = Hypergraph.make(3, range(1, 7), [(1, 2, 3), (3, 4, 5), (5, 6, 1)])
+
+
+def _coupled(cfg, trial, ps):
+    """The exact sampler's hosts at each p of `ps` for cfg's seed and one trial:
+    they share the per-rank uniforms, so they are coupled across p."""
+    return [sample(dataclasses.replace(cfg, p=p, alpha=None, method="exact"), trial)
+            for p in ps]
 
 
 def test_config_validation():
@@ -56,11 +63,10 @@ def test_sample_edge_cases():
         sample(ExperimentConfig(s=4, n=3, trials=1, seed=1, p=0.5), 0)
     # every sampler rejects n < s alike
     small = ExperimentConfig(s=3, n=2, trials=1, seed=1, p=0.5)
-    for draw in (lambda: sample(small, 0), lambda: sample_bernoulli(small, 0),
-                 lambda: coupled_samples(small, 0, [0.5])):
+    for draw in (lambda: sample(small, 0), lambda: sample_bernoulli(small, 0)):
         with pytest.raises(ValueError, match="need n >= s, got n=2, s=3"):
             draw()
-    # p = 1 walks every candidate edge, so it is capped like coupled sampling
+    # p = 1 walks every candidate edge, so it is capped
     assert math.comb(300, 3) > CANDIDATE_EDGE_LIMIT
     with pytest.raises(ExperimentError, match="candidate edges"):
         sample(ExperimentConfig(s=3, n=300, trials=1, seed=1, p=1.0), 0)
@@ -111,7 +117,7 @@ def _pinned_hosts():
             yield sample(ExperimentConfig(s=3, n=n, trials=1, seed=3, p=p), 0)
     cfg = ExperimentConfig(s=3, n=20, trials=3, seed=99, p=0.1)
     for t in range(3):
-        yield from coupled_samples(cfg, t, [0.03, 0.12])
+        yield from _coupled(cfg, t, [0.03, 0.12])
 
 
 def test_sampled_hosts_are_pinned():
@@ -153,8 +159,8 @@ def _lazy_index_hosts():
             for method in ("exact", "skip"):
                 cfg = ExperimentConfig(s=s, n=n, trials=2, seed=11, p=p, method=method)
                 yield from (sample(cfg, t) for t in range(2))
-        yield from coupled_samples(ExperimentConfig(s=s, n=n, trials=1, seed=4, p=0.5), 0,
-                                   [0.05, 0.25])
+        yield from _coupled(ExperimentConfig(s=s, n=n, trials=1, seed=4, p=0.5), 0,
+                            [0.05, 0.25])
     yield sample(ExperimentConfig(s=10, n=500, trials=1, seed=5, p=1e-19), 0)
 
 
@@ -233,11 +239,11 @@ def test_skip_sampler_chisquare():
 def test_coupled_monotone():
     cfg = ExperimentConfig(s=3, n=10, trials=1, seed=3, p=0.5)
     for trial in range(5):
-        gs = coupled_samples(cfg, trial, [0.02, 0.1, 0.4, 0.9])
+        gs = _coupled(cfg, trial, [0.02, 0.1, 0.4, 0.9])
         for a, b in zip(gs, gs[1:]):
             assert a.edges <= b.edges
     # coupling agrees with the exact sampler at the same p
-    g_mid = coupled_samples(cfg, 0, [0.5])[0]
+    g_mid = _coupled(cfg, 0, [0.5])[0]
     assert g_mid == sample(cfg, 0)
 
 
@@ -246,7 +252,7 @@ def test_coupled_monotone():
        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5).map(sorted))
 def test_coupled_edge_sets_are_nested(seed, trial, ps):
     cfg = ExperimentConfig(s=3, n=8, trials=1, seed=seed, p=0.5)
-    gs = coupled_samples(cfg, trial, ps)
+    gs = _coupled(cfg, trial, ps)
     for a, b in zip(gs, gs[1:]):
         assert a.edges <= b.edges
     for p, g in zip(ps, gs):
@@ -260,7 +266,7 @@ def test_coupled_predicate_monotone():
     ps = [0.05, 0.15, 0.3, 0.6]
     satisfied = {p: set() for p in ps}
     for trial in range(40):
-        for p, g in zip(ps, coupled_samples(cfg, trial, ps)):
+        for p, g in zip(ps, _coupled(cfg, trial, ps)):
             if pred(g):
                 satisfied[p].add(trial)
     for a, b in zip(ps, ps[1:]):
@@ -308,8 +314,6 @@ def test_per_config_sampling_work_is_done_once():
             mock.patch.object(randmodel, "edge_probability",
                               wraps=randmodel.edge_probability) as prob:
         estimate_probability(cfg, lambda g: True)
-        for trial in range(3):
-            coupled_samples(cfg, trial, [0.1, 0.2])
     assert tables.call_count == 1
     assert prob.call_count == 1  # the report's `p` reads the shared value
 
@@ -354,6 +358,21 @@ def test_trial_loop_errors_name_the_trial_and_config():
         with mock.patch.object(randmodel, target, over_cap_after_one):
             with pytest.raises(CapacityError, match=want):
                 run()
+    # the sampler's own errors in a trial name the trial and the config too
+    small = ExperimentConfig(s=3, n=2, trials=2, seed=1, p=0.5)
+    full = ExperimentConfig(s=3, n=300, trials=2, seed=1, p=1.0)
+    too_small = "need n >= s, got n=2, s=3"
+    for run, n, error in (
+            (lambda: estimate_probability(small, lambda g: True), 2, too_small),
+            (lambda: poisson_fit(dataclasses.replace(small, p=None, alpha=F(3)), [edge]),
+             2, too_small),
+            (lambda: randmodel.prop1_experiment(
+                w.pair, dataclasses.replace(small, p=None, alpha=w.alpha)), 2, too_small),
+            (lambda: estimate_probability(full, lambda g: True), 300,
+             "p >= 1 would build all C(300, 3) = 4455100 candidate edges")):
+        want = rf"^trial 0 of \{{s=3, n={n}, trials=2, seed=1, .*\}}: " + re.escape(error)
+        with pytest.raises(ExperimentError, match=want):
+            run()
 
 
 def test_prop1_cap_reaches_only_its_searches():
@@ -396,6 +415,8 @@ def test_poisson_fit_preconditions():
     with pytest.raises(ValueError):
         poisson_fit(ExperimentConfig(s=3, n=30, trials=5, seed=1, alpha=F(3, 2)),
                     [H1])  # alpha != 1/rho
+    with pytest.raises(ValueError, match="1/rho = 3"):
+        poisson_fit(ExperimentConfig(s=3, n=30, trials=5, seed=1, p=0.3), [edge])  # p, not alpha
     rep = poisson_fit(ExperimentConfig(s=3, n=30, trials=5, seed=1, alpha=F(3)), [edge])
     assert sum(rep.histogram.values()) == 5
 
