@@ -3,18 +3,13 @@ densities, balance, automorphisms, copy counting, distances.
 
 Vertices are arbitrary integer labels; nothing assumes contiguity.  All values
 are immutable after construction and safe to share across threads.  Degrees,
-neighbourhoods, distances and `constructions.omega_tilde_check` read a
-vertex -> incident-edges index that each `Hypergraph` builds lazily, once, on
-first use.  The backtracking matcher behind automorphisms, copies and strict
-extensions reads a second lazy index, made by the one builder `_bit_index` in
-one pass over the edges: the non-isolated vertices as bits of ints in
-ascending label order, each one's co-edge neighbour mask, the edges' masks
-and the masks of vertices of degree >= d, which filter every search's
-candidates.  The builder takes the edges as rows of bit numbers; a sampled
-host (`Hypergraph._from_rows`) supplies them renumbered from the arrays it
-was unranked from, which saves sorting and numbering its edge sets.
-Densities and balance come from integer max-closure cuts; the module uses
-the standard library only.
+neighbourhoods and distances read a vertex -> incident-edges index that each
+`Hypergraph` builds lazily, once.  The backtracking matcher reads a second
+lazy index, built by `_bit_index` (for a sampled host, from the bit rows it
+was unranked to): non-isolated vertices as bits in ascending label order,
+co-edge neighbour masks, edge masks and degree >= d masks.  Copy searches
+meet the motif's orbit conditions (`_symmetry`): one embedding per copy.
+Densities and balance come from max-closure cuts; standard library only.
 """
 from __future__ import annotations
 
@@ -29,6 +24,7 @@ from .errors import CapacityError, VerificationError
 
 DEFAULT_ENUM_CAP = 24    # vertex cap of find_m_decomposition and of prop1's searches
 DEFAULT_SEARCH_CAP = 16  # vertex cap for isomorphism-type backtracking
+_Image = tuple[frozenset[int], frozenset[frozenset[int]]]  # a copy's vertices and edges
 
 
 @dataclass(frozen=True)
@@ -63,10 +59,9 @@ class Hypergraph:
     @classmethod
     def _from_rows(cls, s: int, vertices: frozenset[int], edges: frozenset[frozenset[int]],
                    rows: Callable[[], tuple[list[int], list[list[int]]]]) -> "Hypergraph":
-        """A hypergraph whose bitset index is built, on first use, from
-        `rows()`: the non-isolated vertices in ascending order and each edge
-        as the list of their positions there.  The caller vouches that the
-        rows are the edges; `rows` must pickle for the host to pickle."""
+        """A hypergraph whose bitset index is built from `rows()`: the
+        non-isolated vertices ascending and each edge as their positions
+        there.  The caller vouches for the rows, which must pickle."""
         g = cls(s, vertices, edges)
         object.__setattr__(g, "_rows", rows)
         return g
@@ -96,9 +91,8 @@ class Hypergraph:
 
     @cached_property
     def _bits(self) -> "_BitIndex":
-        """The matcher's bitset index, built once per instance on first use
-        from the edges alone (from `_rows` when set): only non-isolated
-        vertices get a bit."""
+        """The matcher's bitset index of the non-isolated vertices, built from
+        the edges (from `_rows` when set) on first use."""
         if self._rows is not None:
             labels, rows = self._rows()
         else:
@@ -113,8 +107,22 @@ class Hypergraph:
         return _placement_plan(self, [])
 
     @cached_property
-    def _automorphism_count(self) -> int:
-        return sum(1 for _ in _iter_embeddings(self, self))
+    def _symmetry(self) -> tuple[tuple[int, ...], ...]:
+        """Per plan position, the earlier positions whose images its image
+        must exceed, by a stabilizer chain (Grochow and Kellis 2007): a
+        vertex's orbit under the automorphisms fixing all earlier vertices
+        (one pinned search per candidate) maps above it.  One embedding of
+        each copy meets them all.  The chain covers the non-isolated part."""
+        core = Hypergraph.from_edges(self.s, self.edges)
+        order = core._plan.order
+        orbits = []  # per position, the later vertices of its orbit
+        for i, v in enumerate(order):
+            pinned = {u: u for u in order[:i]}
+            orbits.append({w for w in order[i + 1:] if self.degree(w) == self.degree(v)
+                           and next(_iter_embeddings(core, core, fixed={**pinned, v: w},
+                                                     plan=core._plan), None)})
+        return tuple(tuple(i for i, orbit in enumerate(orbits[:j]) if w in orbit)
+                     for j, w in enumerate(self._plan.order))
 
     def degree(self, v: int) -> int:
         return len(self._incidence.get(v, ()))
@@ -387,24 +395,6 @@ def distance(g: Hypergraph, x: int, y: int) -> int | float:
 # isomorphism search: automorphisms, copies, embeddings
 # ---------------------------------------------------------------------------
 
-def _motif_order(motif: Hypergraph, first: Iterable[int] = ()) -> list[int]:
-    """Static placement order: `first` as given, then highest degree first and
-    greedy by placed co-edge ties."""
-    order = list(first)
-    remaining = set(motif.vertices) - set(order)
-    adj = {v: motif.co_edge_neighbors(v) for v in remaining}
-    while remaining:
-        if order:
-            placed = set(order)
-            best = max(remaining,
-                       key=lambda v: (len(adj[v] & placed), motif.degree(v), -v))
-        else:
-            best = max(remaining, key=lambda v: (motif.degree(v), -v))
-        order.append(best)
-        remaining.discard(best)
-    return order
-
-
 class _BitIndex(NamedTuple):
     """Host vertices with an incident edge, numbered 0..k-1 as bits of ints."""
 
@@ -441,10 +431,9 @@ def _bit_index(labels: list[int], rows: Iterable[list[int]]) -> _BitIndex:
 
 
 class _Plan(NamedTuple):
-    """A motif's placement: vertices in `_motif_order`, then per position the
-    earlier co-edge neighbours, the edges completed there (as their earlier
-    positions) and the motif degree.  Vertices of degree 0 that are not pinned
-    come last; `searched` is the number of positions before them."""
+    """A motif's placement order (pinned vertices, then most placed co-edge
+    neighbours, then highest degree), each position's earlier neighbours,
+    completed edges and degree; unpinned isolated vertices follow `searched`."""
 
     order: tuple[int, ...]
     back: tuple[tuple[int, ...], ...]
@@ -454,7 +443,14 @@ class _Plan(NamedTuple):
 
 
 def _placement_plan(motif: Hypergraph, first: list[int]) -> _Plan:
-    order = _motif_order(motif, first)
+    order = list(first)
+    remaining = set(motif.vertices) - set(order)
+    adj = {v: motif.co_edge_neighbors(v) for v in remaining}
+    while remaining:
+        placed = set(order)
+        best = max(remaining, key=lambda v: (len(adj[v] & placed), motif.degree(v), -v))
+        order.append(best)
+        remaining.discard(best)
     pos = {v: i for i, v in enumerate(order)}
     back = tuple(tuple(sorted(pos[u] for u in motif.co_edge_neighbors(v) if pos[u] < i))
                  for i, v in enumerate(order))
@@ -471,54 +467,53 @@ def _placement_plan(motif: Hypergraph, first: list[int]) -> _Plan:
 
 def _iter_embeddings(motif: Hypergraph, host: Hypergraph, *,
                      fixed: Mapping[int, int] | None = None,
-                     avoid: frozenset[frozenset[int]] = frozenset()
+                     avoid: frozenset[frozenset[int]] = frozenset(),
+                     canonical: bool = False, plan: _Plan | None = None
                      ) -> Iterator[dict[int, int]]:
     """Injective maps sending every motif edge to a host edge.
 
     With host = motif such a map is a bijection on the vertices and on the
     edges, so these are exactly the automorphisms.  `fixed` pins motif
-    vertices to host vertices; they are placed first.  No motif edge may land
-    on a host edge in `avoid`.
+    vertices to host vertices; they are placed first (`plan`, if given, must
+    place them first).  No motif edge may land on a host edge in `avoid`.
+    `canonical` (nothing pinned) keeps the maps meeting the motif's
+    `_symmetry` conditions: one per copy.
 
     A bitset search over the host's `_bits` index.  A position's candidates
     are the AND of the co-edge masks of its placed neighbours' images, the
-    host vertices of at least the motif vertex's degree and the unused ones;
-    a completed motif edge is checked as the OR of its images' bits.
-    Unpinned motif vertices of degree 0 come last and take the unused host
-    vertices by label, isolated ones included.
-    """
+    host vertices of at least the motif vertex's degree, the unused ones and,
+    per orbit condition, the bits above an earlier image; a completed motif
+    edge is checked as the OR of its images' bits.  Unpinned motif vertices
+    of degree 0 come last and take any unused host vertices, in every order
+    or (canonical) ascending."""
     if motif.s != host.s:
         raise ValueError("arity mismatch between motif and host")
     if motif.num_vertices > host.num_vertices or motif.num_edges > host.num_edges:
         return
 
     fixed = dict(fixed or {})
-    order, back, ready, need, searched = (_placement_plan(motif, sorted(fixed)) if fixed
-                                          else motif._plan)
+    order, back, ready, need, searched = plan or (_placement_plan(motif, sorted(fixed))
+                                                  if fixed else motif._plan)
     idx = host._bits
-    adj, labels = idx.adj, idx.labels
-    edges = idx.edges
+    adj, labels, edges = idx.adj, idx.labels, idx.edges
     if avoid:
         edges = edges - {sum(1 << idx.bit[v] for v in e)
                          for e in avoid if e <= idx.bit.keys()}
     deg_ge = idx.degree_at_least
-    top = len(deg_ge)
-    allow = [deg_ge[d] if d < top else 0 for d in need]
+    allow = [deg_ge[d] if d < len(deg_ge) else 0 for d in need]
 
     # Per position: its image's bit (0 for a pinned host vertex without one),
     # bit index and label.  Images are distinct bits, so an edge's OR is the
     # sum of its images' bits.
     k = len(order)
-    img = [0] * k
-    at = [0] * k
-    lab = [0] * k
+    above = motif._symmetry if canonical else [()] * k
+    img, at, lab = [0] * k, [0] * k, [0] * k
     used = 0
     for i, mv in enumerate(order[:len(fixed)]):
         hv = fixed[mv]
         j = idx.bit.get(hv)
         b = 0 if j is None else 1 << j
-        ok = need[i] == 0 or bool(allow[i] & b)
-        if (not ok or hv in lab[:i]
+        if ((need[i] and not allow[i] & b) or hv in lab[:i]
                 or any(sum(map(img.__getitem__, e)) | b not in edges for e in ready[i])):
             return
         img[i], at[i], lab[i] = b, j or 0, hv
@@ -530,7 +525,8 @@ def _iter_embeddings(motif: Hypergraph, host: Hypergraph, *,
             return
         taken = set(lab[:searched])
         free = [v for v in host.vertices if v not in taken]
-        for rest in itertools.permutations(free, k - searched):
+        for rest in (itertools.combinations(sorted(free), k - searched) if canonical
+                     else itertools.permutations(free, k - searched)):
             yield dict(zip(order, lab[:searched] + list(rest)))
 
     lo = len(fixed)
@@ -545,6 +541,8 @@ def _iter_embeddings(motif: Hypergraph, host: Hypergraph, *,
             c = allow[i] & ~used
             for p in back[i]:
                 c &= adj[at[p]]
+            for p in above[i]:
+                c &= -(img[p] << 1)
             ps = part[i] = [sum(map(img.__getitem__, e)) for e in ready[i]] if ready[i] else ()
         while c:
             b = c & -c
@@ -583,9 +581,12 @@ def automorphisms(g: Hypergraph, cap: int = DEFAULT_SEARCH_CAP) -> list[dict[int
 
 
 def automorphism_count(g: Hypergraph, cap: int = DEFAULT_SEARCH_CAP) -> int:
-    """Exact size of the automorphism group."""
+    """Exact size of the automorphism group: m! for m isolated vertices times
+    the `_symmetry` chain's orbit sizes, 1 + the conditions naming each."""
     _check_search_cap(g, cap)
-    return g._automorphism_count
+    plan = g._plan
+    orbits = (1 + sum(i in later for later in g._symmetry) for i in range(plan.searched))
+    return math.prod(orbits, start=math.factorial(len(plan.order) - plan.searched))
 
 
 def count_embeddings(motif: Hypergraph, host: Hypergraph,
@@ -603,28 +604,27 @@ def count_copies(motif: Hypergraph, host: Hypergraph, cap: int = DEFAULT_SEARCH_
     edge, extra host edges among the image vertices are allowed.  With
     induced=True the image must carry exactly the motif's edges.
     """
-    _check_search_cap(motif, cap)
-    if induced:
-        return len(copy_images(motif, host, cap=cap, induced=True))
-    aut = automorphism_count(motif, cap=cap)
-    total = sum(1 for _ in _iter_embeddings(motif, host))
-    if total % aut:
-        raise VerificationError(
-            f"{total} embeddings are not a multiple of {aut} automorphisms")
-    return total // aut
+    return len(_images(motif, host, cap, induced))
 
 
 def copy_images(motif: Hypergraph, host: Hypergraph, cap: int = DEFAULT_SEARCH_CAP,
-                induced: bool = False) -> set[tuple[frozenset[int], frozenset[frozenset[int]]]]:
+                induced: bool = False) -> set[_Image]:
     """Distinct copy images as (vertex set, edge set) pairs."""
+    return _images(motif, host, cap, induced)
+
+
+def _images(motif: Hypergraph, host: Hypergraph, cap: int, induced: bool) -> set[_Image]:
+    """The images a canonical search yields; an image found twice raises."""
     _check_search_cap(motif, cap)
-    out: set[tuple[frozenset[int], frozenset[frozenset[int]]]] = set()
-    for m in _iter_embeddings(motif, host):
+    out: set[_Image] = set()
+    for m in _iter_embeddings(motif, host, canonical=True):
         vs = frozenset(m.values())
         es = frozenset(frozenset(m[u] for u in e) for e in motif.edges)
         if induced and any(e <= vs and e not in es
                            for v in vs for e in host._incidence[v]):
             continue
+        if (vs, es) in out:
+            raise VerificationError(f"copy image on {sorted(vs)} produced twice")
         out.add((vs, es))
     return out
 
@@ -632,7 +632,7 @@ def copy_images(motif: Hypergraph, host: Hypergraph, cap: int = DEFAULT_SEARCH_C
 def has_copy(motif: Hypergraph, host: Hypergraph, cap: int = DEFAULT_SEARCH_CAP) -> bool:
     """Early-exit containment test (non-induced copies)."""
     _check_search_cap(motif, cap)
-    return next(_iter_embeddings(motif, host), None) is not None
+    return next(_iter_embeddings(motif, host, canonical=True), None) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
+import functools
 import itertools
 import math
 import random
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,11 +23,12 @@ from helpers import (
     random_hypergraph,
     scrambled,
 )
-from zolab.constructions import loose_path
+from zolab.constructions import loose_path, theorem6_pair
 from zolab.errors import VerificationError
 from zolab.hypercore import (
     Hypergraph,
     RootedPair,
+    _iter_embeddings,
     automorphism_count,
     automorphisms,
     canonical_relabel,
@@ -154,20 +157,28 @@ def _loose_cycle(t: int, first: int = 1) -> list[tuple[int, int, int]]:
     return [(junction[i], junction[i] + 1, junction[(i + 1) % t]) for i in range(t)]
 
 
-def test_automorphism_groups_of_known_order():
-    # Degree is the matcher's only vertex filter.  A loose path's end vertices
-    # and its middle edges' pendants all have degree 1, and only their
-    # neighbours' degrees tell them apart; every vertex of AG(2,3) has degree 4.
+def _affine_plane() -> Hypergraph:
+    """AG(2,3): the 12 lines of the affine plane over GF(3) as 3-edges."""
     points = [(x, y) for x in range(3) for y in range(3)]
     label = {p: i + 1 for i, p in enumerate(points)}
     lines = {frozenset(label[(x0 + k * dx) % 3, (y0 + k * dy) % 3] for k in range(3))
              for x0, y0 in points for dx, dy in ((0, 1), (1, 0), (1, 1), (1, 2))}
+    assert len(lines) == 12
+    return Hypergraph.make(3, range(1, 10), lines)
+
+
+TWO_TRIANGLES = Hypergraph.make(3, range(1, 13), _loose_cycle(3) + _loose_cycle(3, 7))
+
+
+def test_automorphism_groups_of_known_order():
+    # Degree is the matcher's only vertex filter.  A loose path's end vertices
+    # and its middle edges' pendants all have degree 1, and only their
+    # neighbours' degrees tell them apart; every vertex of AG(2,3) has degree 4.
     cases = [(Hypergraph.make(3, range(1, 2 * t + 1), _loose_cycle(t)), 2 * t)
              for t in (3, 4, 5, 8)]
-    cases.append((Hypergraph.make(3, range(1, 13), _loose_cycle(3) + _loose_cycle(3, 7)), 72))
+    cases.append((TWO_TRIANGLES, 72))
     cases += [(loose_path(3, t), 8) for t in (3, 4)]
-    cases.append((Hypergraph.make(3, range(1, 10), lines), 432))
-    assert len(lines) == 12
+    cases.append((_affine_plane(), 432))
     for g, order in cases:
         maps = automorphisms(g)
         assert automorphism_count(g) == len(maps) == order
@@ -371,12 +382,85 @@ def test_matcher_on_scrambled_labels(s, seed):
         assert idx.edges == {sum(1 << idx.bit[v] for v in e) for e in g.edges}
 
 
-def test_count_copies_rejects_a_wrong_automorphism_count():
+def test_count_copies_rejects_an_image_produced_twice():
     host = Hypergraph.make(3, range(1, 5), [(1, 2, 3)])
     motif = Hypergraph.make(3, [1, 2, 3], [(1, 2, 3)])
-    motif.__dict__["_automorphism_count"] = 4  # 6 embeddings, not a multiple of 4
-    with pytest.raises(VerificationError):
-        count_copies(motif, host)
+    # no orbit conditions: the search yields all 6 maps onto the one copy
+    motif.__dict__["_symmetry"] = ((),) * 3
+    for fn in (count_copies, copy_images):
+        with pytest.raises(VerificationError, match=r"copy image on \[1, 2, 3\] produced twice"):
+            fn(motif, host)
+
+
+def test_automorphism_count_does_not_list_the_group():
+    # 6 maps of the edge times 13! of its isolated vertices; all 16! of the
+    # complete 3-graph on 16 vertices; 3!^5 * 5! of five disjoint edges
+    g = Hypergraph.make(3, range(1, 17), [(1, 2, 3)])
+    cases = [(g, 6 * math.factorial(13)),
+             (Hypergraph.from_edges(3, itertools.combinations(range(1, 17), 3)),
+              math.factorial(16)),
+             (Hypergraph.from_edges(3, [range(i, i + 3) for i in range(1, 16, 3)]),
+              6 ** 5 * 120)]
+    start = time.process_time()
+    for graph, order in cases:
+        assert automorphism_count(graph) == order
+    assert time.process_time() - start < 1.0
+    host = Hypergraph.make(3, range(1, 18), [(1, 2, 3), (4, 5, 6)])
+    assert count_copies(g, host) == 2 * 14  # an edge, and the one vertex left out
+    assert has_copy(g, host)
+
+
+def _planted_host(motif: Hypergraph, seed: int) -> Hypergraph:
+    """A host on up to two more vertices than motif: a relabelled copy of
+    motif, a few of its edges dropped, and random extra edges."""
+    rng = random.Random(seed)
+    n = motif.num_vertices + rng.randint(0, 2)
+    labels = dict(zip(motif.sorted_vertices(), rng.sample(range(1, n + 1), motif.num_vertices)))
+    planted = [e for e in motif.relabel(labels).edges if rng.random() < 0.9]
+    p = rng.uniform(0, 0.4 / n)
+    extra = [c for c in itertools.combinations(range(1, n + 1), 3) if rng.random() < p]
+    return Hypergraph.make(3, range(1, n + 1), planted + extra)
+
+
+CANONICAL_MOTIFS = [
+    Hypergraph.make(3, range(1, 6), [(1, 2, 3)]),                  # 3! * 2!
+    Hypergraph.make(3, range(1, 7), [(1, 2, 3), (4, 5, 6)]),       # 3!^2 * 2
+    Hypergraph.make(3, range(1, 7), _loose_cycle(3)),              # 6
+    Hypergraph.make(3, range(1, 9), _loose_cycle(3)),              # 6 * 2!
+    Hypergraph.make(3, range(1, 9), _loose_cycle(4)),              # 8
+    H2.union(Hypergraph.make(3, [7, 8, 9], [])),                   # 6 * 3!
+    TWO_TRIANGLES,                                                 # 72
+    _affine_plane(),                                               # 432
+    theorem6_pair(3, 1, 2).h,                                      # 48
+]
+
+
+@functools.cache
+def _reference_automorphism_count(motif: Hypergraph) -> int:
+    return brute_automorphism_count(motif) if motif.num_vertices <= 9 else len(automorphisms(motif))
+
+
+def _image(m: dict[int, int], motif: Hypergraph):
+    return frozenset(m.values()), frozenset(frozenset(m[u] for u in e) for e in motif.edges)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(CANONICAL_MOTIFS), st.integers(0, 2**32 - 1))
+def test_canonical_search_yields_each_copy_once(motif, seed):
+    host = _planted_host(motif, seed)
+    # permutations are the reference while there are few; beyond that the
+    # unconstrained search, itself checked against them on small graphs
+    small = math.perm(host.num_vertices, motif.num_vertices) <= 50_000
+    emb = (brute_embedding_count(motif, host) if small
+           else count_embeddings(motif, host, cap=24))
+    aut = _reference_automorphism_count(motif)
+    assert automorphism_count(motif) == aut and emb % aut == 0
+    images = [_image(m, motif) for m in _iter_embeddings(motif, host, canonical=True)]
+    assert len(set(images)) == len(images) == emb // aut
+    assert set(images) == {_image(m, motif) for m in _iter_embeddings(motif, host)}
+    assert count_copies(motif, host) == emb // aut
+    assert copy_images(motif, host) == set(images)
+    assert has_copy(motif, host) == (emb > 0)
 
 
 def _k4tail(s: int) -> Hypergraph:
