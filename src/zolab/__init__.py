@@ -32,9 +32,6 @@ from .extlab import (
     count_uncovered_copies,
     f_alpha,
     find_m_decomposition,
-    is_cyclically_m_maximal,
-    is_kt_maximal,
-    is_strict_extension,
     match_cyclic_extension,
     prop1_poisson_parameter,
 )

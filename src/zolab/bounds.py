@@ -106,18 +106,12 @@ def theorem4_alpha_set(s: int, k: int) -> set[Fraction]:
 def max_spectrum_candidates(s: int, k: int) -> tuple[Fraction, Fraction]:
     """The two-element candidate set for the maximal spectrum point.
 
-    The first candidate is consistency-checked against the maximum of the
-    violating set.
+    The first candidate is the largest point of `theorem8_alpha_set`, at
+    a = 2^(k-s+1) - 3, in closed form.
     """
     _check_base(s, k)
     m2 = 1 << (k - s + 2)
-    first = Fraction(s - 1) - Fraction(1, m2 - 3)
-    second = Fraction(s - 1) - Fraction(1, m2 - 2)
-    if m2 - 3 >= 1:
-        violating = theorem8_alpha_set(s, k)
-        if violating and max(violating) != first:
-            raise AssertionError("candidate 1 disagrees with the violating set maximum")
-    return first, second
+    return Fraction(s - 1) - Fraction(1, m2 - 3), Fraction(s - 1) - Fraction(1, m2 - 2)
 
 
 def qk_contains(s: int, k: int, alpha: Fraction) -> bool:
@@ -186,10 +180,8 @@ def other_bound_values(s: int, k: int) -> list[SpectrumBound]:
                                   "theorem6", _CONSTANT_NOTE))
     rows.append(SpectrumBound(s, k, theorem7_max_sk_upper(s, k), KIND_MAX_OBEYS,
                               "theorem7", "largest spectrum point is not above this"))
-    violating = theorem8_alpha_set(s, k)
-    if violating:
-        rows.append(SpectrumBound(s, k, max(violating), KIND_MAX_VIOLATES,
-                                  "theorem8", "largest violating point"))
+    rows.append(SpectrumBound(s, k, max_spectrum_candidates(s, k)[0], KIND_MAX_VIOLATES,
+                              "theorem8", "largest violating point"))
     rows.append(SpectrumBound(s, k, limit_upper_endpoint(s, k), KIND_MAX_LIMIT,
                               "remark", "upper bound for the largest limit point"))
     return rows

@@ -1,16 +1,15 @@
 """Extension calculus for rooted pairs (G, H), H a sub-hypergraph of G: the
-f_alpha classification, strict extensions, (K, T)-maximality, uncovered-copy
-counting, and the three cyclic attachment patterns with their decomposition
-and maximality notions.
+f_alpha classification, pair balance, uncovered-copy counting with its
+limiting Poisson parameters, and the three cyclic attachment patterns with
+the m-decompositions they chain into.
 """
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator
 
 from .errors import CapacityError
 from .hypercore import (
@@ -19,7 +18,6 @@ from .hypercore import (
     Hypergraph,
     RootedPair,
     _check_search_cap,
-    _iter_embeddings,
     _max_closure,
     _strictly_balanced,
     automorphisms,
@@ -104,142 +102,6 @@ def is_pair_strictly_balanced(pair: RootedPair) -> bool:
     edges, base_edges, d = _relative_edges(pair)
     # with H induced, the edges meeting the difference are the pair's edges
     return base_edges == pair.inner.num_edges and _strictly_balanced(edges, d)
-
-
-# ---------------------------------------------------------------------------
-# strict extensions
-# ---------------------------------------------------------------------------
-
-def _correspondence_checks(candidate: RootedPair, template: RootedPair,
-                           correspondence: Mapping[int, int]) -> dict[int, int]:
-    corr = dict(correspondence)
-    if set(corr) != template.outer.vertices:
-        raise ValueError("correspondence must cover the template outer vertex set")
-    if len(set(corr.values())) != len(corr):
-        raise ValueError("correspondence is not injective")
-    if set(corr.values()) != candidate.outer.vertices:
-        raise ValueError("correspondence must cover the candidate outer vertex set")
-    t_inner = template.inner.vertices
-    c_inner = candidate.inner.vertices
-    if {corr[v] for v in t_inner} != c_inner:
-        raise ValueError("correspondence must map inner vertices onto inner vertices")
-    return corr
-
-
-def is_extension(candidate: RootedPair, template: RootedPair,
-                 correspondence: Mapping[int, int]) -> bool:
-    """One-directional variant: template-new edges map into candidate-new edges."""
-    corr = _correspondence_checks(candidate, template, correspondence)
-    t_new = template.outer.edges - template.inner.edges
-    c_new = candidate.outer.edges - candidate.inner.edges
-    return all(frozenset(corr[v] for v in e) in c_new for e in t_new)
-
-
-def is_strict_extension(candidate: RootedPair, template: RootedPair,
-                        correspondence: Mapping[int, int]) -> bool:
-    """Both directions: new edges correspond exactly under the vertex map."""
-    corr = _correspondence_checks(candidate, template, correspondence)
-    t_new = template.outer.edges - template.inner.edges
-    c_new = candidate.outer.edges - candidate.inner.edges
-    return {frozenset(corr[v] for v in e) for e in t_new} == c_new
-
-
-def _strict_extension_maps(template: RootedPair, host: Hypergraph,
-                           anchor: tuple[int, ...],
-                           anchor_edges: frozenset[frozenset[int]]) -> Iterator[dict[int, int]]:
-    """Maps realizing a strict extension of the anchor tuple inside host.
-
-    The sorted inner vertices of the template correspond positionally to the
-    anchor.  Every new edge of the template lands on a host edge that is not
-    one of `anchor_edges`, the edges the anchor already carries.
-    """
-    inner_sorted = sorted(template.inner.vertices)
-    if len(anchor) != len(inner_sorted):
-        raise ValueError("anchor length must equal the template inner size")
-    if len(set(anchor)) != len(anchor) or not set(anchor) <= host.vertices:
-        raise ValueError("anchor must be distinct host vertices")
-    fixed = dict(zip(inner_sorted, anchor))
-    new_part = Hypergraph(host.s, template.outer.vertices,
-                          template.outer.edges - template.inner.edges)
-    return _iter_embeddings(new_part, host, fixed=fixed, avoid=anchor_edges)
-
-
-# ---------------------------------------------------------------------------
-# (K, T)-maximality and the maximal-extension counter
-# ---------------------------------------------------------------------------
-
-def is_kt_maximal(pair: RootedPair, kt: RootedPair, host: Hypergraph,
-                  cap: int = DEFAULT_SEARCH_CAP) -> bool:
-    """No strict (K, T)-extension attaches to the pair inside the host.
-
-    Quantifies over sub-hypergraphs T' of the outer graph with v(T) vertices
-    that are not contained in the inner graph; an attachment counts only when
-    the host carries no edges joining the extension body to the rest of the
-    outer graph except through T' (the empty-edge-set side condition, read on
-    the host-induced union).
-    """
-    g_t, h_t = pair.outer, pair.inner
-    if not g_t.is_subhypergraph_of(host):
-        raise ValueError("pair outer must be a sub-hypergraph of the host")
-    _check_search_cap(g_t, cap)
-    v_t = kt.inner.num_vertices
-    if v_t > g_t.num_vertices:
-        return True
-    if kt.outer.num_vertices - v_t > cap:
-        raise CapacityError("extension template exceeds the search cap")
-
-    g_verts = g_t.sorted_vertices()
-    for t_tuple in itertools.permutations(g_verts, v_t):
-        t_set = frozenset(t_tuple)
-        inside = [e for e in g_t.edges if e <= t_set]
-        for r in range(len(inside) + 1):
-            for chosen in itertools.combinations(inside, r):
-                t_edges = frozenset(chosen)
-                if t_set <= h_t.vertices and t_edges <= h_t.edges:
-                    continue  # T' inside the inner graph does not count
-                if t_set == g_t.vertices and t_edges == g_t.edges:
-                    continue  # T' must be a proper sub-hypergraph
-                removed = g_t.vertices - t_set
-                punct = Hypergraph(
-                    host.s, host.vertices - removed,
-                    frozenset(e for e in host.edges if not e & removed))
-                for phi in _strict_extension_maps(kt, punct, t_tuple, t_edges):
-                    k_verts = frozenset(phi.values())
-                    w = (k_verts | g_t.vertices) - t_set
-                    k_out = {frozenset(phi[v] for v in e)
-                             for e in kt.outer.edges - kt.inner.edges}
-                    k_out = {e for e in k_out if not e & t_set}
-                    g_out = {e for e in g_t.edges if not e & t_set}
-                    if all(f in k_out or f in g_out
-                           for f in host.edges if f <= w):
-                        return False
-    return True
-
-
-def count_maximal_extensions(template: RootedPair, host: Hypergraph,
-                             anchor: tuple[int, ...],
-                             kt_pairs: Iterable[RootedPair] = (),
-                             cap: int = DEFAULT_SEARCH_CAP) -> int:
-    """Strict extensions of the anchor tuple that are (K, T)-maximal for every
-    given pair.  The anchor's carried edges are those induced by the host.
-    """
-    if template.outer.num_vertices - template.inner.num_vertices > cap:
-        raise CapacityError("extension template exceeds the search cap")
-    h_tilde = host.induced(anchor)
-    realized: set[tuple[frozenset[int], frozenset[frozenset[int]]]] = set()
-    new_edges = template.outer.edges - template.inner.edges
-    for phi in _strict_extension_maps(template, host, anchor, h_tilde.edges):
-        verts = frozenset(phi.values())
-        edges = frozenset(frozenset(phi[v] for v in e) for e in new_edges) | h_tilde.edges
-        realized.add((verts, edges))
-    kt_list = list(kt_pairs)
-    count = 0
-    for verts, edges in sorted(realized, key=lambda t: (sorted(t[0]), sorted(map(sorted, t[1])))):
-        g_tilde = Hypergraph(host.s, verts, edges)
-        pair = RootedPair(g_tilde, h_tilde)
-        if all(is_kt_maximal(pair, kt, host, cap=cap) for kt in kt_list):
-            count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -474,31 +336,3 @@ def find_m_decomposition(g: Hypergraph, m: int, root: int,
                 return new_chain
             queue.append(new_chain)
     return None
-
-
-def is_cyclically_m_maximal(pair: RootedPair, host: Hypergraph, m: int) -> bool:
-    """No cyclic m-extension attaches to the outer graph in the host unless the
-    same attachment is also a cyclic m-extension of the inner graph.
-    """
-    g, h = pair.outer, pair.inner
-    if not g.is_subhypergraph_of(host):
-        raise ValueError("pair outer must be a sub-hypergraph of the host")
-    bound = density_bound(host.s, m)
-    seen: set[frozenset[frozenset[int]]] = set()
-    for pat in _iter_attachments(g.vertices, g.edges, host, m):
-        key = frozenset(pat.edges)
-        if key in seen:
-            continue
-        seen.add(key)
-        extended = Hypergraph(host.s, g.vertices | pat.new_vertices,
-                              g.edges | frozenset(pat.edges))
-        if max_density(extended)[0] >= bound:
-            continue  # not a cyclic m-extension of the outer graph
-        h_ext = Hypergraph(
-            host.s,
-            h.vertices | frozenset(v for e in pat.edges for v in e),
-            h.edges | frozenset(pat.edges))
-        h_pair = RootedPair(h_ext, h)
-        if match_cyclic_extension(h_pair, m) is None:
-            return False
-    return True

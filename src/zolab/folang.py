@@ -585,44 +585,6 @@ _MISSING = object()
 
 
 # ---------------------------------------------------------------------------
-# random formulas (seeded; used by game-agreement and oracle tests)
-# ---------------------------------------------------------------------------
-
-def random_formula(rng, s: int, max_depth: int, *, closed: bool = True,
-                   free_vars: tuple[str, ...] = ()) -> Formula:
-    """Random AST with quantifier depth <= max_depth over the s-ary signature.
-
-    Closed formulas start with a quantifier (the signature has no nullary
-    atoms, so max_depth must be >= 1 when closed and no free_vars are given).
-    """
-    if closed and not free_vars and max_depth < 1:
-        raise ValueError("closed formulas need quantifier depth >= 1")
-    counter = itertools.count(1)
-
-    def go(depth: int, scope: tuple[str, ...]) -> Formula:
-        choices = []
-        if scope:
-            choices += ["atom", "atom", "eq", "not", "bin"]
-        if depth > 0:
-            choices += ["quant"] * (4 if not scope else 2)
-        kind = rng.choice(choices)
-        if kind == "atom":
-            return Atom(tuple(rng.choice(scope) for _ in range(s)))
-        if kind == "eq":
-            return Eq(rng.choice(scope), rng.choice(scope))
-        if kind == "not":
-            return Not(go(depth, scope))
-        if kind == "bin":
-            op = rng.choice((And, Or, Implies))
-            return op(go(depth, scope), go(depth, scope))
-        var = f"q{next(counter)}"
-        body = go(depth - 1, scope + (var,))
-        return (Exists if rng.random() < 0.5 else Forall)(var, body)
-
-    return go(max_depth, tuple(free_vars))
-
-
-# ---------------------------------------------------------------------------
 # distance-predicate builders
 # ---------------------------------------------------------------------------
 

@@ -9,6 +9,8 @@ lazy index, built by `_bit_index` (for a sampled host, from the bit rows it
 was unranked to): non-isolated vertices as bits in ascending label order,
 co-edge neighbour masks, edge masks and degree >= d masks.  Copy searches
 meet the motif's orbit conditions (`_symmetry`): one embedding per copy.
+Those conditions come from the only pinned searches, each pinning a prefix
+of the motif's own placement order.
 Densities and balance come from max-closure cuts; standard library only.
 """
 from __future__ import annotations
@@ -103,8 +105,29 @@ class Hypergraph:
 
     @cached_property
     def _plan(self) -> "_Plan":
-        """The matcher's placement plan when no vertex is pinned."""
-        return _placement_plan(self, [])
+        """The matcher's placement plan: each next vertex is the one with the
+        most placed co-edge neighbours, then the highest degree, then the
+        lowest label."""
+        order: list[int] = []
+        remaining = set(self.vertices)
+        adj = {v: self.co_edge_neighbors(v) for v in remaining}
+        while remaining:
+            placed = set(order)
+            best = max(remaining, key=lambda v: (len(adj[v] & placed), self.degree(v), -v))
+            order.append(best)
+            remaining.discard(best)
+        pos = {v: i for i, v in enumerate(order)}
+        back = tuple(tuple(sorted(pos[u] for u in adj[v] if pos[u] < i))
+                     for i, v in enumerate(order))
+        ready: list[list[tuple[int, ...]]] = [[] for _ in order]
+        for e in self.edges:
+            last = max(pos[v] for v in e)
+            ready[last].append(tuple(sorted(pos[v] for v in e if pos[v] != last)))
+        need = tuple(self.degree(v) for v in order)
+        searched = len(order)
+        while searched and need[searched - 1] == 0:
+            searched -= 1
+        return _Plan(tuple(order), back, tuple(map(tuple, ready)), need, searched)
 
     @cached_property
     def _symmetry(self) -> tuple[tuple[int, ...], ...]:
@@ -117,10 +140,8 @@ class Hypergraph:
         order = core._plan.order
         orbits = []  # per position, the later vertices of its orbit
         for i, v in enumerate(order):
-            pinned = {u: u for u in order[:i]}
             orbits.append({w for w in order[i + 1:] if self.degree(w) == self.degree(v)
-                           and next(_iter_embeddings(core, core, fixed={**pinned, v: w},
-                                                     plan=core._plan), None)})
+                           and next(_iter_embeddings(core, core, pinned=(*order[:i], w)), None)})
         return tuple(tuple(i for i, orbit in enumerate(orbits[:j]) if w in orbit)
                      for j, w in enumerate(self._plan.order))
 
@@ -431,9 +452,8 @@ def _bit_index(labels: list[int], rows: Iterable[list[int]]) -> _BitIndex:
 
 
 class _Plan(NamedTuple):
-    """A motif's placement order (pinned vertices, then most placed co-edge
-    neighbours, then highest degree), each position's earlier neighbours,
-    completed edges and degree; unpinned isolated vertices follow `searched`."""
+    """A motif's placement order, each position's earlier neighbours,
+    completed edges and degree; the isolated vertices follow `searched`."""
 
     order: tuple[int, ...]
     back: tuple[tuple[int, ...], ...]
@@ -442,81 +462,50 @@ class _Plan(NamedTuple):
     searched: int
 
 
-def _placement_plan(motif: Hypergraph, first: list[int]) -> _Plan:
-    order = list(first)
-    remaining = set(motif.vertices) - set(order)
-    adj = {v: motif.co_edge_neighbors(v) for v in remaining}
-    while remaining:
-        placed = set(order)
-        best = max(remaining, key=lambda v: (len(adj[v] & placed), motif.degree(v), -v))
-        order.append(best)
-        remaining.discard(best)
-    pos = {v: i for i, v in enumerate(order)}
-    back = tuple(tuple(sorted(pos[u] for u in motif.co_edge_neighbors(v) if pos[u] < i))
-                 for i, v in enumerate(order))
-    ready: list[list[tuple[int, ...]]] = [[] for _ in order]
-    for e in motif.edges:
-        last = max(pos[v] for v in e)
-        ready[last].append(tuple(sorted(pos[v] for v in e if pos[v] != last)))
-    need = tuple(motif.degree(v) for v in order)
-    searched = len(order)
-    while searched > len(first) and need[searched - 1] == 0:
-        searched -= 1
-    return _Plan(tuple(order), back, tuple(map(tuple, ready)), need, searched)
-
-
 def _iter_embeddings(motif: Hypergraph, host: Hypergraph, *,
-                     fixed: Mapping[int, int] | None = None,
-                     avoid: frozenset[frozenset[int]] = frozenset(),
-                     canonical: bool = False, plan: _Plan | None = None
+                     pinned: tuple[int, ...] = (), canonical: bool = False
                      ) -> Iterator[dict[int, int]]:
     """Injective maps sending every motif edge to a host edge.
 
     With host = motif such a map is a bijection on the vertices and on the
-    edges, so these are exactly the automorphisms.  `fixed` pins motif
-    vertices to host vertices; they are placed first (`plan`, if given, must
-    place them first).  No motif edge may land on a host edge in `avoid`.
-    `canonical` (nothing pinned) keeps the maps meeting the motif's
-    `_symmetry` conditions: one per copy.
+    edges, so these are exactly the automorphisms.  `pinned` gives the host
+    images of the first len(pinned) positions of `motif._plan.order`, none
+    of them isolated.  `canonical` (nothing pinned) keeps the maps meeting
+    the motif's `_symmetry` conditions: one per copy.
 
     A bitset search over the host's `_bits` index.  A position's candidates
     are the AND of the co-edge masks of its placed neighbours' images, the
     host vertices of at least the motif vertex's degree, the unused ones and,
     per orbit condition, the bits above an earlier image; a completed motif
-    edge is checked as the OR of its images' bits.  Unpinned motif vertices
-    of degree 0 come last and take any unused host vertices, in every order
-    or (canonical) ascending."""
+    edge is checked as the OR of its images' bits.  Motif vertices of degree
+    0 come last and take any unused host vertices, in every order or
+    (canonical) ascending."""
     if motif.s != host.s:
         raise ValueError("arity mismatch between motif and host")
     if motif.num_vertices > host.num_vertices or motif.num_edges > host.num_edges:
         return
 
-    fixed = dict(fixed or {})
-    order, back, ready, need, searched = plan or (_placement_plan(motif, sorted(fixed))
-                                                  if fixed else motif._plan)
+    order, back, ready, need, searched = motif._plan
     idx = host._bits
     adj, labels, edges = idx.adj, idx.labels, idx.edges
-    if avoid:
-        edges = edges - {sum(1 << idx.bit[v] for v in e)
-                         for e in avoid if e <= idx.bit.keys()}
     deg_ge = idx.degree_at_least
     allow = [deg_ge[d] if d < len(deg_ge) else 0 for d in need]
 
-    # Per position: its image's bit (0 for a pinned host vertex without one),
-    # bit index and label.  Images are distinct bits, so an edge's OR is the
-    # sum of its images' bits.
+    # Per position: its image's bit, bit index and label.  Images are
+    # distinct bits, so an edge's OR is the sum of its images' bits.
     k = len(order)
     above = motif._symmetry if canonical else [()] * k
     img, at, lab = [0] * k, [0] * k, [0] * k
     used = 0
-    for i, mv in enumerate(order[:len(fixed)]):
-        hv = fixed[mv]
+    for i, hv in enumerate(pinned):
         j = idx.bit.get(hv)
-        b = 0 if j is None else 1 << j
-        if ((need[i] and not allow[i] & b) or hv in lab[:i]
+        if j is None:
+            return  # an isolated host vertex meets no motif edge
+        b = 1 << j
+        if (not allow[i] & b or used & b
                 or any(sum(map(img.__getitem__, e)) | b not in edges for e in ready[i])):
             return
-        img[i], at[i], lab[i] = b, j or 0, hv
+        img[i], at[i], lab[i] = b, j, hv
         used |= b
 
     def complete() -> Iterator[dict[int, int]]:
@@ -529,7 +518,7 @@ def _iter_embeddings(motif: Hypergraph, host: Hypergraph, *,
                      else itertools.permutations(free, k - searched)):
             yield dict(zip(order, lab[:searched] + list(rest)))
 
-    lo = len(fixed)
+    lo = len(pinned)
     if lo == searched:
         yield from complete()
         return

@@ -29,7 +29,6 @@ import itertools
 import math
 import random
 import time
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
@@ -155,17 +154,6 @@ def _comb_tables(n: int, s: int) -> list[list[int]]:
     return [[math.comb(c, j) for c in range(n)] for j in range(1, s + 1)]
 
 
-def _unrank(rank: int, s: int, tables: list[list[int]]) -> tuple[int, ...]:
-    out = []
-    r = rank
-    for j in range(s, 0, -1):
-        tab = tables[j - 1]
-        c = bisect_right(tab, r) - 1
-        out.append(c)
-        r -= tab[c]
-    return tuple(out[::-1])
-
-
 def _included_ranks_exact(key: int, m: int, p: float) -> np.ndarray:
     return np.concatenate([np.flatnonzero(subset_uniforms(key, lo, min(lo + (1 << 20), m)) < p)
                            + lo for lo in range(0, m, 1 << 20)])
@@ -241,25 +229,6 @@ def sample(cfg: ExperimentConfig, trial_index: int) -> Hypergraph:
             method = "exact" if m <= EXACT_RANK_LIMIT else "skip"
         ranks = (_included_ranks_exact if method == "exact" else _included_ranks_skip)(key, m, p)
     return _host(cfg, ranks)
-
-
-def sample_bernoulli(cfg: ExperimentConfig, trial_index: int) -> Hypergraph:
-    """Reference sampler: walks every rank and tests its per-subset uniform.
-
-    Identical output to sample(method='exact') by construction; quadratic in
-    instance size, for verification only.
-    """
-    _check_order(cfg)
-    n, s = cfg.n, cfg.s
-    p = edge_probability(cfg)
-    key = trial_key(cfg.seed, trial_index)
-    tables = _comb_tables(n, s)
-    edges = []
-    for rank in range(math.comb(n, s)):
-        u = (_sm64(key ^ (((rank + 1) * _GOLD) & _MASK)) >> 11) * 2.0 ** -53
-        if u < p:
-            edges.append(frozenset(v + 1 for v in _unrank(rank, s, tables)))
-    return Hypergraph(s, frozenset(range(1, n + 1)), frozenset(edges))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 from zolab.folang import (And, Atom, Eq, Exists, Forall, Formula, Implies, Not, Or,
                           and_all, or_all)
 from zolab.hypercore import Hypergraph
+from zolab.randmodel import (_GOLD, _MASK, ExperimentConfig, _check_order, _comb_tables,
+                             _sm64, edge_probability, trial_key)
 
 
 def brute_automorphisms(g: Hypergraph) -> list[dict[int, int]]:
@@ -30,31 +33,18 @@ def brute_automorphism_count(g: Hypergraph) -> int:
     return len(brute_automorphisms(g))
 
 
-def brute_embedding_count(motif: Hypergraph, host: Hypergraph) -> int:
+def brute_embeddings(motif: Hypergraph, host: Hypergraph):
+    """Every injective map sending each motif edge to a host edge, by
+    permutation."""
     mv = sorted(motif.vertices)
-    count = 0
     for image in itertools.permutations(sorted(host.vertices), len(mv)):
         m = dict(zip(mv, image))
         if all(frozenset(m[v] for v in e) in host.edges for e in motif.edges):
-            count += 1
-    return count
-
-
-def brute_strict_extension_maps(template, host: Hypergraph, anchor: tuple[int, ...],
-                                anchor_edges: frozenset):
-    """Every injective map pinning the template's sorted inner vertices to the
-    anchor that sends each new template edge to a host edge not carried by the
-    anchor (not one of `anchor_edges` inside it), by permutation."""
-    base = dict(zip(sorted(template.inner.vertices), anchor))
-    new_vts = sorted(template.outer.vertices - set(base))
-    new_edges = template.outer.edges - template.inner.edges
-    free = sorted(host.vertices - set(anchor))
-    for image in itertools.permutations(free, len(new_vts)):
-        m = {**base, **dict(zip(new_vts, image))}
-        images = [frozenset(m[v] for v in e) for e in new_edges]
-        if all(img in host.edges and not (img <= set(anchor) and img in anchor_edges)
-               for img in images):
             yield m
+
+
+def brute_embedding_count(motif: Hypergraph, host: Hypergraph) -> int:
+    return sum(1 for _ in brute_embeddings(motif, host))
 
 
 def brute_max_density(g: Hypergraph) -> Fraction:
@@ -327,3 +317,67 @@ def scrambled(g: Hypergraph, rng, isolated: int = 0) -> Hypergraph:
     labels = rng.sample(range(-60, 61), g.num_vertices + isolated)
     h = g.relabel(dict(zip(g.sorted_vertices(), labels)))
     return Hypergraph(g.s, h.vertices | frozenset(labels[g.num_vertices:]), h.edges)
+
+
+def random_formula(rng, s: int, max_depth: int, *, closed: bool = True,
+                   free_vars: tuple[str, ...] = ()) -> Formula:
+    """Random AST with quantifier depth <= max_depth over the s-ary signature.
+
+    Closed formulas start with a quantifier (the signature has no nullary
+    atoms, so max_depth must be >= 1 when closed and no free_vars are given).
+    """
+    if closed and not free_vars and max_depth < 1:
+        raise ValueError("closed formulas need quantifier depth >= 1")
+    counter = itertools.count(1)
+
+    def go(depth: int, scope: tuple[str, ...]) -> Formula:
+        choices = []
+        if scope:
+            choices += ["atom", "atom", "eq", "not", "bin"]
+        if depth > 0:
+            choices += ["quant"] * (4 if not scope else 2)
+        kind = rng.choice(choices)
+        if kind == "atom":
+            return Atom(tuple(rng.choice(scope) for _ in range(s)))
+        if kind == "eq":
+            return Eq(rng.choice(scope), rng.choice(scope))
+        if kind == "not":
+            return Not(go(depth, scope))
+        if kind == "bin":
+            op = rng.choice((And, Or, Implies))
+            return op(go(depth, scope), go(depth, scope))
+        var = f"q{next(counter)}"
+        body = go(depth - 1, scope + (var,))
+        return (Exists if rng.random() < 0.5 else Forall)(var, body)
+
+    return go(max_depth, tuple(free_vars))
+
+
+def _unrank(rank: int, s: int, tables: list[list[int]]) -> tuple[int, ...]:
+    out = []
+    r = rank
+    for j in range(s, 0, -1):
+        tab = tables[j - 1]
+        c = bisect_right(tab, r) - 1
+        out.append(c)
+        r -= tab[c]
+    return tuple(out[::-1])
+
+
+def sample_bernoulli(cfg: ExperimentConfig, trial_index: int) -> Hypergraph:
+    """Reference sampler: walks every rank and tests its per-subset uniform.
+
+    Identical output to sample(method='exact') by construction; quadratic in
+    instance size, for verification only.
+    """
+    _check_order(cfg)
+    n, s = cfg.n, cfg.s
+    p = edge_probability(cfg)
+    key = trial_key(cfg.seed, trial_index)
+    tables = _comb_tables(n, s)
+    edges = []
+    for rank in range(math.comb(n, s)):
+        u = (_sm64(key ^ (((rank + 1) * _GOLD) & _MASK)) >> 11) * 2.0 ** -53
+        if u < p:
+            edges.append(frozenset(v + 1 for v in _unrank(rank, s, tables)))
+    return Hypergraph(s, frozenset(range(1, n + 1)), frozenset(edges))

@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from helpers import random_hypergraph, table_evaluate
+from helpers import random_formula, random_hypergraph, table_evaluate
 from zolab.bounds import (
     max_spectrum_candidates,
     theorem4_alpha_set,
@@ -26,7 +26,6 @@ from zolab.folang import (
     build_theorem8_L,
     evaluate,
     quantifier_depth,
-    random_formula,
 )
 from zolab.hypercore import (
     Hypergraph,

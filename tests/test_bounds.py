@@ -1,8 +1,10 @@
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from zolab import bounds
 from zolab.bounds import (
     SpectrumBound,
     limit_upper_endpoint,
@@ -57,6 +59,17 @@ def test_max_candidates():
             assert c1 == F(s - 1) - F(1, m2 - 3)
             assert c2 == F(s - 1) - F(1, m2 - 2)
             assert c1 < c2
+
+
+def test_max_candidates_in_closed_form():
+    # at k = 40 the violating set has 2^38 - 3 points: none may be built
+    with mock.patch.object(bounds, "theorem8_alpha_set",
+                           side_effect=RuntimeError("violating set enumerated")):
+        c1, c2 = max_spectrum_candidates(3, 40)
+        rows = other_bound_values(3, 40)
+    m2 = 1 << 39
+    assert (c1, c2) == (F(2) - F(1, m2 - 3), F(2) - F(1, m2 - 2))
+    assert [r.value for r in rows if r.theorem == "theorem8"] == [c1]
 
 
 def test_no_theorem7_point_between_candidates():

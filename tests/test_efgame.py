@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from helpers import brute_game_formula, random_hypergraph
+from helpers import brute_game_formula, random_formula, random_hypergraph
 from zolab.efgame import distinguishing_formula, duplicator_wins
 from zolab.errors import CapacityError
-from zolab.folang import evaluate, quantifier_depth, random_formula, to_text
+from zolab.folang import evaluate, quantifier_depth, to_text
 from zolab.hypercore import Hypergraph
 
 EDGE = Hypergraph.make(3, [1, 2, 3], [(1, 2, 3)])

@@ -1,7 +1,6 @@
 import itertools
 import random
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,11 +9,8 @@ from hypothesis import strategies as st
 from helpers import (
     brute_pair_class,
     brute_pair_strictly_balanced,
-    brute_strict_extension_maps,
     random_hypergraph,
-    scrambled,
 )
-from zolab import extlab
 from zolab.constructions import loose_path, theorem6_pair
 from zolab.extlab import (
     FIRST_TYPE,
@@ -22,16 +18,11 @@ from zolab.extlab import (
     SECOND_TYPE_PATH,
     PairClass,
     classify_pair,
-    count_maximal_extensions,
     count_uncovered_copies,
     density_bound,
     f_alpha,
     find_m_decomposition,
-    is_cyclically_m_maximal,
-    is_extension,
-    is_kt_maximal,
     is_pair_strictly_balanced,
-    is_strict_extension,
     match_cyclic_extension,
     prop1_poisson_parameter,
 )
@@ -94,96 +85,6 @@ def test_neutral_iff_balanced_pair_at_critical_alpha():
     assert classify_pair(w.pair, w.alpha) == PairClass.NEUTRAL
 
 
-def test_extension_checks():
-    t_inner = Hypergraph.make(3, [1], [])
-    t_outer = Hypergraph.make(3, [1, 2, 3], [(1, 2, 3)])
-    template = RootedPair(t_outer, t_inner)
-    c_inner = Hypergraph.make(3, [10], [])
-    c_outer = Hypergraph.make(3, [10, 20, 30], [(10, 20, 30)])
-    cand = RootedPair(c_outer, c_inner)
-    corr = {1: 10, 2: 20, 3: 30}
-    assert is_strict_extension(cand, template, corr)
-    assert is_extension(cand, template, corr)
-
-    # candidate with an extra outside edge fails strictness only
-    t_outer4 = Hypergraph.make(3, [1, 2, 3, 4], [(1, 2, 3)])
-    template4 = RootedPair(t_outer4, t_inner)
-    c_outer4 = Hypergraph.make(3, [10, 20, 30, 40], [(10, 20, 30), (20, 30, 40)])
-    cand4 = RootedPair(c_outer4, c_inner)
-    corr4 = {1: 10, 2: 20, 3: 30, 4: 40}
-    assert not is_strict_extension(cand4, template4, corr4)
-    assert is_extension(cand4, template4, corr4)
-
-    with pytest.raises(ValueError):
-        is_strict_extension(cand, template, {1: 10, 2: 10, 3: 30})
-
-
-def test_kt_maximal_examples():
-    g_t = Hypergraph.make(3, [1, 2, 3], [(1, 2, 3)])
-    h_t = Hypergraph.make(3, [1], [])
-    pair = RootedPair(g_t, h_t)
-    kt = RootedPair(Hypergraph.make(3, [1, 2, 3], [(1, 2, 3)]),
-                             Hypergraph.make(3, [1], []))
-    assert is_kt_maximal(pair, kt, g_t)
-    host = Hypergraph.make(3, [1, 2, 3, 4, 5], [(1, 2, 3), (2, 4, 5)])
-    assert not is_kt_maximal(pair, kt, host)
-    big_t = RootedPair(Hypergraph.make(3, [1, 2, 3, 4, 5], [(1, 2, 3)]),
-                                Hypergraph.make(3, [1, 2, 3, 4], []))
-    assert is_kt_maximal(pair, big_t, host)
-    # attachment hanging off the inner part only does not violate pair-maximality
-    host_inner = Hypergraph.make(3, [1, 2, 3, 4, 5], [(1, 2, 3), (1, 4, 5)])
-    assert is_kt_maximal(pair, kt, host_inner)
-    # the walk is over permutations of the outer vertices: the outer graph is capped
-    assert not is_kt_maximal(pair, kt, host, cap=3)
-    with pytest.raises(CapacityError):
-        is_kt_maximal(pair, kt, host, cap=2)
-
-
-def test_count_maximal_extensions():
-    template = RootedPair(EDGE_EXT, VERTEX)
-    star = Hypergraph.make(3, [1, 2, 3, 4, 5, 6, 7],
-                           [(1, 2, 3), (1, 4, 5), (1, 6, 7)])
-    assert count_maximal_extensions(template, star, (1,)) == 3
-    # a rigid chain hanging off an extension disqualifies it:
-    # extension edges {1,2,3}; path edge {3,8,9} attaches to T'={3}
-    host = Hypergraph.make(3, list(range(1, 10)),
-                           [(1, 2, 3), (1, 4, 5), (3, 8, 9)])
-    kt = RootedPair(Hypergraph.make(3, [1, 2, 3], [(1, 2, 3)]),
-                             Hypergraph.make(3, [1], []))
-    assert count_maximal_extensions(template, host, (1,), [kt]) == 1
-    assert count_maximal_extensions(template, host, (1,)) == 2
-
-
-def test_kt_maximal_edge_completion_template():
-    # K adds an edge on T's own vertex set; the pair's realized edge is then a
-    # strict completion of the edge-free choice of T', so maximality fails
-    g_t = Hypergraph.make(3, [1, 2, 3], [(1, 2, 3)])
-    h_t = Hypergraph.make(3, [1], [])
-    pair = RootedPair(g_t, h_t)
-    kt = RootedPair(Hypergraph.make(3, [1, 2, 3], [(1, 2, 3)]),
-                             Hypergraph.make(3, [1, 2, 3], []))
-    assert not is_kt_maximal(pair, kt, g_t)
-    # with no edge available on any triple outside the inner graph it holds
-    sparse_pair = RootedPair(Hypergraph.make(3, [1, 2, 3, 4], []),
-                                      Hypergraph.make(3, [1], []))
-    assert is_kt_maximal(sparse_pair, kt, Hypergraph.make(3, [1, 2, 3, 4], []))
-
-
-def test_count_extensions_of_a_vertex_pair():
-    # template: a loose 2-path joining the two anchor vertices
-    path = loose_path(3, 2, endpoints=(1, 2))
-    template = RootedPair(path, Hypergraph.make(3, [1, 2], []))
-    # host carries two internally disjoint 2-paths from 10 to 20 plus noise
-    host = Hypergraph.make(
-        3, [10, 20, 31, 32, 33, 41, 42, 43, 50],
-        [(10, 31, 32), (32, 33, 20), (10, 41, 42), (42, 43, 20), (10, 20, 50)])
-    assert count_maximal_extensions(template, host, (10, 20)) == 2
-    # anchored the other way round the paths reverse but still count
-    assert count_maximal_extensions(template, host, (20, 10)) == 2
-    # no 2-path joins 10 and 50 through fresh vertices
-    assert count_maximal_extensions(template, host, (10, 50)) == 0
-
-
 def test_uncovered_copies():
     w = theorem6_pair(3, 1, 2)
     h, g = w.h, w.g
@@ -212,67 +113,6 @@ def test_uncovered_copies_checks_the_cap_up_front():
     edgeless = Hypergraph.make(3, range(1, 8), [])
     with pytest.raises(CapacityError):
         count_uncovered_copies(w.h, w.g, edgeless)
-
-
-# strict-extension templates: a pendant edge on one anchor, a loose 2-path
-# joining two anchors, and an edge completed on three anchors
-EXT_TEMPLATES = [
-    RootedPair(EDGE_EXT, VERTEX),
-    RootedPair(loose_path(3, 2, endpoints=(1, 2)),
-                        Hypergraph.make(3, [1, 2], [])),
-    RootedPair(EDGE_EXT, Hypergraph.make(3, [1, 2, 3], [])),
-]
-KT_PAIRS = [
-    RootedPair(EDGE_EXT, VERTEX),
-    RootedPair(EDGE_EXT, Hypergraph.make(3, [1, 2, 3], [])),
-]
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.integers(0, 2**32 - 1), st.integers(4, 7), st.floats(0.05, 0.45),
-       st.sampled_from(range(len(EXT_TEMPLATES))), st.data())
-def test_maximal_extensions_match_permutation_search(seed, n, p, which, data):
-    host = random_hypergraph(random.Random(seed), n, p=p)
-    template = EXT_TEMPLATES[which]
-    k = template.inner.num_vertices
-    anchor = tuple(data.draw(st.permutations(sorted(host.vertices)))[:k])
-    kts = data.draw(st.lists(st.sampled_from(KT_PAIRS), max_size=2))
-    fast = count_maximal_extensions(template, host, anchor, kts)
-    with mock.patch.object(extlab, "_strict_extension_maps",
-                           brute_strict_extension_maps):
-        assert count_maximal_extensions(template, host, anchor, kts) == fast
-
-
-def _ext_templates(s: int) -> list[RootedPair]:
-    """A pendant edge on one anchor, a loose 2-path joining two anchors, an
-    edge completed on s anchors, and a pendant edge on an anchored edge (whose
-    other anchors no new edge meets)."""
-    edge = Hypergraph.make(s, range(1, s + 1), [range(1, s + 1)])
-    fork = Hypergraph.make(s, range(1, 2 * s), [range(1, s + 1), [1, *range(s + 1, 2 * s)]])
-    return [RootedPair(edge, Hypergraph.make(s, [1], [])),
-            RootedPair(loose_path(s, 2, endpoints=(1, 2)),
-                                Hypergraph.make(s, [1, 2], [])),
-            RootedPair(edge, Hypergraph.make(s, range(1, s + 1), [])),
-            RootedPair(fork, edge)]
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.sampled_from([3, 4]), st.integers(0, 2**32 - 1), st.integers(0, 3),
-       st.booleans())
-def test_strict_extension_maps_match_permutation_search(s, seed, which, carried):
-    rng = random.Random(seed)
-    template = _ext_templates(s)[which]
-    k = template.inner.num_vertices
-    host = scrambled(random_hypergraph(rng, rng.randint(k + 1, s + 4), s, rng.uniform(0.1, 0.6)),
-                     rng, rng.randint(0, 2))
-    pool = sorted(host.vertices)
-    if which == 2 and host.edges and rng.random() < 0.5:
-        pool = sorted(rng.choice(host.sorted_edges()))  # anchor on a host edge
-    anchor = tuple(rng.sample(pool, k))
-    anchor_edges = host.induced(anchor).edges if carried else frozenset()
-    fast = extlab._strict_extension_maps(template, host, anchor, anchor_edges)
-    brute = brute_strict_extension_maps(template, host, anchor, anchor_edges)
-    assert {frozenset(m.items()) for m in fast} == {frozenset(m.items()) for m in brute}
 
 
 def test_prop1_parameters():
@@ -428,17 +268,6 @@ def test_cyclic_witnesses_satisfy_template_clauses():
                 matched += 1
                 _verify_pattern_witness(pair, pat, m)
     assert matched > 20
-
-
-def test_cyclic_maximality_examples():
-    base2 = Hypergraph.make(3, [1, 2], [])
-    g = Hypergraph.make(3, [1, 2, 3, 4], [(1, 3, 4), (2, 4, 3)])
-    pair = RootedPair(g, base2)
-    assert is_cyclically_m_maximal(pair, g, 2)
-    host_bad = Hypergraph.make(3, [1, 2, 3, 4, 5], [(1, 3, 4), (2, 4, 3), (3, 4, 5)])
-    assert not is_cyclically_m_maximal(pair, host_bad, 2)
-    host_ok = Hypergraph.make(3, [1, 2, 3, 4, 5], [(1, 3, 4), (2, 4, 3), (1, 2, 5)])
-    assert is_cyclically_m_maximal(pair, host_ok, 2)
 
 
 @st.composite

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_distance, hypergraphs, random_hypergraph, table_evaluate, truth_table
+from helpers import (
+    brute_distance,
+    hypergraphs,
+    random_formula,
+    random_hypergraph,
+    table_evaluate,
+    truth_table,
+)
 from zolab.folang import (
     _Run,
     And,
@@ -30,7 +37,6 @@ from zolab.folang import (
     free_variables,
     parse,
     quantifier_depth,
-    random_formula,
     to_text,
 )
 from zolab.hypercore import Hypergraph, distance

@@ -17,6 +17,7 @@ from helpers import (
     brute_automorphisms,
     brute_distance,
     brute_embedding_count,
+    brute_embeddings,
     brute_max_density,
     brute_max_density_witness,
     hypergraphs,
@@ -461,6 +462,41 @@ def test_canonical_search_yields_each_copy_once(motif, seed):
     assert count_copies(motif, host) == emb // aut
     assert copy_images(motif, host) == set(images)
     assert has_copy(motif, host) == (emb > 0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from([3, 4]), st.integers(0, 2**32 - 1))
+def test_pinned_search_matches_permutation_search(s, seed):
+    rng = random.Random(seed)
+    motif = scrambled(random_hypergraph(rng, rng.randint(s, 5), s, rng.uniform(0.3, 0.9)),
+                      rng, rng.randint(0, 1))
+    host = scrambled(random_hypergraph(rng, rng.randint(s + 1, s + 3), s, rng.uniform(0.2, 0.7)),
+                     rng, rng.randint(0, 2))
+    order = motif._plan.order
+    brute = list(brute_embeddings(motif, host))
+    pool = host.sorted_vertices()
+    lonely = sorted(host.vertices - set().union(*host.edges))
+    for k in range(motif._plan.searched + 1):
+        # host images of the first k positions: random host vertices and,
+        # where there is a map, its images; then each with one image swapped
+        # for an isolated host vertex or for another of its images
+        prefixes = [[rng.choice(pool) for _ in range(k)]]
+        if brute:
+            copy = rng.choice(brute)
+            prefixes.append([copy[v] for v in order[:k]])
+        for prefix in prefixes[:]:
+            if k and lonely:
+                prefixes.append(prefix[:])
+                prefixes[-1][rng.randrange(k)] = rng.choice(lonely)
+            if k >= 2:
+                i, j = rng.sample(range(k), 2)
+                prefixes.append(prefix[:])
+                prefixes[-1][j] = prefix[i]
+        for pinned in prefixes:
+            fast = [frozenset(m.items()) for m in _iter_embeddings(motif, host, pinned=tuple(pinned))]
+            assert len(set(fast)) == len(fast)
+            assert set(fast) == {frozenset(m.items()) for m in brute
+                                 if all(m[v] == w for v, w in zip(order, pinned))}
 
 
 def _k4tail(s: int) -> Hypergraph:

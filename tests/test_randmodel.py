@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_automorphism_count, brute_embedding_count
+from helpers import _unrank, brute_automorphism_count, brute_embedding_count, sample_bernoulli
 from zolab import randmodel
 from zolab.errors import ExperimentError
 from zolab.hypercore import Hypergraph, copy_images, count_copies, has_copy, to_shg
@@ -27,7 +27,6 @@ from zolab.randmodel import (
     poisson_fit,
     pooled_tv_distance,
     sample,
-    sample_bernoulli,
     spectrum_probe,
     wilson_interval,
 )
@@ -138,7 +137,7 @@ def test_ranks_beyond_int64_unrank_exactly():
     for t in range(3):
         ranks = randmodel._included_ranks_skip(randmodel.trial_key(5, t), m, p)
         assert ranks and max(ranks) >= 1 << 63
-        want = sorted(tuple(v + 1 for v in randmodel._unrank(r, s, tables)) for r in ranks)
+        want = sorted(tuple(v + 1 for v in _unrank(r, s, tables)) for r in ranks)
         assert sample(cfg, t).sorted_edges() == want
 
 
