@@ -4,14 +4,14 @@ densities, balance, automorphisms, copy counting, distances.
 Vertices are arbitrary integer labels; nothing assumes contiguity.  All values
 are immutable after construction and safe to share across threads.  Degrees,
 neighbourhoods and distances read a vertex -> incident-edges index that each
-`Hypergraph` builds lazily, once.  The backtracking matcher reads a second
-lazy index, built by `_bit_index` (for a sampled host, from the bit rows it
-was unranked to): non-isolated vertices as bits in ascending label order,
-co-edge neighbour masks, edge masks and degree >= d masks.  Copy searches
-meet the motif's orbit conditions (`_symmetry`): one embedding per copy.
-Those conditions come from the only pinned searches, each pinning a prefix
-of the motif's own placement order.
-Densities and balance come from max-closure cuts; standard library only.
+`Hypergraph` builds lazily, once; a sampled host builds even its edge set
+on first read, from the rows it was unranked to.  The backtracking matcher
+reads a second lazy index, built by `_bit_index` from an E x s label array:
+non-isolated vertices as bits in ascending label order, co-edge neighbour
+masks, edge masks and degree >= d masks.  Copy searches meet the motif's
+orbit conditions (`_symmetry`): one embedding per copy.  Those conditions
+come from the only pinned searches, each pinning a prefix of the motif's
+own placement order.  Densities and balance come from max-closure cuts.
 """
 from __future__ import annotations
 
@@ -20,13 +20,27 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import CapacityError, VerificationError
+
+if TYPE_CHECKING:
+    import numpy as np  # imported where used, so `import zolab` loads it last
 
 DEFAULT_ENUM_CAP = 24    # vertex cap of find_m_decomposition and of prop1's searches
 DEFAULT_SEARCH_CAP = 16  # vertex cap for isomorphism-type backtracking
 _Image = tuple[frozenset[int], frozenset[frozenset[int]]]  # a copy's vertices and edges
+
+
+def _check(s: int, vertices: frozenset[int], edges: Iterable[frozenset[int]]) -> None:
+    """Raise ValueError unless s >= 3 and every edge is an s-subset of vertices."""
+    if s < 3:
+        raise ValueError(f"arity must be >= 3, got {s}")
+    for e in edges:
+        if len(e) != s:
+            raise ValueError(f"edge {sorted(e)} has {len(e)} vertices, expected {s}")
+        if not e <= vertices:
+            raise ValueError(f"edge {sorted(e)} uses vertices outside the vertex set")
 
 
 @dataclass(frozen=True)
@@ -36,18 +50,11 @@ class Hypergraph:
     s: int
     vertices: frozenset[int]
     edges: frozenset[frozenset[int]]
-    # Set by `_from_rows` only: the bit-number rows of the matcher's index.
-    _rows: Callable[[], tuple[list[int], list[list[int]]]] | None = field(
-        default=None, init=False, compare=False, repr=False)
+    # Set by `_from_rows` only: the E x s array of each edge's labels.
+    _rows: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.s < 3:
-            raise ValueError(f"arity must be >= 3, got {self.s}")
-        for e in self.edges:
-            if len(e) != self.s:
-                raise ValueError(f"edge {sorted(e)} has {len(e)} vertices, expected {self.s}")
-            if not e <= self.vertices:
-                raise ValueError(f"edge {sorted(e)} uses vertices outside the vertex set")
+        _check(self.s, self.vertices, self.edges)
 
     @classmethod
     def make(cls, s: int, vertices: Iterable[int], edges: Iterable[Iterable[int]]) -> "Hypergraph":
@@ -59,13 +66,13 @@ class Hypergraph:
         return cls(s, frozenset().union(*es), es)
 
     @classmethod
-    def _from_rows(cls, s: int, vertices: frozenset[int], edges: frozenset[frozenset[int]],
-                   rows: Callable[[], tuple[list[int], list[list[int]]]]) -> "Hypergraph":
-        """A hypergraph whose bitset index is built from `rows()`: the
-        non-isolated vertices ascending and each edge as their positions
-        there.  The caller vouches for the rows, which must pickle."""
-        g = cls(s, vertices, edges)
-        object.__setattr__(g, "_rows", rows)
+    def _from_rows(cls, s: int, vertices: frozenset[int], rows: np.ndarray) -> "Hypergraph":
+        """The hypergraph on `vertices` whose edges are the ascending rows of
+        the E x s label array `rows`, checked when first read (`_RowEdges`,
+        `_bit_index`)."""
+        _check(s, vertices, ())  # the arity; the edges wait for their first read
+        g = object.__new__(cls)
+        g.__dict__.update(s=s, vertices=vertices, _rows=rows)
         return g
 
     @property
@@ -74,7 +81,7 @@ class Hypergraph:
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.edges) if self._rows is None else len(self._rows)
 
     def sorted_vertices(self) -> list[int]:
         return sorted(self.vertices)
@@ -93,15 +100,19 @@ class Hypergraph:
 
     @cached_property
     def _bits(self) -> "_BitIndex":
-        """The matcher's bitset index of the non-isolated vertices, built from
-        the edges (from `_rows` when set) on first use."""
-        if self._rows is not None:
-            labels, rows = self._rows()
-        else:
-            labels = sorted(set().union(*self.edges))
-            bit = dict(zip(labels, range(len(labels))))
-            rows = [[bit[v] for v in e] for e in self.edges]
-        return _bit_index(labels, rows)
+        """The matcher's bitset index of the non-isolated vertices, built on
+        first use from `_rows` when set, else from the edges as rows."""
+        import numpy as np
+
+        rows = self._rows
+        if rows is None:
+            rows = [sorted(e) for e in self.edges]
+            try:
+                rows = np.array(rows, dtype=np.int64)
+            except OverflowError:  # labels past int64 stay Python ints
+                rows = np.array(rows, dtype=object)
+            rows = rows.reshape(len(self.edges), self.s)
+        return _bit_index(rows, self.vertices)
 
     @cached_property
     def _plan(self) -> "_Plan":
@@ -180,6 +191,25 @@ class Hypergraph:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Hypergraph(s={self.s}, v={self.num_vertices}, e={self.num_edges})"
+
+
+class _RowEdges:
+    """`edges` of a host made by `_from_rows`, built and checked on first
+    read.  A non-data descriptor: the instance dict entry shadows it, and a
+    `__getattr__` would slow every attribute load of every host."""
+
+    def __get__(self, g: Hypergraph | None, owner: type | None = None):
+        if g is None:
+            return self
+        edges = frozenset(map(frozenset, g._rows.tolist()))
+        if len(edges) != len(g._rows):
+            raise ValueError("two edge rows are equal")
+        _check(g.s, g.vertices, edges)
+        g.__dict__["edges"] = edges
+        return edges
+
+
+Hypergraph.edges = _RowEdges()
 
 
 @dataclass(frozen=True)
@@ -426,29 +456,47 @@ class _BitIndex(NamedTuple):
     degree_at_least: list[int]    # d -> mask of the vertices of degree >= d
 
 
-def _bit_index(labels: list[int], rows: Iterable[list[int]]) -> _BitIndex:
-    """The bitset index of the vertices `labels`, bit j standing for
-    labels[j], and of the edges `rows`, each given as its vertices' bits."""
+def _bit_index(rows: np.ndarray, vertices: frozenset[int]) -> _BitIndex:
+    """The bitset index of a host on `vertices` whose edges are the rows of
+    the E x s label array `rows`; ValueError unless each row is strictly
+    ascending, in `vertices` and unique.  One sort of the labels numbers the
+    bits and groups each vertex's occurrences: edge masks are sums of bits,
+    co-edge masks a `reduceat` OR of edge masks less the own bit, degree
+    masks an OR `accumulate` by descending degree, all Python ints."""
+    import numpy as np
+
+    if not (rows[:, 1:] > rows[:, :-1]).all():
+        raise ValueError("an edge row is not strictly ascending")
+    e, s = rows.shape
+    flat = rows.reshape(-1)
+    order = flat.argsort()
+    ranked = flat[order]
+    first = np.empty(len(ranked), dtype=bool)  # each label's first occurrence
+    first[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    starts = first.nonzero()[0]
+    labels = ranked[starts].tolist()
+    if not vertices.issuperset(labels):
+        raise ValueError("an edge row uses vertices outside the vertex set")
     k = len(labels)
-    adj = [0] * k
-    deg = [0] * k
-    masks = []
-    for row in rows:
-        m = 0
-        for j in row:
-            m |= 1 << j
-        masks.append(m)
-        for j in row:
-            adj[j] |= m
-            deg[j] += 1
-    at_least = [0] * (max(deg, default=0) + 1)
-    for j, d in enumerate(deg):
-        b = 1 << j
-        adj[j] ^= b
-        at_least[d] |= b
-    for d in range(len(at_least) - 2, -1, -1):
-        at_least[d] |= at_least[d + 1]
-    return _BitIndex(dict(zip(labels, range(k))), labels, adj, frozenset(masks), at_least)
+    if not k:
+        return _BitIndex({}, [], [], frozenset(), [0])
+    bits = 1 << np.arange(k, dtype=object)
+    at = np.empty(len(flat), dtype=np.intp)  # each occurrence's bit number
+    at[order] = first.cumsum() - 1
+    of_row = bits[at].reshape(e, s)
+    masks = of_row[:, 0]
+    for c in range(1, s):
+        masks = masks + of_row[:, c]
+    edges = frozenset(masks.tolist())
+    if len(edges) != e:
+        raise ValueError("two edge rows are equal")
+    adj = np.bitwise_or.reduceat(masks[order // s], starts) ^ bits
+    deg = np.bincount(at)
+    at_or_above = np.bitwise_or.accumulate(bits[(-deg).argsort()])
+    count_ge = np.bincount(deg)[::-1].cumsum()[::-1]  # vertices of degree >= d
+    return _BitIndex(dict(zip(labels, range(k))), labels, adj.tolist(), edges,
+                     at_or_above[count_ge - 1].tolist())
 
 
 class _Plan(NamedTuple):
@@ -593,29 +641,37 @@ def count_copies(motif: Hypergraph, host: Hypergraph, cap: int = DEFAULT_SEARCH_
     edge, extra host edges among the image vertices are allowed.  With
     induced=True the image must carry exactly the motif's edges.
     """
-    return len(_images(motif, host, cap, induced))
+    return sum(1 for _ in _images(motif, host, cap, induced))
 
 
 def copy_images(motif: Hypergraph, host: Hypergraph, cap: int = DEFAULT_SEARCH_CAP,
                 induced: bool = False) -> set[_Image]:
     """Distinct copy images as (vertex set, edge set) pairs."""
-    return _images(motif, host, cap, induced)
+    return {(frozenset(m.values()), frozenset(frozenset(m[u] for u in e) for e in motif.edges))
+            for m in _images(motif, host, cap, induced)}
 
 
-def _images(motif: Hypergraph, host: Hypergraph, cap: int, induced: bool) -> set[_Image]:
-    """The images a canonical search yields; an image found twice raises."""
+def _images(motif: Hypergraph, host: Hypergraph, cap: int, induced: bool
+            ) -> Iterator[dict[int, int]]:
+    """The maps of a canonical search, one per copy image; an image found
+    twice raises.  Its key: the sorted edge masks, then the sorted images
+    of isolated motif vertices (which may have no bit)."""
     _check_search_cap(motif, cap)
-    out: set[_Image] = set()
+    isolated = motif._plan.order[motif._plan.searched:]
+    seen: set[tuple[int, ...]] = set()
     for m in _iter_embeddings(motif, host, canonical=True):
-        vs = frozenset(m.values())
-        es = frozenset(frozenset(m[u] for u in e) for e in motif.edges)
-        if induced and any(e <= vs and e not in es
-                           for v in vs for e in host._incidence[v]):
-            continue
-        if (vs, es) in out:
-            raise VerificationError(f"copy image on {sorted(vs)} produced twice")
-        out.add((vs, es))
-    return out
+        if induced:
+            vs = frozenset(m.values())
+            es = frozenset(frozenset(m[u] for u in e) for e in motif.edges)
+            if any(e <= vs and e not in es for v in vs for e in host._incidence[v]):
+                continue
+        bit = host._bits.bit  # built by the search that yielded m
+        key = (*sorted(sum(1 << bit[m[u]] for u in e) for e in motif.edges),
+               *sorted(m[u] for u in isolated))
+        if key in seen:
+            raise VerificationError(f"copy image on {sorted(m.values())} produced twice")
+        seen.add(key)
+        yield m
 
 
 def has_copy(motif: Hypergraph, host: Hypergraph, cap: int = DEFAULT_SEARCH_CAP) -> bool:

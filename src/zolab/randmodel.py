@@ -33,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -107,9 +107,10 @@ class ExperimentConfig:
             raise ValueError("method must be auto, exact or skip")
 
     @cached_property
-    def _sampling(self) -> tuple[float, int, list[tuple[np.ndarray, np.ndarray]]]:
-        """p, the number of candidate edges and the colex unranking columns:
-        per-config work that every trial's `sample` shares.
+    def _sampling(self) -> tuple[float, int, list[tuple[np.ndarray, np.ndarray]], frozenset[int]]:
+        """p, the number of candidate edges, the colex unranking columns and
+        the vertex set 1..n: per-config work that every trial's `sample`
+        shares.
 
         Column j, from s down to 1, is the table C(c, j) for c = 0..n-1 and
         the same table shifted up one place, so that the label c + 1 which
@@ -124,7 +125,7 @@ class ExperimentConfig:
         for t in reversed(tables):
             tab = np.array(t, dtype=dtype)
             columns.append((tab, np.concatenate([tab[:1], tab])))
-        return edge_probability(self), m, columns
+        return edge_probability(self), m, columns, frozenset(range(1, self.n + 1))
 
     def to_dict(self) -> dict:
         d = {"s": self.s, "n": self.n, "trials": self.trials, "seed": self.seed,
@@ -176,13 +177,12 @@ def _host(cfg: ExperimentConfig, ranks: Sequence[int]) -> Hypergraph:
     """The host on 1..n whose edges are the s-subsets of the given colex ranks.
 
     All ranks are unranked together, one vertex column at a time from the
-    largest.  The host's matcher index, when first read, is numbered from
-    the same rows.
+    largest.  The host keeps the rows: its edge set is built on first read,
+    and its matcher index straight from the rows.
     """
-    s, vertices = cfg.s, frozenset(range(1, cfg.n + 1))
-    if len(ranks) == 0:
-        return Hypergraph(s, vertices, frozenset())
-    columns = cfg._sampling[2]
+    _, _, columns, vertices = cfg._sampling
+    if len(ranks) == 0:  # most hosts of a sparse config: skip the numpy calls
+        return Hypergraph._from_rows(cfg.s, vertices, np.empty((0, cfg.s), dtype=np.intp))
     r = np.asarray(ranks, dtype=columns[0][0].dtype)
     labels = []
     for tab, shifted in columns:
@@ -190,18 +190,7 @@ def _host(cfg: ExperimentConfig, ranks: Sequence[int]) -> Hypergraph:
         labels.append(c)
         r = r - shifted[c]
     rows = np.array(labels[::-1]).T  # each edge's labels, ascending
-    return Hypergraph._from_rows(s, vertices, frozenset(map(frozenset, rows.tolist())),
-                                 partial(_index_rows, cfg.n, rows))
-
-
-def _index_rows(n: int, rows: np.ndarray) -> tuple[list[int], list[list[int]]]:
-    """The non-isolated labels of a host on 1..n whose edges are `rows`, in
-    ascending order, and each edge as their positions there: a lookup over
-    0..n, not a sort."""
-    present = np.zeros(n + 1, dtype=bool)
-    present[rows] = True
-    position = np.cumsum(present) - 1
-    return np.flatnonzero(present).tolist(), position[rows].tolist()
+    return Hypergraph._from_rows(cfg.s, vertices, rows)
 
 
 def _check_order(cfg: ExperimentConfig) -> None:
@@ -213,7 +202,7 @@ def sample(cfg: ExperimentConfig, trial_index: int) -> Hypergraph:
     """One draw of G^s(n, p): every s-subset is an edge independently with
     probability p; deterministic in (seed, trial_index, cfg)."""
     _check_order(cfg)
-    p, m, _ = cfg._sampling
+    p, m, _, _ = cfg._sampling
     if p <= 0.0:
         ranks: Sequence[int] = ()
     elif p >= 1.0:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from zolab.folang import (And, Atom, Eq, Exists, Forall, Formula, Implies, Not, Or,
                           and_all, or_all)
-from zolab.hypercore import Hypergraph
+from zolab.hypercore import Hypergraph, _BitIndex
 from zolab.randmodel import (_GOLD, _MASK, ExperimentConfig, _check_order, _comb_tables,
                              _sm64, edge_probability, trial_key)
 
@@ -317,6 +317,39 @@ def scrambled(g: Hypergraph, rng, isolated: int = 0) -> Hypergraph:
     labels = rng.sample(range(-60, 61), g.num_vertices + isolated)
     h = g.relabel(dict(zip(g.sorted_vertices(), labels)))
     return Hypergraph(g.s, h.vertices | frozenset(labels[g.num_vertices:]), h.edges)
+
+
+def loop_bit_index(labels: list[int], rows) -> _BitIndex:
+    """The bitset index of the vertices `labels`, bit j standing for
+    labels[j], and of the edges `rows`, each given as its vertices' bits:
+    the per-edge loop the numpy builder `hypercore._bit_index` replaced."""
+    k = len(labels)
+    adj = [0] * k
+    deg = [0] * k
+    masks = []
+    for row in rows:
+        m = 0
+        for j in row:
+            m |= 1 << j
+        masks.append(m)
+        for j in row:
+            adj[j] |= m
+            deg[j] += 1
+    at_least = [0] * (max(deg, default=0) + 1)
+    for j, d in enumerate(deg):
+        b = 1 << j
+        adj[j] ^= b
+        at_least[d] |= b
+    for d in range(len(at_least) - 2, -1, -1):
+        at_least[d] |= at_least[d + 1]
+    return _BitIndex(dict(zip(labels, range(k))), labels, adj, frozenset(masks), at_least)
+
+
+def reference_bits(g: Hypergraph) -> _BitIndex:
+    """g's bitset index by `loop_bit_index`, numbered from its sorted edge sets."""
+    labels = sorted(set().union(*g.edges))
+    bit = dict(zip(labels, range(len(labels))))
+    return loop_bit_index(labels, [[bit[v] for v in e] for e in g.edges])
 
 
 def random_formula(rng, s: int, max_depth: int, *, closed: bool = True,

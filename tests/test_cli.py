@@ -51,6 +51,15 @@ def test_bounds_max_candidates(capsys):
                                          {"num": 27, "den": 14}]
 
 
+def test_bounds_past_the_digit_limit_prints_nothing(capsys):
+    # the candidates' integers have more digits than str() converts
+    code = main(["bounds", "--s", "3", "--k", "20000", "--max-candidates"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["kind"] == "usage" and "--k" in error["error"]
+
+
 def test_bounds_table_and_qk(capsys):
     code, payload = run_json(capsys, ["bounds", "--s", "3", "--k", "10"])
     assert code == 0

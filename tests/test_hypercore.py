@@ -22,6 +22,7 @@ from helpers import (
     brute_max_density_witness,
     hypergraphs,
     random_hypergraph,
+    reference_bits,
     scrambled,
 )
 from zolab.constructions import loose_path, theorem6_pair
@@ -372,6 +373,7 @@ def test_matcher_on_scrambled_labels(s, seed):
     # the matcher's bitset index against edge scans
     for g in (host, motif):
         idx = g._bits
+        assert idx == reference_bits(g)
         assert set(idx.bit) == {v for v in g.vertices if g.degree(v)}
         assert [idx.bit[v] for v in idx.labels] == list(range(len(idx.labels)))
         assert idx.labels == sorted(idx.labels)  # bits in ascending label order
@@ -381,6 +383,19 @@ def test_matcher_on_scrambled_labels(s, seed):
         for d, mask in enumerate(idx.degree_at_least):
             assert _members(idx.labels, mask) == {v for v in idx.bit if g.degree(v) >= d}
         assert idx.edges == {sum(1 << idx.bit[v] for v in e) for e in g.edges}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_bit_index_matches_the_per_edge_loop(data):
+    # edgeless hosts, isolated vertices, s = 4, and labels past int64
+    s = data.draw(st.sampled_from((3, 4)))
+    g = data.draw(hypergraphs(s, data.draw(st.integers(0, 7))))
+    assert g._bits == reference_bits(g)
+    for shift in (1 << 63, -(1 << 70)):
+        far = g.relabel({v: v + shift for v in g.vertices})
+        assert far._bits == reference_bits(far)
+    assert g.num_edges == len(g.edges)
 
 
 def test_count_copies_rejects_an_image_produced_twice():

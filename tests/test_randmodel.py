@@ -9,11 +9,13 @@ import statistics
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import _unrank, brute_automorphism_count, brute_embedding_count, sample_bernoulli
+from helpers import (_unrank, brute_automorphism_count, brute_embedding_count, reference_bits,
+                     sample_bernoulli)
 from zolab import randmodel
 from zolab.errors import ExperimentError
 from zolab.hypercore import Hypergraph, copy_images, count_copies, has_copy, to_shg
@@ -165,18 +167,26 @@ def _lazy_index_hosts():
 
 def test_lazy_index_of_sampled_hosts():
     hosts = list(_lazy_index_hosts())
+    h1 = Hypergraph.make(3, range(4), [range(3), range(1, 4)])
+    for g in hosts:
+        # sampling alone builds neither the edge set nor the index
+        assert "edges" not in g.__dict__ and "_bits" not in g.__dict__
+        copy = pickle.loads(pickle.dumps(g))  # before any read
+        assert "edges" not in copy.__dict__ and copy.num_edges == len(g._rows)
+        if g.s == 3:  # the copy searches read the index, never the edge set
+            has_copy(h1, copy)
+            count_copies(h1, copy)
+            assert "edges" not in copy.__dict__
+        generic = Hypergraph(g.s, g.vertices, g.edges)
+        assert generic == g == copy and generic._rows is None
+        assert dataclasses.replace(g)._rows is None  # a copy never inherits the rows
+        assert g.num_edges == len(g.edges) == generic.num_edges == copy.num_edges
+        # the same labels, neighbour masks, edge masks and degree masks
+        assert g._bits == generic._bits == copy._bits == reference_bits(g)
+        assert g._bits.labels == sorted(set().union(*g.edges))
     assert any(not g.edges for g in hosts)
     assert any(g.edges and len(set().union(*g.edges)) < g.num_vertices for g in hosts)
     for g in hosts:
-        assert "_bits" not in g.__dict__  # sampling alone builds no index
-        generic = Hypergraph(g.s, g.vertices, g.edges)
-        assert generic == g and generic._rows is None
-        assert dataclasses.replace(g)._rows is None  # a copy never inherits the rows
-        copy = pickle.loads(pickle.dumps(g))
-        assert copy == g and copy._bits == generic._bits
-        # the same labels, neighbour masks, edge masks and degree masks
-        assert g._bits == generic._bits
-        assert g._bits.labels == sorted(set().union(*g.edges))
         if g.s == 10:
             continue
         edge = Hypergraph.make(g.s, range(g.s), [range(g.s)])
@@ -187,6 +197,24 @@ def test_lazy_index_of_sampled_hosts():
             assert has_copy(motif, g) == (emb > 0)
             assert count_copies(motif, g) == emb // brute_automorphism_count(motif)
             assert copy_images(motif, g) == _brute_copy_images(motif, g)
+
+
+@pytest.mark.parametrize("bad, reason", [
+    ((0, 2, 5), "outside the vertex set"),          # label 0
+    ((2, 5, 9), "outside the vertex set"),          # label n + 1
+    ((2, 2, 5), "not strictly ascending|has 2 vertices"),
+    (None, "two edge rows are equal"),             # a row repeated
+])
+def test_bad_rows_raise_on_first_read(bad, reason):
+    cfg = ExperimentConfig(s=3, n=8, trials=1, seed=3, p=0.2)
+    rows = sample(cfg, 0)._rows
+    assert len(rows) > 1
+    rows = np.vstack([rows, rows[:1] if bad is None else [bad]])
+    for attr in ("edges", "_bits"):
+        g = Hypergraph._from_rows(cfg.s, frozenset(range(1, cfg.n + 1)), rows)
+        with pytest.raises(ValueError, match=reason):
+            getattr(g, attr)
+        assert attr not in g.__dict__
 
 
 def test_skip_sampler_mean_matches_binomial():
