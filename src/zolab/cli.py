@@ -228,22 +228,24 @@ def _cmd_probe(args) -> None:
 
 
 def _cmd_bounds(args) -> None:
-    if args.max_candidates:
-        c1, c2 = bounds_mod.max_spectrum_candidates(args.s, args.k)
-        payload = {"schema": 1, "max_candidates": [_frac_dict(c1), _frac_dict(c2)]}
-    elif args.qk is not None:
-        payload = {"schema": 1, "alpha": _frac_dict(args.qk),
-                   "in_qk": bounds_mod.qk_contains(args.s, args.k, args.qk)}
-    else:
-        payload = {"schema": 1, "rows": [
-            {"theorem": r.theorem, "kind": r.kind,
-             "params": {"s": r.s, "k": r.k},
-             "value_num": r.value.numerator,
-             "value_den": r.value.denominator, "note": r.note}
-            for r in bounds_mod.other_bound_values(args.s, args.k)]}
     try:
+        if args.max_candidates:
+            c1, c2 = bounds_mod.max_spectrum_candidates(args.s, args.k)
+            payload = {"schema": 1, "max_candidates": [_frac_dict(c1), _frac_dict(c2)]}
+        elif args.qk is not None:
+            payload = {"schema": 1, "alpha": _frac_dict(args.qk),
+                       "in_qk": bounds_mod.qk_contains(args.s, args.k, args.qk)}
+        else:
+            payload = {"schema": 1, "rows": [
+                {"theorem": r.theorem, "kind": r.kind,
+                 "params": {"s": r.s, "k": r.k},
+                 "value_num": r.value.numerator,
+                 "value_den": r.value.denominator, "note": r.note}
+                for r in bounds_mod.other_bound_values(args.s, args.k)]}
         _emit(payload)
-    except ValueError as exc:  # an integer past Python's digit limit for str()
+    except ValueError as exc:
+        if not str(exc).startswith("Exceeds the limit"):  # a domain error, not str()'s
+            raise
         raise ValueError(f"--k {args.k} is too large: the exact values do not print ({exc})"
                          ) from None
 

@@ -305,6 +305,8 @@ def parse(text: str) -> Formula:
 # of sources read from the environment at run time, where u is a variable
 # bound outside v's quantifier and not rebound before the atom it comes from:
 #   ("e", u)      the value of u                       from v = u
+#   ("c", us)     the vertices that share an edge      from N(..v..us..), two or
+#                 with the values of all of us         more such u
 #   ("n", u)      the co-edge neighbours of u          from N(..v..u..)
 #   ("b", u, i)   the ball of radius i around u        from dist(v, u) <= i, below
 #   ("d", None)   the vertices of degree >= 1          from N(..v..), no such u
@@ -322,10 +324,16 @@ def parse(text: str) -> Formula:
 # its children's shapes, so recognition costs O(1) per node.  A recognised
 # subtree runs as one lookup in the run's cache of BFS balls; it guards x by
 # ("b", y, i) and y by ("b", x, i) and gives no negative guard.
+#
+# A quantifier memoizes and restores its variable unless every enclosing
+# binder's variable is free in it (no two calls share a key: one that rebinds
+# another's variable memoizes, which keeps the keys below it distinct) and its
+# own is neither bound outside it nor free in f (no later read): then it is a
+# bare loop.
 
-# by typical size: a ball around u holds u's co-edge neighbours, and all of it
-# but u has degree >= 1
-_COST = {"e": 2, "n": 4, "b": 5, "d": 6}
+# by typical size: ("c", us) lies in ("n", u), a ball around u holds u's
+# co-edge neighbours, and all of it but u has degree >= 1
+_COST = {"e": 2, "c": 3, "n": 4, "b": 5, "d": 6}
 
 
 def _cost(guard: tuple) -> int:
@@ -370,6 +378,9 @@ def _candidates(guard: tuple | None) -> Callable:
     def source(kind: str, u: str | None, radius: int = 0) -> Callable:
         if kind == "e":
             return lambda env, run: (env[u],)
+        if kind == "c":  # partners on fewer vertices give no key of their size
+            get, size = itemgetter(*u), len(u)
+            return lambda env, run: run.completions(size).get(frozenset(get(env)), ())
         if kind == "n":
             return lambda env, run: run.neighbors(env[u])
         if kind == "b":
@@ -386,27 +397,28 @@ class CompiledFormula:
     """A formula turned into closures by `compile`; `evaluate` runs it.
 
     `arity` is the common arity of the N atoms (None without atoms) and
-    `quantifiers` the number of memo tables one run needs."""
+    `tables` the number of memo tables one run needs."""
 
-    __slots__ = ("arity", "free", "quantifiers", "root")
+    __slots__ = ("arity", "free", "tables", "root")
 
-    def __init__(self, arity: int | None, free: frozenset[str], quantifiers: int,
-                 root: Callable):
-        self.arity, self.free, self.quantifiers, self.root = arity, free, quantifiers, root
+    def __init__(self, arity: int | None, free: frozenset[str], tables: int, root: Callable):
+        self.arity, self.free, self.tables, self.root = arity, free, tables, root
 
 
 class _Run:
     """One host's lazily built tables and a fresh memo, for one evaluation."""
 
-    __slots__ = ("g", "edges", "vertices", "memos", "_neighbors", "_active", "_balls")
+    __slots__ = ("g", "edges", "vertices", "memos", "_neighbors", "_active", "_completions",
+                 "_balls")
 
-    def __init__(self, g: Hypergraph, quantifiers: int, memo: bool):
+    def __init__(self, g: Hypergraph, tables: int, memo: bool):
         self.g = g
         self.edges = g.edges
         self.vertices = g.vertices
-        self.memos = [{} for _ in range(quantifiers)] if memo else None
+        self.memos = [{} for _ in range(tables)] if memo else None
         self._neighbors: dict[int, tuple[int, ...]] = {}
         self._active: tuple[int, ...] | None = None
+        self._completions: dict[int, dict[frozenset[int], set[int]]] = {}  # by key size
         self._balls: dict[int, list] = {}  # v -> [balls by radius, last layer]
 
     def neighbors(self, v: int) -> tuple[int, ...]:
@@ -419,6 +431,17 @@ class _Run:
         if self._active is None:
             self._active = tuple(set().union(*self.edges))
         return self._active
+
+    def completions(self, size: int) -> dict[frozenset[int], set[int]]:
+        """Each set of `size` vertices inside an edge -> the other vertices of
+        the edges that hold it, built on first use."""
+        table = self._completions.get(size)
+        if table is None:
+            table = self._completions[size] = {}
+            for e in self.edges:
+                for part in itertools.combinations(e, size):
+                    table.setdefault(frozenset(part), set()).update(e.difference(part))
+        return table
 
     def ball(self, v: int, radius: int) -> frozenset[int]:
         """The vertices at distance <= radius from v.  The balls around v and
@@ -436,9 +459,11 @@ class _Run:
 
 
 def compile(f: Formula) -> CompiledFormula:
-    """Closures, free variables, N arity and quantifier guards of f, in one pass."""
+    """Closures, free variables, N arity and quantifier guards of f, in one
+    pass; two when a bare loop would rebind a free variable of f."""
     arities: set[int] = set()
-    qids = itertools.count()
+    qids, tables = itertools.count(), itertools.count()
+    bare: set[str] = set()  # the variables of bare loops
 
     def within(x: str, y: str, radius: int, scope: dict[str, int]):
         """The compiled form of a recognised subtree dist(x, y) <= radius."""
@@ -469,8 +494,9 @@ def compile(f: Formula) -> CompiledFormula:
                 pos = {}
                 for x in args:
                     if x in scope:
-                        outer = [u for u in args if scope.get(u, -1) < scope[x]]
-                        pos[x] = (("n", outer[0]) if outer else ("d", None),)
+                        outer = tuple(u for u in args if scope.get(u, -1) < scope[x])
+                        pos[x] = (("c", outer) if len(outer) > 1
+                                  else ("n", *outer) if outer else ("d", None),)
                 shape = ("N", args, 0)
             else:  # a repeated variable: never s distinct vertices, never true
                 pos = dict.fromkeys(names & scope.keys(), ())
@@ -522,40 +548,53 @@ def compile(f: Formula) -> CompiledFormula:
                     if j < len(args) - 2 and args[-2 - j] == var:
                         shape = ("N", args, j + 1)
             free = bfree - {var}
-            key = itemgetter(*sorted(free)) if free else (lambda env: None)
             want = kind is Exists  # the body value that decides the quantifier
             candidates = _candidates((bpos if want else bneg).get(var))
+            if not (var in scope or any(q >= 0 and u not in free for u, q in scope.items())):
+                bare.add(var)
 
-            def quantifier(env, run):
-                memos = run.memos
-                if memos is not None:
-                    table = memos[qid]
-                    k = key(env)
-                    hit = table.get(k)
-                    if hit is not None:
-                        return hit
-                saved = env.get(var, _MISSING)
-                result = not want
-                for w in candidates(env, run):
-                    env[var] = w
-                    if body(env, run) == want:
-                        result = want
-                        break
-                if saved is _MISSING:
-                    env.pop(var, None)  # the candidates may be empty
-                else:
+                def quantifier(env, run):
+                    for w in candidates(env, run):
+                        env[var] = w
+                        if body(env, run) == want:
+                            return want
+                    return not want
+            else:
+                tid = next(tables)
+                key = itemgetter(*sorted(free)) if free else (lambda env: None)
+
+                def quantifier(env, run):
+                    memos = run.memos
+                    if memos is not None:
+                        table = memos[tid]
+                        k = key(env)
+                        hit = table.get(k)
+                        if hit is not None:
+                            return hit
+                    saved = env.get(var)  # None only where nothing reads var
+                    result = not want
+                    for w in candidates(env, run):
+                        env[var] = w
+                        if body(env, run) == want:
+                            result = want
+                            break
                     env[var] = saved
-                if memos is not None:
-                    table[k] = result
-                return result
+                    if memos is not None:
+                        table[k] = result
+                    return result
 
             return quantifier, free, _bind(bpos, var), _bind(bneg, var), shape
         raise TypeError(f"not a formula node: {f!r}")
 
     root, free, _, _, _ = go(f, {})
+    if bare & free:
+        # a bare loop would rebind a free variable of f: compile again with
+        # the free variables in scope, so that quantifiers over them restore
+        qids, tables = itertools.count(), itertools.count()
+        root = go(f, dict.fromkeys(free, -1))[0]
     if len(arities) > 1:
         raise ValueError(f"inconsistent N arities: {sorted(arities)}")
-    return CompiledFormula(next(iter(arities), None), free, next(qids), root)
+    return CompiledFormula(next(iter(arities), None), free, next(tables), root)
 
 
 def evaluate(f: Formula | CompiledFormula, g: Hypergraph,
@@ -564,9 +603,8 @@ def evaluate(f: Formula | CompiledFormula, g: Hypergraph,
 
     f is a formula, or one compiled once by `compile` to be run on many hosts.
     The assignment must cover every free variable.  A quantifier tries only
-    the values its guard admits, which never changes the truth value.
-    Memoization is keyed on (quantifier, restriction of the environment to
-    its free variables) and is confined to this call.
+    the values its guard admits, which never changes the truth value.  Where
+    a key can repeat, it memoizes on its free variables, within this call.
     """
     c = f if isinstance(f, CompiledFormula) else compile(f)
     if c.arity is not None and c.arity != g.s:
@@ -578,10 +616,7 @@ def evaluate(f: Formula | CompiledFormula, g: Hypergraph,
     for var, val in env.items():
         if val not in g.vertices:
             raise ValueError(f"assignment sends {var} to unknown vertex {val}")
-    return c.root(env, _Run(g, c.quantifiers, memo))
-
-
-_MISSING = object()
+    return c.root(env, _Run(g, c.tables, memo))
 
 
 # ---------------------------------------------------------------------------

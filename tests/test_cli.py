@@ -52,12 +52,19 @@ def test_bounds_max_candidates(capsys):
 
 
 def test_bounds_past_the_digit_limit_prints_nothing(capsys):
-    # the candidates' integers have more digits than str() converts
-    code = main(["bounds", "--s", "3", "--k", "20000", "--max-candidates"])
+    # the integers have more digits than str() converts: in the candidates'
+    # JSON, and in the table's notes before any JSON is built
+    for argv in (["bounds", "--s", "3", "--k", "20000", "--max-candidates"],
+                 ["bounds", "--s", "3", "--k", "20000"]):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["kind"] == "usage" and "--k 20000 is too large" in error["error"]
+    # a domain error keeps its own message
+    assert main(["bounds", "--s", "3", "--k", "3"]) == 2
     out, err = capsys.readouterr()
-    assert code == 2 and out == ""
-    error = json.loads(err)
-    assert error["kind"] == "usage" and "--k" in error["error"]
+    assert out == "" and "need k >= s + 1" in json.loads(err)["error"]
 
 
 def test_bounds_table_and_qk(capsys):

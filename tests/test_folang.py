@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -386,6 +387,118 @@ def test_shadowed_guard_partner():
         assert evaluate(f, g, env) == table_evaluate(f, g, env)
 
 
+# planted cases of the edge-completion guard and of the bare quantifier loops
+PLANTED = {
+    3: [
+        # two partners bound outside z, and two partners free in the formula,
+        # which assignments may send to the same vertex
+        "exists x exists y exists z (N(x,y,z) & !(z = w))",
+        "exists z (N(x,y,z) & !(z = w))",
+        "forall z (N(x,y,z) -> z = w)",
+        # y is rebound between z's binder and the atom: x is z's one partner
+        "exists y exists z (N(x,y,w) & (exists y (N(x,y,z) & y = w)))",
+        # bound names that shadow a free variable read after the inner
+        # quantifier returns
+        "(exists x N(x,y,z)) & x = w",
+        "forall y ((exists x (N(x,y,z) & !(x = w))) -> N(x,y,w))",
+        "exists w (N(x,w,z) & (exists z N(x,w,z))) & !(w = z)",
+    ],
+    4: [
+        # three partners bound outside u, or free in the formula
+        "exists x exists y exists z exists u (N(x,y,z,u) & !(u = w))",
+        "forall x forall y (N(x,y,z,w) -> (exists u (N(x,y,z,u) & !(u = w))))",
+        "exists u (N(x,y,z,u) & !(u = w))",
+        # a bound name shadows a free partner of the inner atom
+        "(exists x exists u N(x,y,z,u)) & (exists u N(x,y,u,w))",
+    ],
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_planted_guards_and_loops_match_table_oracle(data):
+    s = data.draw(st.sampled_from((3, 4)))
+    g = data.draw(hypergraphs(s, data.draw(st.integers(s, 6 if s == 3 else 5))))
+    for text in PLANTED[s]:
+        f = parse(text)
+        compiled = compile(f)
+        free, rows = truth_table(f, g)
+        for values, want in rows.items():
+            env = dict(zip(free, values))
+            assert evaluate(compiled, g, env) == want, (text, env)
+            assert evaluate(compiled, g, env, memo=False) == want, (text, env)
+
+
+class _CountedEdges(frozenset):
+    """An edge set that counts the atom checks made against it."""
+
+    checks = 0
+
+    def __contains__(self, e):
+        self.checks += 1
+        return frozenset.__contains__(self, e)
+
+
+def test_edge_completion_guard_tries_only_completions():
+    # x = 1 shares an edge with every other vertex, but only two of them
+    # complete an edge with x and y (x, y and z for s = 4); w and u rule both
+    # out, so the quantifier checks its atom once per completion
+    cases = [
+        (Hypergraph.make(3, range(1, 9), [(1, 2, 3), (1, 2, 4), (1, 5, 6), (1, 7, 8)]),
+         "exists v (N(x,y,v) & !(v = w) & !(v = u))", {"x": 1, "y": 2, "w": 3, "u": 4}),
+        (Hypergraph.make(4, range(1, 10), [(1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 6, 7),
+                                           (1, 8, 9, 6)]),
+         "exists v (N(x,y,z,v) & !(v = w) & !(v = u))",
+         {"x": 1, "y": 2, "z": 3, "w": 4, "u": 5}),
+    ]
+    for g, text, env in cases:
+        c = compile(parse(text))
+        run = _Run(g, c.tables, True)
+        run.edges = _CountedEdges(g.edges)
+        assert not c.root(env, run)
+        assert run.edges.checks == 2
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_run_completions_match_edge_scan(data):
+    s = data.draw(st.sampled_from((3, 4, 5)))
+    g = data.draw(hypergraphs(s, data.draw(st.integers(0, 7))))
+    run = _Run(g, 0, True)
+    for size in (2, s + 1, 1, s, s - 1):  # tables built in any order
+        table = run.completions(size)
+        for part in map(frozenset, itertools.combinations(sorted(g.vertices), size)):
+            want = set().union(*[e - part for e in g.edges if part <= e])
+            assert table.get(part, set()) == want
+
+
+def test_memo_tables_only_where_a_hit_is_possible():
+    # in L(3, 4) only the three pads `exists p N(x1, x2, p)` and the like
+    # miss a binder's variable in their key (x3), so only they keep a table
+    assert compile(build_theorem8_L(3, 4)).tables == 3
+    # x's key misses y and the inner y rebinds it: both keep a table, and z,
+    # whose key holds x and the inner y, runs bare
+    assert compile(parse("exists y exists x exists y exists z N(x,y,z)")).tables == 2
+    assert compile(parse("exists y exists x (N(x,y,w) & (exists z N(x,z,w)))")).tables == 1
+    # the inner x shadows the free x: it restores, in the full form
+    assert compile(parse("(exists x N(x,y,z)) & x = w")).tables == 1
+
+
+def test_rebinding_quantifier_keeps_its_memo():
+    # the inner y rebinds the outer one, so its key (x, w) repeats for every
+    # outer y; its memo answers the repeats, and the z loop below it runs bare
+    f = parse("forall y forall x (x = y | (forall y (N(x,y,w) -> (exists z N(x,y,z)))))")
+    g = Hypergraph.make(3, range(1, 7), [(1, 2, 3), (1, 2, 4), (2, 3, 5), (1, 5, 6)])
+    c = compile(f)
+    checks = {}
+    for memo in (True, False):
+        run = _Run(g, c.tables, memo)
+        run.edges = _CountedEdges(g.edges)
+        assert c.root({"w": 1}, run)
+        checks[memo] = run.edges.checks
+    assert 2 * checks[True] < checks[False]
+
+
 def test_evaluator_against_table_oracle_sample():
     rng = random.Random(8)
     for _ in range(120):
@@ -500,6 +613,20 @@ def test_theorem8_chain_variant_semantics():
     # the two-circuit core without the connecting paths lacks the distance legs
     core = w.part1.union(w.part2)
     assert not evaluate(f, core)
+
+
+def test_theorem8_probe_hits_pinned():
+    # README's five splits of the Theorem 8 sentence at their alphas: the hits
+    # among 40 hosts at n = 100, seed 7, are pinned, so that a guard or memo
+    # change that alters a truth value on sampled hosts shows here
+    from zolab.randmodel import ExperimentConfig, estimate_probability, formula_predicate
+    pinned = {(2, 2, Fraction(17, 9)): 5, (2, 3, Fraction(19, 10)): 4,
+              (3, 3, Fraction(21, 11)): 7, (3, 4, Fraction(23, 12)): 5,
+              (4, 4, Fraction(25, 13)): 2}
+    for (a1, a2, alpha), hits in pinned.items():
+        cfg = ExperimentConfig(s=3, n=100, trials=40, seed=7, alpha=alpha)
+        report = estimate_probability(cfg, formula_predicate(build_theorem8_L(3, 5, a1, a2)))
+        assert report.counts["successes"] == hits, (a1, a2)
 
 
 def test_dist_semantics_s4_spot_check():
