@@ -1,8 +1,8 @@
 """Command-line entry point: file I/O, subcommand dispatch, JSON reporting.
 
-Exit codes: 0 success, 2 usage or domain error, 3 capacity error,
-4 verification failure.  Identical argv and seed produce byte-identical JSON
-except for the wall_time_s field.
+Exit codes: 0 success, 2 usage or domain error, 3 capacity error (the
+recursion limit included), 4 verification failure.  Identical argv and seed
+produce byte-identical JSON except for the wall_time_s field.
 """
 from __future__ import annotations
 
@@ -448,6 +448,12 @@ def main(argv: list[str] | None = None) -> int:
         args.func(args)
     except CapacityError as exc:
         json.dump({"error": str(exc), "kind": "capacity"}, sys.stderr)
+        sys.stderr.write("\n")
+        return 3
+    except RecursionError:
+        json.dump({"error": f"past the recursion limit ({sys.getrecursionlimit()}): "
+                            "the formula or the game nests too deeply", "kind": "capacity"},
+                  sys.stderr)
         sys.stderr.write("\n")
         return 3
     except VerificationError as exc:

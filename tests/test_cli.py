@@ -242,6 +242,24 @@ def test_exit_codes(shg_files, capsys, tmp_path):
     assert err["error"].endswith("}: need n >= s, got n=2, s=3")
 
 
+def test_deep_inputs_exit_3_or_are_cut_short(shg_files, capsys, tmp_path):
+    # one vertex a side: the winner is settled within two rounds, not 5000
+    one = shg_files["vertex"]
+    code, payload = run_json(capsys, ["game", "--left", one, "--right", one,
+                                      "--rounds", "5000"])
+    assert code == 0 and payload["winner"] == "duplicator" and payload["rounds"] == 5000
+    # the formula keeps every round, and re-pebbling nests it 5000 deep
+    two = tmp_path / "two.shg"
+    two.write_text("s 3 n 2\n")
+    for argv in (["game", "--left", one, "--right", str(two), "--rounds", "5000", "--formula"],
+                 ["parse", "!" * 3000 + "x = y"]):
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        err = json.loads(err)
+        assert err["kind"] == "capacity" and "recursion limit" in err["error"]
+
+
 def test_capacity_errors_in_trial_loops_exit_3(shg_files, capsys, tmp_path):
     from zolab.constructions import loose_path, theorem6_pair
     path41 = tmp_path / "p41.shg"

@@ -2,9 +2,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import brute_game_formula, random_formula, random_hypergraph
-from zolab.efgame import distinguishing_formula, duplicator_wins
+from helpers import brute_game_formula, hypergraphs, random_formula, random_hypergraph
+from zolab.efgame import (_atom_order, _child_types, _Side, _types, distinguishing_formula,
+                          duplicator_wins)
 from zolab.errors import CapacityError
 from zolab.folang import evaluate, quantifier_depth, to_text
 from zolab.hypercore import Hypergraph
@@ -203,3 +206,65 @@ def test_formula_text_matches_memo_free_recursion_at_four_rounds():
                 deep += brute_game_formula(g, h, 3) is None
                 assert to_text(got) == to_text(want)
         assert spoiler_wins >= least and deep >= least_deep, (s, spoiler_wins, deep)
+
+
+def test_formula_text_matches_memo_free_recursion_at_five_rounds():
+    # gate for the rank tables: at k = 5 the pair recursion runs two levels
+    # deep before the ranks decide, and extraction walks positions with
+    # three, two and one rounds left
+    rng = random.Random(63)
+    spoiler_wins = 0
+    for i in range(20):
+        g = random_hypergraph(rng, rng.randint(2, 5), p=rng.uniform(0.2, 0.7))
+        if i % 2:
+            h = near_copy(rng, g)
+        else:
+            h = random_hypergraph(rng, rng.randint(2, 5), p=rng.uniform(0.2, 0.7))
+        want = brute_game_formula(g, h, 5)
+        got = distinguishing_formula(g, h, 5)
+        assert (got is None) == (want is None)
+        if want is not None:
+            spoiler_wins += 1
+            assert to_text(got) == to_text(want)
+    assert 12 <= spoiler_wins <= 17, spoiler_wins  # some Duplicator wins: full solves
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_child_types_and_atom_bits_agree_with_types(data):
+    # _child_types extends the parent's types, and _atom_order names the bit
+    # that _types sets for each (s-1)-set of pebbles
+    s = data.draw(st.sampled_from((3, 4, 5)))
+    g = data.draw(hypergraphs(s, data.draw(st.integers(s, 7))))
+    side = _Side(g, {})
+    order = tuple(data.draw(st.permutations(side.verts)))
+    for m in range(len(order)):  # every prefix, and every vertex it leaves out
+        d = order[:m]
+        types = side.types(d)[0]
+        for v in order[m:]:
+            child = _child_types(types, d, v, side.slot, side.link, s)
+            assert child == _types(d + (v,), side.verts, side.link, s)[0], (d, v)
+            for rest, bit in _atom_order(d, s):
+                assert bool(types[side.slot[v]] & bit) == (frozenset((v, *rest)) in g.edges)
+
+
+def test_equal_ranks_are_duplicator_wins():
+    # the ranks after each first pick, as a set, are the root's type one rank
+    # up: rank 1 decides the two-round game and rank 2 the three-round game
+    rng = random.Random(64)
+    agree = {1: 0, 2: 0}
+    for _ in range(150):
+        s = rng.choice((3, 3, 4))
+        g = random_hypergraph(rng, rng.randint(1, 5), s=s, p=rng.uniform(0.2, 0.8))
+        if rng.random() < 0.5:
+            h = near_copy(rng, g)
+        else:
+            h = random_hypergraph(rng, rng.randint(1, 5), s=s, p=rng.uniform(0.2, 0.8))
+        ids: dict = {}
+        sides = _Side(g, ids), _Side(h, ids)
+        for r in (1, 2):
+            a, b = ({x.rank((), x.types(())[0], v, r) for v in x.verts} for x in sides)
+            dup = brute_game_formula(g, h, r + 1) is None
+            assert (a == b) == dup, (r, g, h)
+            agree[r] += dup
+    assert 0 < agree[1] < 150 and 0 < agree[2] < 150, agree
