@@ -16,7 +16,6 @@ KIND_MAX_OBEYS = "max_Sk_obeys"
 KIND_MAX_VIOLATES = "max_Sk_violates"
 KIND_MIN_LIMIT = "min_limit_points"
 KIND_MAX_LIMIT = "max_limit_points"
-KIND_MAX_CANDIDATES = "max_Sk_candidates"
 
 
 @dataclass(frozen=True)

@@ -174,7 +174,7 @@ def _make_config(args, trials: int | None = None) -> randmodel.ExperimentConfig:
     return randmodel.ExperimentConfig(
         s=args.s, n=args.n, trials=trials if trials is not None else args.trials,
         seed=args.seed, alpha=getattr(args, "alpha", None),
-        p=getattr(args, "p", None), method=args.method, property_spec=prop)
+        p=getattr(args, "p", None), property_spec=prop)
 
 
 def _cmd_sample(args) -> None:
@@ -205,8 +205,7 @@ def _cmd_poisson(args) -> None:
     motifs = [_load(p) for p in args.motif]
     alpha = 1 / hypercore.density(motifs[0])
     cfg = randmodel.ExperimentConfig(s=args.s, n=args.n, trials=args.trials,
-                                     seed=args.seed, alpha=alpha,
-                                     method=args.method)
+                                     seed=args.seed, alpha=alpha)
     rep = randmodel.poisson_fit(cfg, motifs)
     _emit(rep.to_dict())
 
@@ -366,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_trials:
             p.add_argument("--trials", type=int, required=True)
         p.add_argument("--seed", type=int)
-        p.add_argument("--method", choices=("auto", "exact", "skip"), default="auto")
 
     p = sub.add_parser("sample", help="draw one random hypergraph")
     add_sampling(p, needs_trials=False)
@@ -389,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--method", choices=("auto", "exact", "skip"), default="auto")
     p.add_argument("--motif", action="append", required=True)
     p.set_defaults(func=_cmd_poisson)
 

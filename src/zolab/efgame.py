@@ -31,22 +31,13 @@ import math
 
 from .errors import CapacityError
 from .folang import Atom, Eq, Exists, Forall, Formula, Not, and_all, or_all
-from .hypercore import Hypergraph
+from .hypercore import Hypergraph, _edge_completions
 
 DEFAULT_GAME_CAP = 8
 
 RULES = "classical: Spoiler chooses either structure each round"
 
 _TYPES_KEPT = 64  # per side: the pebbled-vertex tuples whose types a _Side keeps
-
-
-def _links(g: Hypergraph) -> dict[frozenset[int], list[int]]:
-    """The vertices that complete each (s-1)-set of g to an edge."""
-    out: dict[frozenset[int], list[int]] = {}
-    for e in g.edges:
-        for v in e:
-            out.setdefault(e - {v}, []).append(v)
-    return out
 
 
 @functools.cache
@@ -104,6 +95,9 @@ class _Side:
     """One structure's tables, keyed on d: its distinct pebbled vertices in
     first-pebble order.
 
+    link: the vertices that complete each (s-1)-set to an edge, the
+    structure's `_edge_completions` table.
+
     types(d): _types over d, for the last _TYPES_KEPT tuples d.
 
     rank(d, types, v, r), r in (1, 2): the structure's rank-r type after
@@ -120,7 +114,7 @@ class _Side:
     def __init__(self, g: Hypergraph, ids: dict) -> None:
         self.verts = g.sorted_vertices()
         self.slot = {v: k for k, v in enumerate(self.verts)}
-        self.link, self.s, self.ids = _links(g), g.s, ids
+        self.link, self.s, self.ids = _edge_completions(g, g.s - 1), g.s, ids
         # sibling positions share the pick side's types, and a small LRU
         # keeps nearly every reuse
         self.types = functools.lru_cache(_TYPES_KEPT)(

@@ -14,7 +14,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
 from .bounds import theorem8_split
-from .hypercore import Hypergraph
+from .hypercore import Hypergraph, _bfs_layers, _edge_completions
 
 
 class Formula:
@@ -411,15 +411,15 @@ class _Run:
     __slots__ = ("g", "edges", "vertices", "memos", "_neighbors", "_active", "_completions",
                  "_balls")
 
-    def __init__(self, g: Hypergraph, tables: int, memo: bool):
+    def __init__(self, g: Hypergraph, tables: int):
         self.g = g
         self.edges = g.edges
         self.vertices = g.vertices
-        self.memos = [{} for _ in range(tables)] if memo else None
+        self.memos = [{} for _ in range(tables)]
         self._neighbors: dict[int, tuple[int, ...]] = {}
         self._active: tuple[int, ...] | None = None
         self._completions: dict[int, dict[frozenset[int], set[int]]] = {}  # by key size
-        self._balls: dict[int, list] = {}  # v -> [balls by radius, last layer]
+        self._balls: dict[int, tuple] = {}  # v -> (balls by radius, BFS layers)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         out = self._neighbors.get(v)
@@ -433,27 +433,22 @@ class _Run:
         return self._active
 
     def completions(self, size: int) -> dict[frozenset[int], set[int]]:
-        """Each set of `size` vertices inside an edge -> the other vertices of
-        the edges that hold it, built on first use."""
+        """The host's `_edge_completions` table for `size`, built on first use."""
         table = self._completions.get(size)
         if table is None:
-            table = self._completions[size] = {}
-            for e in self.edges:
-                for part in itertools.combinations(e, size):
-                    table.setdefault(frozenset(part), set()).update(e.difference(part))
+            table = self._completions[size] = _edge_completions(self.g, size)
         return table
 
     def ball(self, v: int, radius: int) -> frozenset[int]:
         """The vertices at distance <= radius from v.  The balls around v and
-        the last BFS layer are kept, and grown one layer at a time on demand."""
+        its `_bfs_layers` walk are kept, and grown one layer at a time."""
         grown = self._balls.get(v)
         if grown is None:
-            grown = self._balls[v] = [[frozenset((v,))], (v,)]
-        balls = grown[0]
+            grown = self._balls[v] = ([frozenset((v,))], _bfs_layers(self.g, v))
+        balls, layers = grown
         while len(balls) <= radius:
             last = balls[-1]
-            layer = set().union(*[self.neighbors(u) for u in grown[1]]) - last
-            grown[1] = layer
+            layer = next(layers, None)
             balls.append(last | layer if layer else last)
         return balls[radius]
 
@@ -564,13 +559,11 @@ def compile(f: Formula) -> CompiledFormula:
                 key = itemgetter(*sorted(free)) if free else (lambda env: None)
 
                 def quantifier(env, run):
-                    memos = run.memos
-                    if memos is not None:
-                        table = memos[tid]
-                        k = key(env)
-                        hit = table.get(k)
-                        if hit is not None:
-                            return hit
+                    table = run.memos[tid]
+                    k = key(env)
+                    hit = table.get(k)
+                    if hit is not None:
+                        return hit
                     saved = env.get(var)  # None only where nothing reads var
                     result = not want
                     for w in candidates(env, run):
@@ -579,8 +572,7 @@ def compile(f: Formula) -> CompiledFormula:
                             result = want
                             break
                     env[var] = saved
-                    if memos is not None:
-                        table[k] = result
+                    table[k] = result
                     return result
 
             return quantifier, free, _bind(bpos, var), _bind(bneg, var), shape
@@ -598,7 +590,7 @@ def compile(f: Formula) -> CompiledFormula:
 
 
 def evaluate(f: Formula | CompiledFormula, g: Hypergraph,
-             assignment: Mapping[str, int] | None = None, *, memo: bool = True) -> bool:
+             assignment: Mapping[str, int] | None = None) -> bool:
     """Standard Tarskian semantics; quantifiers range over the vertices of g.
 
     f is a formula, or one compiled once by `compile` to be run on many hosts.
@@ -616,7 +608,7 @@ def evaluate(f: Formula | CompiledFormula, g: Hypergraph,
     for var, val in env.items():
         if val not in g.vertices:
             raise ValueError(f"assignment sends {var} to unknown vertex {val}")
-    return c.root(env, _Run(g, c.tables, memo))
+    return c.root(env, _Run(g, c.tables))
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,15 @@ Vertices are arbitrary integer labels; nothing assumes contiguity.  All values
 are immutable after construction and safe to share across threads.  Degrees,
 neighbourhoods and distances read a vertex -> incident-edges index that each
 `Hypergraph` builds lazily, once; a sampled host builds even its edge set
-on first read, from the rows it was unranked to.  The backtracking matcher
-reads a second lazy index, built by `_bit_index` from an E x s label array:
-non-isolated vertices as bits in ascending label order, co-edge neighbour
-masks, edge masks and degree >= d masks.  Copy searches meet the motif's
-orbit conditions (`_symmetry`): one embedding per copy.  Those conditions
-come from the only pinned searches, each pinning a prefix of the motif's
-own placement order.  Densities and balance come from max-closure cuts.
+on first read, from the rows it was unranked to.  The one BFS, `_bfs_layers`,
+and the one edge-completion table, `_edge_completions`, serve distances, the
+evaluator and the game solver.  The backtracking matcher reads a second lazy
+index, built by `_bit_index` from an E x s label array: non-isolated vertices
+as bits in ascending label order, co-edge neighbour masks, edge masks and
+degree >= d masks.  Copy searches meet the motif's orbit conditions
+(`_symmetry`): one embedding per copy.  Those conditions come from the only
+pinned searches, each pinning a prefix of the motif's own placement order.
+Densities and balance come from max-closure cuts.
 """
 from __future__ import annotations
 
@@ -158,9 +160,6 @@ class Hypergraph:
 
     def degree(self, v: int) -> int:
         return len(self._incidence.get(v, ()))
-
-    def incident_edges(self, v: int) -> list[frozenset[int]]:
-        return list(self._incidence.get(v, ()))
 
     def co_edge_neighbors(self, v: int) -> set[int]:
         out: set[int] = set().union(*self._incidence.get(v, ()))
@@ -413,8 +412,22 @@ def is_strictly_balanced(g: Hypergraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# distances
+# distances and edge completions
 # ---------------------------------------------------------------------------
+
+def _bfs_layers(g: Hypergraph, v: int) -> Iterator[set[int]]:
+    """The vertices at distance 1, 2, ... from v, one set per distance, read
+    off the incidence index; the walk stops after the last non-empty layer."""
+    inc, seen, layer = g._incidence, {v}, (v,)
+    while True:
+        nxt: set[int] = set()
+        for u in layer:
+            nxt.update(*inc[u])
+        if not (layer := nxt - seen):
+            return
+        seen |= layer
+        yield layer
+
 
 def distance(g: Hypergraph, x: int, y: int) -> int | float:
     """Minimum number of edges in a chain of pairwise-intersecting edges from x to y.
@@ -425,21 +438,20 @@ def distance(g: Hypergraph, x: int, y: int) -> int | float:
         raise ValueError("distance: unknown vertex")
     if x == y:
         return 0
-    inc = g._incidence
-    seen = {x}
-    frontier = {x}
-    d = 0
-    while frontier:
-        d += 1
-        nxt: set[int] = set()
-        for v in frontier:
-            nxt.update(*inc[v])
-        nxt -= seen
-        if y in nxt:
+    for d, layer in enumerate(_bfs_layers(g, x), start=1):
+        if y in layer:
             return d
-        seen |= nxt
-        frontier = nxt
     return math.inf
+
+
+def _edge_completions(g: Hypergraph, size: int) -> dict[frozenset[int], set[int]]:
+    """Each `size`-subset of an edge of g -> the other vertices of the edges
+    that hold it."""
+    table: dict[frozenset[int], set[int]] = {}
+    for e in g.edges:
+        for part in itertools.combinations(e, size):
+            table.setdefault(frozenset(part), set()).update(e.difference(part))
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -687,10 +699,10 @@ def has_copy(motif: Hypergraph, host: Hypergraph, cap: int = DEFAULT_SEARCH_CAP)
 def parse_shg(text: str) -> Hypergraph:
     """Parse the .shg format: header `s <arity> n <count>`, one edge per line.
 
-    The vertex set is {1, ..., n}; `#` starts a comment.
+    The vertex set is {1, ..., n}, n >= 0; `#` starts a comment; no edge repeats.
     """
     header = None
-    edges = []
+    edges: dict[frozenset[int], int] = {}  # edge -> its line number
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -703,6 +715,8 @@ def parse_shg(text: str) -> Hypergraph:
                 header = (int(parts[1]), int(parts[3]))
             except ValueError:
                 raise ValueError(f"line {lineno}: non-integer header fields") from None
+            if header[1] < 0:
+                raise ValueError(f"line {lineno}: negative vertex count {header[1]}")
             continue
         s, n = header
         if len(parts) != s:
@@ -715,7 +729,10 @@ def parse_shg(text: str) -> Hypergraph:
             raise ValueError(f"line {lineno}: repeated vertex in edge")
         if any(not 1 <= v <= n for v in labels):
             raise ValueError(f"line {lineno}: vertex label outside 1..{n}")
-        edges.append(frozenset(labels))
+        e = frozenset(labels)
+        if e in edges:
+            raise ValueError(f"line {lineno}: repeats the edge of line {edges[e]}")
+        edges[e] = lineno
     if header is None:
         raise ValueError("missing .shg header")
     s, n = header

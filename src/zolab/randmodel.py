@@ -93,7 +93,6 @@ class ExperimentConfig:
     seed: int
     alpha: Fraction | None = None
     p: float | None = None
-    method: str = "auto"  # auto | exact | skip
     property_spec: str | None = None
 
     def __post_init__(self) -> None:
@@ -103,8 +102,6 @@ class ExperimentConfig:
             raise ValueError("p must lie in [0, 1]")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.method not in ("auto", "exact", "skip"):
-            raise ValueError("method must be auto, exact or skip")
 
     @cached_property
     def _sampling(self) -> tuple[float, int, list[tuple[np.ndarray, np.ndarray]], frozenset[int]]:
@@ -128,8 +125,9 @@ class ExperimentConfig:
         return edge_probability(self), m, columns, frozenset(range(1, self.n + 1))
 
     def to_dict(self) -> dict:
+        # "auto": the exact sampler iff C(n, s) <= EXACT_RANK_LIMIT
         d = {"s": self.s, "n": self.n, "trials": self.trials, "seed": self.seed,
-             "method": self.method}
+             "method": "auto"}
         if self.alpha is not None:
             d["alpha"] = f"{self.alpha.numerator}/{self.alpha.denominator}"
         else:
@@ -212,11 +210,8 @@ def sample(cfg: ExperimentConfig, trial_index: int) -> Hypergraph:
                 f"over the limit {CANDIDATE_EDGE_LIMIT}")
         ranks = range(m)
     else:
-        key = trial_key(cfg.seed, trial_index)
-        method = cfg.method
-        if method == "auto":
-            method = "exact" if m <= EXACT_RANK_LIMIT else "skip"
-        ranks = (_included_ranks_exact if method == "exact" else _included_ranks_skip)(key, m, p)
+        ranks = (_included_ranks_exact if m <= EXACT_RANK_LIMIT
+                 else _included_ranks_skip)(trial_key(cfg.seed, trial_index), m, p)
     return _host(cfg, ranks)
 
 
@@ -469,7 +464,10 @@ def motif_predicate(motif: Hypergraph) -> Callable[[Hypergraph], bool]:
 
 
 def formula_predicate(formula: Formula) -> Callable[[Hypergraph], bool]:
+    """The closed formula's truth on a host; a free variable is a ValueError."""
     compiled = compile_formula(formula)
+    if compiled.free:
+        raise ValueError(f"a property formula must be closed: free {sorted(compiled.free)}")
 
     def pred(g: Hypergraph) -> bool:
         return evaluate(compiled, g)

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from zolab.folang import (And, Atom, Eq, Exists, Forall, Formula, Implies, Not, Or,
                           and_all, or_all)
 from zolab.hypercore import Hypergraph, _BitIndex
-from zolab.randmodel import (_GOLD, _MASK, ExperimentConfig, _check_order, _comb_tables,
-                             _sm64, edge_probability, trial_key)
+from zolab.randmodel import (_GOLD, _MASK, ExperimentConfig, _check_order, _comb_tables, _host,
+                             _included_ranks_exact, _included_ranks_skip, _sm64,
+                             edge_probability, trial_key)
 
 
 def brute_automorphisms(g: Hypergraph) -> list[dict[int, int]]:
@@ -400,7 +401,7 @@ def _unrank(rank: int, s: int, tables: list[list[int]]) -> tuple[int, ...]:
 def sample_bernoulli(cfg: ExperimentConfig, trial_index: int) -> Hypergraph:
     """Reference sampler: walks every rank and tests its per-subset uniform.
 
-    Identical output to sample(method='exact') by construction; quadratic in
+    Identical output to the exact sampler by construction; quadratic in
     instance size, for verification only.
     """
     _check_order(cfg)
@@ -414,3 +415,12 @@ def sample_bernoulli(cfg: ExperimentConfig, trial_index: int) -> Hypergraph:
         if u < p:
             edges.append(frozenset(v + 1 for v in _unrank(rank, s, tables)))
     return Hypergraph(s, frozenset(range(1, n + 1)), frozenset(edges))
+
+
+def sample_with(sampler: str, cfg: ExperimentConfig, trial_index: int) -> Hypergraph:
+    """sample(cfg, trial_index) by the "exact" or the "skip" sampler, whatever
+    C(n, s) is.  Only for 0 < p < 1: the skip walk divides by log1p(-p), and
+    `sample` itself draws p = 0 and p = 1 without either sampler."""
+    p, m, _, _ = cfg._sampling
+    ranks = {"exact": _included_ranks_exact, "skip": _included_ranks_skip}[sampler]
+    return _host(cfg, ranks(trial_key(cfg.seed, trial_index), m, p))

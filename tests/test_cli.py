@@ -240,6 +240,13 @@ def test_exit_codes(shg_files, capsys, tmp_path):
     assert err["kind"] == "usage"
     assert err["error"].startswith("trial 0 of {s=3, n=2, trials=2, seed=1, ")
     assert err["error"].endswith("}: need n >= s, got n=2, s=3")
+    # a property formula with free variables is refused before any trial
+    for argv in (["scan", "--s", "3", "--n", "6", "--p", "0.5", "--trials", "2"],
+                 ["probe", "--s", "3", "--alpha-grid", "2", "--n-grid", "6", "--trials", "2"]):
+        assert main([*argv, "--seed", "1", "--formula", "exists x N(x,y,z)"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "usage"
+        assert err["error"] == "a property formula must be closed: free ['y', 'z']"
 
 
 def test_deep_inputs_exit_3_or_are_cut_short(shg_files, capsys, tmp_path):

@@ -129,14 +129,6 @@ def test_dist_pair_semantics():
     assert not evaluate(f, H1, {"x": 2, "y": 4, "z": 2})
 
 
-def test_memo_matches_no_memo():
-    rng = random.Random(31)
-    for _ in range(60):
-        f = random_formula(rng, s=3, max_depth=3)
-        g = random_hypergraph(rng, rng.randint(3, 5), p=0.4)
-        assert evaluate(f, g, memo=True) == evaluate(f, g, memo=False)
-
-
 NAMES = ("x", "y", "z", "w")
 
 
@@ -184,7 +176,6 @@ def test_compiled_runs_match_table_oracle(data):
     for g in data.draw(st.lists(hypergraphs(s, n), min_size=1, max_size=3)):
         want = table_evaluate(f, g, env)
         assert evaluate(f, g, env) == want
-        assert evaluate(f, g, env, memo=False) == want
         assert evaluate(compiled, g, env) == want
 
 
@@ -304,11 +295,8 @@ def test_distance_subtrees_match_table_oracle(data):
     g = data.draw(_paths_plus(s, n))
     compiled = compile(f)
     free, rows = truth_table(f, g)
-    for row, (values, want) in enumerate(rows.items()):
-        env = dict(zip(free, values))
-        assert evaluate(compiled, g, env) == want
-        if row % 8 == 0:
-            assert evaluate(compiled, g, env, memo=False) == want
+    for values, want in rows.items():
+        assert evaluate(compiled, g, dict(zip(free, values))) == want
 
 
 def test_run_ball_matches_bfs():
@@ -316,7 +304,7 @@ def test_run_ball_matches_bfs():
     rng = random.Random(41)
     for _ in range(20):
         g = random_hypergraph(rng, rng.randint(3, 9), p=0.08)
-        run = _Run(g, 0, True)
+        run = _Run(g, 0)
         for v, radius in itertools.product(sorted(g.vertices), (3, 0, 5, 1, 2)):
             want = {w for w in g.vertices if brute_distance(g, v, w) <= radius}
             assert run.ball(v, radius) == want
@@ -426,7 +414,6 @@ def test_planted_guards_and_loops_match_table_oracle(data):
         for values, want in rows.items():
             env = dict(zip(free, values))
             assert evaluate(compiled, g, env) == want, (text, env)
-            assert evaluate(compiled, g, env, memo=False) == want, (text, env)
 
 
 class _CountedEdges(frozenset):
@@ -453,7 +440,7 @@ def test_edge_completion_guard_tries_only_completions():
     ]
     for g, text, env in cases:
         c = compile(parse(text))
-        run = _Run(g, c.tables, True)
+        run = _Run(g, c.tables)
         run.edges = _CountedEdges(g.edges)
         assert not c.root(env, run)
         assert run.edges.checks == 2
@@ -464,7 +451,7 @@ def test_edge_completion_guard_tries_only_completions():
 def test_run_completions_match_edge_scan(data):
     s = data.draw(st.sampled_from((3, 4, 5)))
     g = data.draw(hypergraphs(s, data.draw(st.integers(0, 7))))
-    run = _Run(g, 0, True)
+    run = _Run(g, 0)
     for size in (2, s + 1, 1, s, s - 1):  # tables built in any order
         table = run.completions(size)
         for part in map(frozenset, itertools.combinations(sorted(g.vertices), size)):
@@ -486,17 +473,15 @@ def test_memo_tables_only_where_a_hit_is_possible():
 
 def test_rebinding_quantifier_keeps_its_memo():
     # the inner y rebinds the outer one, so its key (x, w) repeats for every
-    # outer y; its memo answers the repeats, and the z loop below it runs bare
+    # outer y; its memo answers the repeats (60 atom checks without it), and
+    # the z loop below it runs bare
     f = parse("forall y forall x (x = y | (forall y (N(x,y,w) -> (exists z N(x,y,z)))))")
     g = Hypergraph.make(3, range(1, 7), [(1, 2, 3), (1, 2, 4), (2, 3, 5), (1, 5, 6)])
     c = compile(f)
-    checks = {}
-    for memo in (True, False):
-        run = _Run(g, c.tables, memo)
-        run.edges = _CountedEdges(g.edges)
-        assert c.root({"w": 1}, run)
-        checks[memo] = run.edges.checks
-    assert 2 * checks[True] < checks[False]
+    run = _Run(g, c.tables)
+    run.edges = _CountedEdges(g.edges)
+    assert c.root({"w": 1}, run)
+    assert run.edges.checks == 12
 
 
 def test_evaluator_against_table_oracle_sample():

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (_unrank, brute_automorphism_count, brute_embedding_count, reference_bits,
-                     sample_bernoulli)
+                     sample_bernoulli, sample_with)
 from zolab import randmodel
 from zolab.errors import ExperimentError
 from zolab.hypercore import Hypergraph, copy_images, count_copies, has_copy, to_shg
@@ -41,8 +41,7 @@ H2 = Hypergraph.make(3, range(1, 7), [(1, 2, 3), (3, 4, 5), (5, 6, 1)])
 def _coupled(cfg, trial, ps):
     """The exact sampler's hosts at each p of `ps` for cfg's seed and one trial:
     they share the per-rank uniforms, so they are coupled across p."""
-    return [sample(dataclasses.replace(cfg, p=p, alpha=None, method="exact"), trial)
-            for p in ps]
+    return [sample(dataclasses.replace(cfg, p=p, alpha=None), trial) for p in ps]
 
 
 def test_config_validation():
@@ -109,10 +108,10 @@ PINNED_HOSTS_SHA256 = "e12e3e57ad04331f9d93d98f4ce635f2f019dcf087325d3d676155316
 def _pinned_hosts():
     for n in (10, 25, 200, 300):
         for alpha in (F(3, 2), F(2), F(5, 2)):
-            for method in ("exact", "skip"):
-                cfg = ExperimentConfig(s=3, n=n, trials=5, seed=2024, alpha=alpha, method=method)
+            cfg = ExperimentConfig(s=3, n=n, trials=5, seed=2024, alpha=alpha)
+            for sampler in ("exact", "skip"):
                 for t in range(5):
-                    yield sample(cfg, t)
+                    yield sample_with(sampler, cfg, t)
     for n in (5, 8):
         for p in (0.0, 1.0):
             yield sample(ExperimentConfig(s=3, n=n, trials=1, seed=3, p=p), 0)
@@ -134,7 +133,7 @@ def test_ranks_beyond_int64_unrank_exactly():
     n, s, p = 500, 10, 1e-19
     m = math.comb(n, s)
     assert m >= 1 << 63  # the unranking tables hold Python ints
-    cfg = ExperimentConfig(s=s, n=n, trials=3, seed=5, p=p, method="skip")
+    cfg = ExperimentConfig(s=s, n=n, trials=3, seed=5, p=p)
     tables = randmodel._comb_tables(n, s)
     for t in range(3):
         ranks = randmodel._included_ranks_skip(randmodel.trial_key(5, t), m, p)
@@ -156,10 +155,12 @@ def _brute_copy_images(motif, host):
 
 def _lazy_index_hosts():
     for s, n in ((3, 7), (3, 9), (4, 8)):
-        for p in (0.0, 0.02, 0.1, 0.3):
-            for method in ("exact", "skip"):
-                cfg = ExperimentConfig(s=s, n=n, trials=2, seed=11, p=p, method=method)
-                yield from (sample(cfg, t) for t in range(2))
+        yield from (sample(ExperimentConfig(s=s, n=n, trials=2, seed=11, p=0.0), t)
+                    for t in range(2))
+        for p in (0.02, 0.1, 0.3):
+            cfg = ExperimentConfig(s=s, n=n, trials=2, seed=11, p=p)
+            for sampler in ("exact", "skip"):
+                yield from (sample_with(sampler, cfg, t) for t in range(2))
         yield from _coupled(ExperimentConfig(s=s, n=n, trials=1, seed=4, p=0.5), 0,
                             [0.05, 0.25])
     yield sample(ExperimentConfig(s=10, n=500, trials=1, seed=5, p=1e-19), 0)
@@ -218,8 +219,8 @@ def test_bad_rows_raise_on_first_read(bad, reason):
 
 
 def test_skip_sampler_mean_matches_binomial():
-    cfg = ExperimentConfig(s=3, n=20, trials=200, seed=7, p=0.1, method="skip")
-    counts = [sample(cfg, i).num_edges for i in range(200)]
+    cfg = ExperimentConfig(s=3, n=20, trials=200, seed=7, p=0.1)
+    counts = [sample_with("skip", cfg, i).num_edges for i in range(200)]
     mean = statistics.mean(counts)
     m = math.comb(20, 3)
     sigma_mean = math.sqrt(m * 0.1 * 0.9) / math.sqrt(200)
@@ -227,7 +228,7 @@ def test_skip_sampler_mean_matches_binomial():
 
 
 def test_exact_sampler_mean_matches_binomial():
-    cfg = ExperimentConfig(s=3, n=12, trials=300, seed=17, p=0.2, method="exact")
+    cfg = ExperimentConfig(s=3, n=12, trials=300, seed=17, p=0.2)
     counts = [sample(cfg, i).num_edges for i in range(300)]
     m = math.comb(12, 3)
     sigma_mean = math.sqrt(m * 0.2 * 0.8) / math.sqrt(300)
@@ -236,9 +237,9 @@ def test_exact_sampler_mean_matches_binomial():
 
 def test_skip_sampler_chisquare():
     from scipy import stats
-    cfg = ExperimentConfig(s=3, n=22, trials=1500, seed=99, p=0.08, method="skip")
+    cfg = ExperimentConfig(s=3, n=22, trials=1500, seed=99, p=0.08)
     m = math.comb(22, 3)
-    counts = [sample(cfg, i).num_edges for i in range(1500)]
+    counts = [sample_with("skip", cfg, i).num_edges for i in range(1500)]
     lo = min(counts)
     hi = max(counts)
     observed = [0] * (hi - lo + 1)
@@ -336,7 +337,7 @@ def test_wilson_interval_sane():
 
 def test_per_config_sampling_work_is_done_once():
     # p's 50-digit logarithm and the unranking tables are per config, not per trial
-    cfg = ExperimentConfig(s=3, n=30, trials=25, seed=5, alpha=Fraction(2), method="skip")
+    cfg = ExperimentConfig(s=3, n=30, trials=25, seed=5, alpha=Fraction(2))
     with mock.patch.object(randmodel, "_comb_tables", wraps=randmodel._comb_tables) as tables, \
             mock.patch.object(randmodel, "edge_probability",
                               wraps=randmodel.edge_probability) as prob:
