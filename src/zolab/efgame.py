@@ -30,7 +30,7 @@ import itertools
 import math
 
 from .errors import CapacityError
-from .folang import Atom, Eq, Exists, Forall, Formula, Not, and_all, or_all
+from .folang import And, Atom, Eq, Exists, Forall, Formula, Not, Or
 from .hypercore import Hypergraph, _edge_completions
 
 DEFAULT_GAME_CAP = 8
@@ -167,8 +167,9 @@ class _Solver:
     type is missing on the other side.  distinguish reads the fact a reply of
     another type breaks off the two types: an equality when either vertex is
     pebbled, else the atom of the first (s-1)-set of g pebbles, in label
-    order, whose bit differs.  A solver holds no reference cycle, so its
-    tables are freed as soon as the caller drops it.
+    order, whose bit differs; replies that break the same fact add it once.
+    A solver holds no reference cycle, so its tables are freed as soon as
+    the caller drops it.
     """
 
     def __init__(self, g: Hypergraph, h: Hypergraph, rounds: int, cap: int) -> None:
@@ -234,28 +235,36 @@ class _Solver:
         else:
             t, verts, types = th[self.h.slot[v]], self.g.verts, tg
         n = len(pg)
-        first = [pg.index(x) for x in dg]  # the same pebble indices on both sides
-        last = {x: i for i, x in enumerate(pg)}
+        x = _var(n)
+        first = [pg.index(y) for y in dg]  # the same pebble indices on both sides
+        names = {y: _var(i) for i, y in enumerate(pg)}  # a vertex's last pebble
         order = None
-        parts = []
+        # the parts in reply order, each kept once: a subformula by value, a
+        # fact by its printed variables and sign (a reply in g prints as x)
+        parts: list[Formula] = []
+        facts = set()
         for w, u in zip(verts, types):
             if u == t:  # no fact breaks: Spoiler wins on with r - 1 rounds
-                parts.append(self.distinguish(*self.after(pg, ph, side, v, w), r - 1))
+                f = self.distinguish(*self.after(pg, ph, side, v, w), r - 1)
+                if f not in parts:
+                    parts.append(f)
                 continue
             a, (ta, tb) = (v, (t, u)) if side == 0 else (w, (u, t))
             if ta < 0 or tb < 0:  # a repeat on either side breaks an equality
-                i, j = (first[~x] if x < 0 else n for x in (ta, tb))
-                f, holds = Eq(_var(min(i, j)), _var(n)), i < j
+                i, j = (first[~y] if y < 0 else n for y in (ta, tb))
+                key = Eq, (_var(min(i, j)), x), i < j
             else:
                 order = order or _atom_order(dg, self.s)
                 rest, bit = next(rb for rb in order if (ta ^ tb) & rb[1])
-                f = Atom(tuple(_var(last.get(x, n)) for x in sorted((a, *rest))))
-                holds = ta & bit
-            parts.append(f if holds else Not(f))
-        x = _var(n)
+                key = Atom, tuple(names.get(y, x) for y in sorted((a, *rest))), bool(ta & bit)
+            if key not in facts:
+                facts.add(key)
+                kind, args, holds = key
+                f = Eq(*args) if kind is Eq else Atom(args)
+                parts.append(f if holds else Not(f))
         if side == 0:
-            return Exists(x, and_all(parts) if parts else Eq(x, x))
-        return Forall(x, or_all(parts) if parts else Not(Eq(x, x)))
+            return Exists(x, functools.reduce(And, parts) if parts else Eq(x, x))
+        return Forall(x, functools.reduce(Or, parts) if parts else Not(Eq(x, x)))
 
 
 def _atom_order(d: tuple[int, ...], s: int) -> list[tuple[tuple[int, ...], int]]:

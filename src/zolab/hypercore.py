@@ -118,15 +118,21 @@ class Hypergraph:
 
     @cached_property
     def _plan(self) -> "_Plan":
-        """The matcher's placement plan: each next vertex is the one with the
-        most placed co-edge neighbours, then the highest degree, then the
-        lowest label."""
+        """The matcher's placement plan, core first and leaves last (Bi et
+        al., CFL-Match, SIGMOD 2016).  Each next vertex has a placed co-edge
+        neighbour whenever one that has is left; among those, a vertex of
+        degree >= 2 comes before a leaf (degree 1), which is almost always
+        the free last vertex of an edge and prunes nothing, so placing it
+        early only multiplies the branches that later core vertices cut.
+        Ties go to the most placed co-edge neighbours, then the highest
+        degree, then the lowest label.  Isolated vertices come last."""
         order: list[int] = []
         remaining = set(self.vertices)
         adj = {v: self.co_edge_neighbors(v) for v in remaining}
         while remaining:
             placed = set(order)
-            best = max(remaining, key=lambda v: (len(adj[v] & placed), self.degree(v), -v))
+            best = max(remaining, key=lambda v: (bool(adj[v] & placed), self.degree(v) > 1,
+                                                 len(adj[v] & placed), self.degree(v), -v))
             order.append(best)
             remaining.discard(best)
         pos = {v: i for i, v in enumerate(order)}
@@ -562,7 +568,7 @@ def _iter_embeddings(motif: Hypergraph, host: Hypergraph, *,
         if j is None:
             return  # an isolated host vertex meets no motif edge
         b = 1 << j
-        if (not allow[i] & b or used & b
+        if (not allow[i] & b or used & b or any(not adj[at[p]] & b for p in back[i])
                 or any(sum(map(img.__getitem__, e)) | b not in edges for e in ready[i])):
             return
         img[i], at[i], lab[i] = b, j, hv

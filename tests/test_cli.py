@@ -225,6 +225,13 @@ def test_exit_codes(shg_files, capsys, tmp_path):
     assert main(["copies", "--motif", str(big), "--host", shg_files["edge"]]) == 3  # capacity
     assert main(["density", str(tmp_path / "nope.shg")]) == 2  # usage
     assert main(["eval", "--formula", "x = ", "--host", shg_files["edge"]]) == 2
+    # each --assign names a free variable of the formula, once
+    capsys.readouterr()
+    for assign, named in ((["x=1", "typo=2"], "--assign typo:"), (["x=1", "x=2"], "--assign x ")):
+        argv = ["eval", "--formula", "x = x", "--host", shg_files["edge"]]
+        assert main([*argv, *(a for v in assign for a in ("--assign", v))]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err)["error"].startswith(named)
     # a pair's inner graph must lie inside its outer graph: edges, then vertices
     for outer in ("bare", "vertex"):
         assert main(["classify-pair", "--outer", shg_files[outer],

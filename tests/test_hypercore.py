@@ -30,6 +30,7 @@ from zolab.errors import VerificationError
 from zolab.hypercore import (
     Hypergraph,
     RootedPair,
+    _bfs_layers,
     _iter_embeddings,
     automorphism_count,
     automorphisms,
@@ -181,6 +182,10 @@ def test_automorphism_groups_of_known_order():
     cases.append((TWO_TRIANGLES, 72))
     cases += [(loose_path(3, t), 8) for t in (3, 4)]
     cases.append((_affine_plane(), 432))
+    # the inner graphs of the Theorem 6 bundle and of a Theorem 8 witness: the
+    # plan places their leaves after every vertex of degree >= 2
+    from zolab.constructions import theorem8_witnesses
+    cases += [(theorem6_pair(3, 1, 2).h, 48), (theorem8_witnesses(3, 4).h, 4)]
     for g, order in cases:
         maps = automorphisms(g)
         assert automorphism_count(g) == len(maps) == order
@@ -515,6 +520,44 @@ def test_pinned_search_matches_permutation_search(s, seed):
             assert len(set(fast)) == len(fast)
             assert set(fast) == {frozenset(m.items()) for m in brute
                                  if all(m[v] == w for v, w in zip(order, pinned))}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from([3, 4]), st.integers(0, 2**32 - 1))
+def test_plan_places_core_first_and_leaves_last(s, seed):
+    rng = random.Random(seed)
+    # up to three blocks of 1-4 random edges on s..2s+2 vertices: sparse, so
+    # most have leaves, and a block may fall apart into more components
+    edges = []
+    for block in range(rng.randint(1, 3)):
+        pool = range(20 * block, 20 * block + rng.randint(s, 2 * s + 2))
+        edges += {tuple(sorted(rng.sample(pool, s))) for _ in range(rng.randint(1, 4))}
+    motif = scrambled(Hypergraph.from_edges(s, edges), rng, rng.randint(0, 2))
+    order, searched = motif._plan.order, motif._plan.searched
+    assert sorted(order) == motif.sorted_vertices()
+    assert all(motif.degree(v) > 0 for v in order[:searched])
+    assert all(motif.degree(v) == 0 for v in order[searched:])
+    seen: set[int] = set()
+    for i, v in enumerate(order[:searched]):
+        if not motif.co_edge_neighbors(v) & seen:
+            # a component starts only when the previous one is placed
+            assert not any(motif.co_edge_neighbors(u) & seen for u in order[i:searched])
+            component = {v}
+            for layer in _bfs_layers(motif, v):
+                component |= layer
+            degrees = [motif.degree(u) for u in order[i:i + len(component)]]
+            assert set(order[i:i + len(component)]) == component
+            assert degrees == sorted(degrees, key=lambda d: d == 1)  # leaves last
+        seen.add(v)
+
+
+def test_bundle_plans_are_pinned():
+    # the inner graph's leaf 4 waits until vertex 2 and the other middles are
+    # placed, instead of coming right after 1 and 3
+    w = theorem6_pair(3, 1, 2)
+    assert w.h._plan.order == (1, 3, 2, 6, 9, 12, 4, 5, 7, 8, 10, 11, 13, 14)
+    assert w.g._plan.order == (1, 3, 2, 6, 9, 12, 16, 15, 19,
+                               4, 5, 7, 8, 10, 11, 13, 14, 17, 18, 20, 21)
 
 
 def _k4tail(s: int) -> Hypergraph:
