@@ -17,7 +17,6 @@ from .folang import (
     Formula,
     build_dist_at_most,
     build_dist_exact,
-    build_dist_pair,
     build_theorem6_L,
     build_theorem8_L,
     evaluate,

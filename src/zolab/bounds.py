@@ -94,14 +94,6 @@ def theorem8_alpha_set(s: int, k: int) -> set[Fraction]:
     return {Fraction(s - 1) - Fraction(1, m + a) for a in range(1, m - 2)}
 
 
-def theorem4_alpha_set(s: int, k: int) -> set[Fraction]:
-    """Earlier violating points; a <= 2^(k-s-2) + 2^(k-s-3) + 1, k >= s+4."""
-    _check_base(s, k, 4)
-    m = 1 << (k - s + 1)
-    a_max = (1 << (k - s - 2)) + (1 << (k - s - 3)) + 1
-    return {Fraction(s - 1) - Fraction(1, m + a) for a in range(1, a_max + 1)}
-
-
 def max_spectrum_candidates(s: int, k: int) -> tuple[Fraction, Fraction]:
     """The two-element candidate set for the maximal spectrum point.
 

@@ -208,9 +208,10 @@ def _cmd_scan(args) -> None:
 
 def _cmd_poisson(args) -> None:
     motifs = [_load(p) for p in args.motif]
-    alpha = 1 / hypercore.density(motifs[0])
+    if not (rho := hypercore.density(motifs[0])):
+        raise ValueError("the motif has density 0: no threshold p = n^(-1/rho)")
     cfg = randmodel.ExperimentConfig(s=args.s, n=args.n, trials=args.trials,
-                                     seed=args.seed, alpha=alpha)
+                                     seed=args.seed, alpha=1 / rho)
     rep = randmodel.poisson_fit(cfg, motifs)
     _emit(rep.to_dict())
 

@@ -41,15 +41,12 @@ def _path_between(s: int, length: int, u: int, w: int, labels: _Labels
     return edges, chain
 
 
-def loose_path(s: int, length: int, endpoints: tuple[int, int] = (1, 2)) -> Hypergraph:
-    """t edges, consecutive ones sharing exactly one vertex; v = t(s-1) + 1."""
+def loose_path(s: int, length: int) -> Hypergraph:
+    """t edges from vertex 1 to vertex 2, consecutive ones sharing exactly one
+    vertex; v = t(s-1) + 1."""
     if s < 3:
         raise ValueError("arity must be >= 3")
-    a, b = endpoints
-    if a == b:
-        raise ValueError("endpoints must be distinct")
-    labels = _Labels(max(a, b) + 1)
-    edges, _ = _path_between(s, length, a, b, labels)
+    edges, _ = _path_between(s, length, 1, 2, _Labels(3))
     return Hypergraph.from_edges(s, edges)
 
 

@@ -20,6 +20,7 @@ from .hypercore import (
     _check_search_cap,
     _max_closure,
     _strictly_balanced,
+    automorphism_count,
     automorphisms,
     copy_images,
     max_density,
@@ -147,21 +148,17 @@ class Prop1Parameter:
 
 def prop1_poisson_parameter(pair: RootedPair,
                             cap: int = DEFAULT_ENUM_CAP) -> Prop1Parameter:
-    """Brute-forced (a(H), a_1, a_2) for the pair; the caller forms the rate
-    (1/a) * exp(-a / (a1 * a2)).
+    """Exact (a(H), a_1, a_2) for the pair; the caller forms the rate
+    (1/a) * exp(-a / (a1 * a2)).  a comes from H's stabilizer chain.  Of the
+    maps of Aut(G), a2 fix V(H) pointwise, and those carrying H onto itself
+    restrict onto the a1 extendable automorphisms of H, a2 maps onto each.
     """
     g, h = pair.outer, pair.inner
-    aut_h = automorphisms(h, cap=cap)
+    a = automorphism_count(h, cap=cap)  # first: H's cap error comes before G's
     aut_g = automorphisms(g, cap=cap)
-    order = sorted(h.vertices)
-    restrictions = {
-        tuple(sig[v] for v in order)
-        for sig in aut_g
-        if all(sig[v] in h.vertices for v in order)
-    }
-    a1 = sum(1 for tau in aut_h if tuple(tau[v] for v in order) in restrictions)
-    a2 = sum(1 for sig in aut_g if all(sig[v] == v for v in order))
-    return Prop1Parameter(a=len(aut_h), a1=a1, a2=a2)
+    a2 = sum(all(sig[v] == v for v in h.vertices) for sig in aut_g)
+    onto_h = sum(h.relabel(sig) == h for sig in aut_g)
+    return Prop1Parameter(a=a, a1=onto_h // a2, a2=a2)
 
 
 # ---------------------------------------------------------------------------

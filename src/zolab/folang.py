@@ -666,17 +666,6 @@ def build_dist_exact(i: int, s: int, x: str = "x1", y: str = "x2") -> Formula:
     return _dist_exact(i, s, x, y, _Names())
 
 
-def build_dist_pair(i: int, j: int, s: int, x: str = "x1", y: str = "x2",
-                    z: str = "x3") -> Formula:
-    """Three-free-variable formula: distance(x, z) = i and distance(z, y) = j."""
-    if i < 1 or j < 1:
-        raise ValueError("distance bounds must be >= 1")
-    if s < 3:
-        raise ValueError("arity must be >= 3")
-    names = _Names()
-    return _dist_pair(i, j, s, x, y, z, names)
-
-
 def _dist_pair(i: int, j: int, s: int, x: str, y: str, z: str, names: _Names) -> Formula:
     return And(_dist_exact(i, s, x, z, names), _dist_exact(j, s, z, y, names))
 

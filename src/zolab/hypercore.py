@@ -461,7 +461,7 @@ def _edge_completions(g: Hypergraph, size: int) -> dict[frozenset[int], set[int]
 
 
 # ---------------------------------------------------------------------------
-# isomorphism search: automorphisms, copies, embeddings
+# isomorphism search: one matcher for copies and automorphism groups
 # ---------------------------------------------------------------------------
 
 class _BitIndex(NamedTuple):
@@ -630,7 +630,8 @@ def _check_search_cap(g: Hypergraph, cap: int) -> None:
 
 
 def automorphisms(g: Hypergraph, cap: int = DEFAULT_SEARCH_CAP) -> list[dict[int, int]]:
-    """All edge-preserving vertex bijections of g onto itself."""
+    """All edge-preserving vertex bijections of g onto itself, listed by the
+    one search without orbit conditions; `automorphism_count` counts them."""
     _check_search_cap(g, cap)
     return list(_iter_embeddings(g, g))
 
@@ -644,13 +645,6 @@ def automorphism_count(g: Hypergraph, cap: int = DEFAULT_SEARCH_CAP) -> int:
     return math.prod(orbits, start=math.factorial(len(plan.order) - plan.searched))
 
 
-def count_embeddings(motif: Hypergraph, host: Hypergraph,
-                     cap: int = DEFAULT_SEARCH_CAP) -> int:
-    """Injective maps of motif into host sending every motif edge to a host edge."""
-    _check_search_cap(motif, cap)
-    return sum(1 for _ in _iter_embeddings(motif, host))
-
-
 def count_copies(motif: Hypergraph, host: Hypergraph, cap: int = DEFAULT_SEARCH_CAP,
                  induced: bool = False) -> int:
     """Sub-hypergraphs of host isomorphic to motif.
@@ -662,11 +656,11 @@ def count_copies(motif: Hypergraph, host: Hypergraph, cap: int = DEFAULT_SEARCH_
     return sum(1 for _ in _images(motif, host, cap, induced))
 
 
-def copy_images(motif: Hypergraph, host: Hypergraph, cap: int = DEFAULT_SEARCH_CAP,
-                induced: bool = False) -> set[_Image]:
-    """Distinct copy images as (vertex set, edge set) pairs."""
+def copy_images(motif: Hypergraph, host: Hypergraph, cap: int = DEFAULT_SEARCH_CAP
+                ) -> set[_Image]:
+    """Distinct non-induced copy images as (vertex set, edge set) pairs."""
     return {(frozenset(m.values()), frozenset(frozenset(m[u] for u in e) for e in motif.edges))
-            for m in _images(motif, host, cap, induced)}
+            for m in _images(motif, host, cap, induced=False)}
 
 
 def _images(motif: Hypergraph, host: Hypergraph, cap: int, induced: bool
@@ -764,8 +758,3 @@ def canonical_relabel(g: Hypergraph) -> tuple[Hypergraph, dict[int, int]]:
 def read_shg(path: str) -> Hypergraph:
     with open(path, "r", encoding="ascii") as fh:
         return parse_shg(fh.read())
-
-
-def write_shg(path: str, g: Hypergraph) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(to_shg(g))

@@ -346,7 +346,8 @@ def poisson_fit(cfg: ExperimentConfig, motifs: Sequence[Hypergraph]) -> Experime
     rhos = {density(mg) for mg in motifs}
     if len(rhos) != 1:
         raise ValueError(f"motif densities differ: {sorted(rhos)}")
-    rho = rhos.pop()
+    if not (rho := rhos.pop()):
+        raise ValueError("the motifs have density 0: no threshold p = n^(-1/rho)")
     for mg in motifs:
         if not is_strictly_balanced(mg):
             raise ValueError("every motif must be strictly balanced")
@@ -395,7 +396,8 @@ def prop1_experiment(pair: RootedPair, cfg: ExperimentConfig,
         raise ValueError("inner graph is not strictly balanced")
     if not is_pair_strictly_balanced(pair):
         raise ValueError("the pair is not strictly balanced")
-    rho = density(h)
+    if not (rho := density(h)):
+        raise ValueError("the inner graph has density 0: no threshold p = n^(-1/rho)")
     if pair.rel_density() != rho:
         raise ValueError(
             f"density identity fails: rho(H) = {rho}, rho(G,H) = {pair.rel_density()}")

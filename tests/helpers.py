@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from zolab.folang import (And, Atom, Eq, Exists, Forall, Formula, Implies, Not, Or,
                           and_all, or_all)
-from zolab.hypercore import Hypergraph, _BitIndex
+from zolab.hypercore import Hypergraph, _BitIndex, to_shg
 from zolab.randmodel import (_GOLD, _MASK, ExperimentConfig, _check_order, _comb_tables, _host,
                              _included_ranks_exact, _included_ranks_skip, _sm64,
                              edge_probability, trial_key)
@@ -141,6 +141,19 @@ def brute_pair_strictly_balanced(pair) -> bool:
                for k in brute_intermediates(pair) if k not in (h, g))
 
 
+def brute_prop1_constants(pair) -> tuple[int, int, int]:
+    """(a, a1, a2) of Prop 1 by their definitions: a = |Aut(H)|, a1 = the
+    automorphisms of H that some automorphism of G extends, a2 = the
+    automorphisms of G fixing every vertex of H."""
+    g, h = pair.outer, pair.inner
+    aut_h, aut_g = brute_automorphisms(h), brute_automorphisms(g)
+    order = sorted(h.vertices)
+    restrictions = {tuple(sig[v] for v in order) for sig in aut_g}
+    a1 = sum(tuple(tau[v] for v in order) in restrictions for tau in aut_h)
+    a2 = sum(all(sig[v] == v for v in order) for sig in aut_g)
+    return len(aut_h), a1, a2
+
+
 def brute_game_formula(g: Hypergraph, h: Hypergraph, rounds: int) -> Formula | None:
     """Memo-free game recursion that builds Spoiler's distinguishing formula as
     it searches: None iff Duplicator wins.  Spoiler's first winning move is
@@ -191,6 +204,21 @@ def brute_game_formula(g: Hypergraph, h: Hypergraph, rounds: int) -> Formula | N
         return None
 
     return go((), (), rounds)
+
+
+def theorem4_alpha_set(s: int, k: int) -> set[Fraction]:
+    """The paper's Theorem 4 violating points s-1-1/(2^(k-s+1) + a) with
+    1 <= a <= 2^(k-s-2) + 2^(k-s-3) + 1, k >= s + 4, listed one by one."""
+    if s < 3 or k < s + 4:
+        raise ValueError(f"need s >= 3 and k >= s + 4, got s={s}, k={k}")
+    m = 1 << (k - s + 1)
+    a_max = (1 << (k - s - 2)) + (1 << (k - s - 3)) + 1
+    return {Fraction(s - 1) - Fraction(1, m + a) for a in range(1, a_max + 1)}
+
+
+def write_shg(path: str, g: Hypergraph) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(to_shg(g))
 
 
 def brute_distance(g: Hypergraph, x: int, y: int) -> float:

@@ -10,10 +10,9 @@ import random
 import time
 from fractions import Fraction
 
-from helpers import random_formula, random_hypergraph, table_evaluate
+from helpers import random_formula, random_hypergraph, table_evaluate, theorem4_alpha_set
 from zolab.bounds import (
     max_spectrum_candidates,
-    theorem4_alpha_set,
     theorem7_alpha_set,
     theorem8_alpha_set,
 )

@@ -4,6 +4,7 @@ from unittest import mock
 
 import pytest
 
+from helpers import theorem4_alpha_set
 from zolab import bounds
 from zolab.bounds import (
     SpectrumBound,
@@ -13,7 +14,6 @@ from zolab.bounds import (
     qk_contains,
     theorem1_region,
     theorem2_region,
-    theorem4_alpha_set,
     theorem5_endpoint,
     theorem6_endpoint,
     theorem7_alpha_set,
@@ -100,7 +100,11 @@ def test_disjointness_grid():
 def test_theorem4_subset_of_theorem8():
     for s in (3, 4):
         for k in range(s + 4, s + 9):
-            assert theorem4_alpha_set(s, k) <= theorem8_alpha_set(s, k)
+            points = theorem4_alpha_set(s, k)
+            assert points <= theorem8_alpha_set(s, k)
+            # the table's row is the set's largest point, in closed form
+            (row,) = (r for r in other_bound_values(s, k) if r.theorem == "theorem4")
+            assert row.value == max(points)
 
 
 def test_qk_membership():

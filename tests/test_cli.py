@@ -3,8 +3,9 @@ import re
 
 import pytest
 
+from helpers import write_shg
 from zolab.cli import main
-from zolab.hypercore import Hypergraph, parse_shg, write_shg
+from zolab.hypercore import Hypergraph, parse_shg
 
 
 @pytest.fixture()
@@ -216,7 +217,7 @@ def test_poisson_prop1_cmds(shg_files, capsys, tmp_path):
                                       "--n", "40", "--alpha", "7/4",
                                       "--trials", "10", "--seed", "6"])
     assert code == 0
-    assert payload["extra"]["a"] == 48
+    assert (payload["extra"]["a"], payload["extra"]["a1"], payload["extra"]["a2"]) == (48, 8, 1)
 
 
 def test_exit_codes(shg_files, capsys, tmp_path):
@@ -236,6 +237,18 @@ def test_exit_codes(shg_files, capsys, tmp_path):
     for outer in ("bare", "vertex"):
         assert main(["classify-pair", "--outer", shg_files[outer],
                      "--inner", shg_files["edge"], "--alpha", "7/4"]) == 2
+    # an edgeless motif or inner graph has density 0: no threshold n^(-1/rho)
+    two = tmp_path / "two.shg"
+    two.write_text("s 3 n 2\n")
+    capsys.readouterr()
+    for argv in (["poisson", "--s", "3", "--n", "10", "--trials", "2",
+                  "--motif", shg_files["bare"]],
+                 ["prop1", "--outer", str(two), "--inner", shg_files["vertex"], "--s", "3",
+                  "--n", "10", "--alpha", "1", "--trials", "2"]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        err = json.loads(err)
+        assert out == "" and err["kind"] == "usage" and "density 0" in err["error"]
     with pytest.raises(SystemExit) as exc:
         main(["balance"])  # argparse usage error
     assert exc.value.code == 2

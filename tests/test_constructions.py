@@ -47,7 +47,7 @@ def test_loose_path_shape():
 
 
 def test_loose_path_intersections():
-    p = loose_path(3, 4, endpoints=(1, 2))
+    p = loose_path(3, 4)
     # order edges along the chain by walking from endpoint 1
     edges = list(p.edges)
     chain = []
@@ -96,7 +96,7 @@ def test_loose_path_endpoint_distance():
     from zolab.hypercore import distance
     for s in (3, 4):
         for t in range(1, 6):
-            p = loose_path(s, t, endpoints=(1, 2))
+            p = loose_path(s, t)
             assert distance(p, 1, 2) == t
 
 

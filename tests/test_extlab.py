@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import (
     brute_pair_class,
     brute_pair_strictly_balanced,
+    brute_prop1_constants,
     random_hypergraph,
 )
 from zolab.constructions import loose_path, theorem6_pair
@@ -50,7 +51,7 @@ def test_classify_examples():
     assert classify_pair(RootedPair(EDGE_EXT, VERTEX), F(7, 4)) == PairClass.SAFE
     w = theorem6_pair(3, 1, 2)
     assert classify_pair(w.pair, w.alpha) == PairClass.NEUTRAL
-    path = loose_path(3, 2, endpoints=(1, 2))
+    path = loose_path(3, 2)
     rigid = RootedPair(path, Hypergraph.make(3, [1, 2], []))
     assert classify_pair(rigid, F(7, 4)) == PairClass.RIGID
 
@@ -271,10 +272,10 @@ def test_cyclic_witnesses_satisfy_template_clauses():
 
 
 @st.composite
-def rooted_pairs(draw):
+def rooted_pairs(draw, max_n: int = 6):
     """Small pairs: a random outer graph, an inner vertex subset and any subset
     of the outer edges it induces (so the inner graph need not be induced)."""
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, max_n))
     pool = [frozenset(c) for c in itertools.combinations(range(1, n + 1), 3)]
     edges = frozenset(draw(st.lists(st.sampled_from(pool), max_size=7))) if pool else frozenset()
     inner_v = frozenset(draw(st.permutations(range(1, n + 1)))[:draw(st.integers(0, n))])
@@ -297,6 +298,13 @@ def test_pair_walk_against_sign_table(pair, an, ad):
     alpha = F(an, ad)
     assert classify_pair(pair, alpha).value == brute_pair_class(pair, alpha)
     assert is_pair_strictly_balanced(pair) == brute_pair_strictly_balanced(pair)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rooted_pairs(7))
+def test_prop1_parameters_against_their_definitions(pair):
+    p = prop1_poisson_parameter(pair)
+    assert (p.a, p.a1, p.a2) == brute_prop1_constants(pair)
 
 
 def test_pair_cuts_at_every_class():

@@ -17,6 +17,7 @@ from helpers import (
     truth_table,
 )
 from zolab.folang import (
+    _Names,
     _Run,
     And,
     Atom,
@@ -27,9 +28,9 @@ from zolab.folang import (
     Implies,
     Not,
     Or,
+    _dist_pair,
     build_dist_at_most,
     build_dist_exact,
-    build_dist_pair,
     build_theorem6_L,
     build_theorem8_L,
     compile,
@@ -121,7 +122,7 @@ def test_dist_semantics_match_bfs():
 
 
 def test_dist_pair_semantics():
-    f = build_dist_pair(1, 1, 3, "x", "y", "z")
+    f = _dist_pair(1, 1, 3, "x", "y", "z", _Names())
     assert free_variables(f) == {"x", "y", "z"}
     # midpoint of the two edges of H1: vertex 1 and 3 are at distance 1 of both 2, 4
     assert evaluate(f, H1, {"x": 2, "y": 4, "z": 3})
@@ -342,7 +343,7 @@ def test_builder_text_and_depth_pinned():
     # their text and quantifier depth are as they were before recognition
     pinned = {
         build_dist_exact(5, 4): (5, 585, "2601a5e5e1c29db4"),
-        build_dist_pair(3, 2, 3): (3, 359, "56784a499eba58d8"),
+        _dist_pair(3, 2, 3, "x1", "x2", "x3", _Names()): (3, 359, "56784a499eba58d8"),
         build_theorem6_L(3, 8): (8, 1308, "94773e8f99ffcd81"),
         build_theorem8_L(3, 5, 2, 2): (5, 639, "b1004673b5b6874c"),
         build_theorem8_L(3, 6, 2, 5): (6, 1755, "a8d4674ca94ae652"),

@@ -24,20 +24,22 @@ from helpers import (
     random_hypergraph,
     reference_bits,
     scrambled,
+    write_shg,
 )
 from zolab.constructions import loose_path, theorem6_pair
 from zolab.errors import VerificationError
 from zolab.hypercore import (
+    DEFAULT_SEARCH_CAP,
     Hypergraph,
     RootedPair,
     _bfs_layers,
+    _images,
     _iter_embeddings,
     automorphism_count,
     automorphisms,
     canonical_relabel,
     copy_images,
     count_copies,
-    count_embeddings,
     density,
     distance,
     has_copy,
@@ -45,7 +47,6 @@ from zolab.hypercore import (
     max_density,
     parse_shg,
     to_shg,
-    write_shg,
 )
 
 F = Fraction
@@ -54,6 +55,20 @@ EDGE = Hypergraph.make(3, [1, 2, 3], [(1, 2, 3)])
 H1 = Hypergraph.make(3, range(1, 5), [(1, 2, 3), (3, 4, 1)])
 H2 = Hypergraph.make(3, range(1, 7), [(1, 2, 3), (3, 4, 5), (5, 6, 1)])
 T6_H = None  # built lazily in the test that needs it
+
+
+def _embedding_count(motif: Hypergraph, host: Hypergraph) -> int:
+    """Injective maps sending every motif edge to a host edge: the matcher
+    without orbit conditions."""
+    return sum(1 for _ in _iter_embeddings(motif, host))
+
+
+def _induced_images(motif: Hypergraph, host: Hypergraph) -> set:
+    return {_image(m, motif) for m in _images(motif, host, DEFAULT_SEARCH_CAP, True)}
+
+
+def _image(m: dict[int, int], motif: Hypergraph):
+    return frozenset(m.values()), frozenset(frozenset(m[u] for u in e) for e in motif.edges)
 
 
 def test_type_invariants():
@@ -211,7 +226,7 @@ def test_copies_times_aut_equals_embeddings():
     for _ in range(15):
         host = random_hypergraph(rng, 7, p=0.3)
         for motif in motifs:
-            emb = count_embeddings(motif, host)
+            emb = _embedding_count(motif, host)
             assert emb == brute_embedding_count(motif, host)
             assert count_copies(motif, host) * automorphism_count(motif) == emb
 
@@ -329,14 +344,14 @@ def test_matcher_against_brute_force(motif, host):
     emb = brute_embedding_count(motif, host)
     aut = brute_automorphism_count(motif)
     assert automorphism_count(motif) == aut
-    assert count_embeddings(motif, host) == emb
+    assert _embedding_count(motif, host) == emb
     assert count_copies(motif, host) == emb // aut
     assert has_copy(motif, host) == (emb > 0)
     # induced copies: images whose vertex set carries no further host edge
     images = copy_images(motif, host)
     induced = {(vs, es) for vs, es in images
                if all(e in es for e in host.edges if e <= vs)}
-    assert copy_images(motif, host, induced=True) == induced
+    assert _induced_images(motif, host) == induced
     assert count_copies(motif, host, induced=True) == len(induced)
 
 
@@ -367,7 +382,7 @@ def test_matcher_on_scrambled_labels(s, seed):
     emb = brute_embedding_count(motif, host)
     aut = brute_automorphism_count(motif)
     assert automorphism_count(motif) == aut
-    assert count_embeddings(motif, host) == emb
+    assert _embedding_count(motif, host) == emb
     assert count_copies(motif, host) == emb // aut
     assert has_copy(motif, host) == (emb > 0)
     images = copy_images(motif, host)
@@ -376,7 +391,7 @@ def test_matcher_on_scrambled_labels(s, seed):
         assert len(vs) == motif.num_vertices and es <= host.edges and vs <= host.vertices
     induced = {(vs, es) for vs, es in images
                if all(e in es for e in host.edges if e <= vs)}
-    assert copy_images(motif, host, induced=True) == induced
+    assert _induced_images(motif, host) == induced
     assert count_copies(motif, host, induced=True) == len(induced)
     # the matcher's bitset index against edge scans
     for g in (host, motif):
@@ -464,10 +479,6 @@ def _reference_automorphism_count(motif: Hypergraph) -> int:
     return brute_automorphism_count(motif) if motif.num_vertices <= 9 else len(automorphisms(motif))
 
 
-def _image(m: dict[int, int], motif: Hypergraph):
-    return frozenset(m.values()), frozenset(frozenset(m[u] for u in e) for e in motif.edges)
-
-
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.sampled_from(CANONICAL_MOTIFS), st.integers(0, 2**32 - 1))
 def test_canonical_search_yields_each_copy_once(motif, seed):
@@ -476,7 +487,7 @@ def test_canonical_search_yields_each_copy_once(motif, seed):
     # unconstrained search, itself checked against them on small graphs
     small = math.perm(host.num_vertices, motif.num_vertices) <= 50_000
     emb = (brute_embedding_count(motif, host) if small
-           else count_embeddings(motif, host, cap=24))
+           else _embedding_count(motif, host))
     aut = _reference_automorphism_count(motif)
     assert automorphism_count(motif) == aut and emb % aut == 0
     images = [_image(m, motif) for m in _iter_embeddings(motif, host, canonical=True)]

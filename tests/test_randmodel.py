@@ -447,6 +447,9 @@ def test_poisson_fit_preconditions():
         poisson_fit(ExperimentConfig(s=3, n=30, trials=5, seed=1, p=0.3), [edge])  # p, not alpha
     rep = poisson_fit(ExperimentConfig(s=3, n=30, trials=5, seed=1, alpha=F(3)), [edge])
     assert sum(rep.histogram.values()) == 5
+    # one bare vertex is strictly balanced, but density 0 has no threshold
+    with pytest.raises(ValueError, match="density 0"):
+        poisson_fit(cfg, [Hypergraph.make(3, [1], [])])
 
 
 def test_probe_interior_estimate_at_critical_alpha():
