@@ -5,6 +5,7 @@ the m-decompositions they chain into.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -142,7 +143,6 @@ class Prop1Parameter:
         return Fraction(self.a, self.a1 * self.a2)
 
     def rate(self) -> float:
-        import math
         return float(self.rate_inverse) * math.exp(-float(self.exponent))
 
 
@@ -152,13 +152,17 @@ def prop1_poisson_parameter(pair: RootedPair,
     (1/a) * exp(-a / (a1 * a2)).  a comes from H's stabilizer chain.  Of the
     maps of Aut(G), a2 fix V(H) pointwise, and those carrying H onto itself
     restrict onto the a1 extendable automorphisms of H, a2 maps onto each.
+    Such a map permutes the m isolated vertices of G outside V(H) freely, so
+    only Aut(G) less those vertices is listed and a2 takes a factor m!.
     """
     g, h = pair.outer, pair.inner
     a = automorphism_count(h, cap=cap)  # first: H's cap error comes before G's
-    aut_g = automorphisms(g, cap=cap)
+    _check_search_cap(g, cap)
+    outside = {v for v in g.vertices - h.vertices if not g.degree(v)}
+    aut_g = automorphisms(g.induced(g.vertices - outside), cap=cap)
     a2 = sum(all(sig[v] == v for v in h.vertices) for sig in aut_g)
     onto_h = sum(h.relabel(sig) == h for sig in aut_g)
-    return Prop1Parameter(a=a, a1=onto_h // a2, a2=a2)
+    return Prop1Parameter(a=a, a1=onto_h // a2, a2=a2 * math.factorial(len(outside)))
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,13 @@ class Hypergraph:
         the free last vertex of an edge and prunes nothing, so placing it
         early only multiplies the branches that later core vertices cut.
         Ties go to the most placed co-edge neighbours, then the highest
-        degree, then the lowest label.  Isolated vertices come last."""
+        degree, then the lowest label.  Isolated vertices come last.
+
+        A group is two or more later positions with the same non-empty
+        `back` and the same degree: their images are distinct vertices of
+        one candidate set (as in TurboISO's neighbourhood-equivalence
+        classes; Han et al., SIGMOD 2013).  Each group is filed under the
+        last position of its `back`, where the search counts that set."""
         order: list[int] = []
         remaining = set(self.vertices)
         adj = {v: self.co_edge_neighbors(v) for v in remaining}
@@ -146,7 +152,16 @@ class Hypergraph:
         searched = len(order)
         while searched and need[searched - 1] == 0:
             searched -= 1
-        return _Plan(tuple(order), back, tuple(map(tuple, ready)), need, searched)
+        alike: dict[tuple[tuple[int, ...], int], list[int]] = {}
+        for i in range(searched):
+            if back[i]:
+                alike.setdefault((back[i], need[i]), []).append(i)
+        groups: list[list[tuple[int, ...]]] = [[] for _ in order]
+        for (b, _), members in alike.items():
+            if len(members) > 1:
+                groups[b[-1]].append(tuple(members))
+        return _Plan(tuple(order), back, tuple(map(tuple, ready)), need, searched,
+                     tuple(map(tuple, groups)))
 
     @cached_property
     def _symmetry(self) -> tuple[tuple[int, ...], ...]:
@@ -453,10 +468,12 @@ def distance(g: Hypergraph, x: int, y: int) -> int | float:
 def _edge_completions(g: Hypergraph, size: int) -> dict[frozenset[int], set[int]]:
     """Each `size`-subset of an edge of g -> the other vertices of the edges
     that hold it."""
+    if size > g.s:
+        return {}  # no edge holds a larger set
     table: dict[frozenset[int], set[int]] = {}
     for e in g.edges:
-        for part in itertools.combinations(e, size):
-            table.setdefault(frozenset(part), set()).update(e.difference(part))
+        for rest in itertools.combinations(e, g.s - size):
+            table.setdefault(e.difference(rest), set()).update(rest)
     return table
 
 
@@ -519,13 +536,15 @@ def _bit_index(rows: np.ndarray, vertices: frozenset[int]) -> _BitIndex:
 
 class _Plan(NamedTuple):
     """A motif's placement order, each position's earlier neighbours,
-    completed edges and degree; the isolated vertices follow `searched`."""
+    completed edges and degree; the isolated vertices follow `searched`.
+    Per position, the groups filed there, each as its member positions."""
 
     order: tuple[int, ...]
     back: tuple[tuple[int, ...], ...]
     ready: tuple[tuple[tuple[int, ...], ...], ...]
     need: tuple[int, ...]
     searched: int
+    groups: tuple[tuple[tuple[int, ...], ...], ...]
 
 
 def _iter_embeddings(motif: Hypergraph, host: Hypergraph, *,
@@ -543,19 +562,28 @@ def _iter_embeddings(motif: Hypergraph, host: Hypergraph, *,
     are the AND of the co-edge masks of its placed neighbours' images, the
     host vertices of at least the motif vertex's degree, the unused ones and,
     per orbit condition, the bits above an earlier image; a completed motif
-    edge is checked as the OR of its images' bits.  Motif vertices of degree
-    0 come last and take any unused host vertices, in every order or
-    (canonical) ascending."""
+    edge is checked as the OR of its images' bits.  A candidate is then kept
+    only if each group filed at its position (`_plan`) still finds as many
+    unused host vertices of its degree in the co-edge masks of its `back`
+    images as it has members: a necessary condition, so it cuts only
+    branches that yield nothing, and the maps come in the same order.  A
+    group filed at a pinned position is counted once, before the search.
+    Motif vertices of degree 0 come last and take any unused host vertices,
+    in every order or (canonical) ascending."""
     if motif.s != host.s:
         raise ValueError("arity mismatch between motif and host")
     if motif.num_vertices > host.num_vertices or motif.num_edges > host.num_edges:
         return
 
-    order, back, ready, need, searched = motif._plan
+    order, back, ready, need, searched, groups = motif._plan
     idx = host._bits
     adj, labels, edges = idx.adj, idx.labels, idx.edges
     deg_ge = idx.degree_at_least
     allow = [deg_ge[d] if d < len(deg_ge) else 0 for d in need]
+    # Per position, each group filed there: its other back positions, its
+    # degree mask and its size.  Its room is the unused part of that mask
+    # inside the co-edge masks of those positions' images.
+    look = [tuple((back[g[0]][:-1], allow[g[0]], len(g)) for g in gs) for gs in groups]
 
     # Per position: its image's bit, bit index and label.  Images are
     # distinct bits, so an edge's OR is the sum of its images' bits.
@@ -573,6 +601,14 @@ def _iter_embeddings(motif: Hypergraph, host: Hypergraph, *,
             return
         img[i], at[i], lab[i] = b, j, hv
         used |= b
+    lo = len(pinned)
+    for gs in groups[:lo]:
+        for g in gs:
+            room = allow[g[0]] & ~used
+            for p in back[g[0]]:
+                room &= adj[at[p]]
+            if room.bit_count() < sum(p >= lo for p in g):
+                return
 
     def complete() -> Iterator[dict[int, int]]:
         if searched == k:
@@ -584,12 +620,12 @@ def _iter_embeddings(motif: Hypergraph, host: Hypergraph, *,
                      else itertools.permutations(free, k - searched)):
             yield dict(zip(order, lab[:searched] + list(rest)))
 
-    lo = len(pinned)
     if lo == searched:
         yield from complete()
         return
     cand = [0] * k   # the untried candidates of each placed position
     part: list[list[int]] = [[]] * k  # the placed bits of each edge completed there
+    rooms: list[list[tuple[int, int]]] = [[]] * k  # per group filed there: its room, its size
     i, c = lo, None
     while True:
         if c is None:  # entering position i
@@ -599,6 +635,15 @@ def _iter_embeddings(motif: Hypergraph, host: Hypergraph, *,
             for p in above[i]:
                 c &= -(img[p] << 1)
             ps = part[i] = [sum(map(img.__getitem__, e)) for e in ready[i]] if ready[i] else ()
+            if look[i]:
+                rs = rooms[i] = []
+                for others, room, size in look[i]:
+                    room &= ~used
+                    for p in others:
+                        room &= adj[at[p]]
+                    rs.append((room, size))
+            else:
+                rs = ()
         while c:
             b = c & -c
             c ^= b
@@ -606,13 +651,17 @@ def _iter_embeddings(motif: Hypergraph, host: Hypergraph, *,
                 if p | b not in edges:
                     break
             else:
-                break
+                for room, size in rs:
+                    if (adj[b.bit_length() - 1] & room).bit_count() < size:
+                        break
+                else:
+                    break
         else:  # no candidate left: back up
             i -= 1
             if i < lo:
                 return
             used ^= img[i]
-            c, ps = cand[i], part[i]
+            c, ps, rs = cand[i], part[i], rooms[i]
             continue
         j = b.bit_length() - 1
         img[i], at[i], lab[i] = b, j, labels[j]

@@ -48,6 +48,50 @@ def brute_embedding_count(motif: Hypergraph, host: Hypergraph) -> int:
     return sum(1 for _ in brute_embeddings(motif, host))
 
 
+def reference_embeddings(motif: Hypergraph, host: Hypergraph, pinned: tuple[int, ...] = (),
+                         canonical: bool = False):
+    """`hypercore._iter_embeddings` without its group lookahead, by plain
+    recursion over label sets: `motif._plan`'s order and checks, candidates
+    in ascending label order of the non-isolated host vertices, the
+    `_symmetry` conditions when `canonical`, and the isolated motif vertices
+    completed as the matcher completes them.  So it yields the matcher's
+    maps in the matcher's order."""
+    order, back, ready, need, searched = motif._plan[:5]
+    k = len(order)
+    above = motif._symmetry if canonical else [()] * k
+    roots = sorted(v for v in host.vertices if host.degree(v))
+    near = {v: host.co_edge_neighbors(v) for v in roots}
+    lab: list[int] = []
+
+    def fits(i: int, w: int) -> bool:
+        return (host.degree(w) >= need[i] and w not in lab
+                and all(w in near[lab[p]] for p in back[i])
+                and all(frozenset([*(lab[p] for p in e), w]) in host.edges for e in ready[i]))
+
+    def complete():
+        taken = set(lab)
+        free = [v for v in host.vertices if v not in taken]
+        for rest in (itertools.combinations(sorted(free), k - searched) if canonical
+                     else itertools.permutations(free, k - searched)):
+            yield dict(zip(order, lab + list(rest)))
+
+    def place(i: int):
+        if i == searched:
+            yield from complete()
+            return
+        if i < len(pinned):
+            tries = [pinned[i]]
+        else:
+            tries = [w for w in roots if all(w > lab[p] for p in above[i])]
+        for w in tries:
+            if fits(i, w):
+                lab.append(w)
+                yield from place(i + 1)
+                lab.pop()
+
+    return place(0)
+
+
 def brute_max_density(g: Hypergraph) -> Fraction:
     best = Fraction(0)
     verts = sorted(g.vertices)

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -305,6 +307,22 @@ def test_pair_walk_against_sign_table(pair, an, ad):
 def test_prop1_parameters_against_their_definitions(pair):
     p = prop1_poisson_parameter(pair)
     assert (p.a, p.a1, p.a2) == brute_prop1_constants(pair)
+
+
+def test_prop1_isolated_outer_vertices_in_closed_form():
+    # G = the 3-edge {1, 2, 3} and m + 1 isolated vertices, H = the edge
+    # alone or with the isolated vertex 4: a = a1 = 3! and a2 = r! for the r
+    # isolated vertices of G outside H, found without listing the r! maps
+    start = time.process_time()
+    for m in range(10):
+        g = Hypergraph.make(3, range(1, m + 5), [(1, 2, 3)])
+        for inner in (EDGE_EXT, EDGE_EXT.union(VERTEX.relabel({1: 4}))):
+            pair = RootedPair(g, inner)
+            p = prop1_poisson_parameter(pair)
+            assert (p.a, p.a1, p.a2) == (6, 6, math.factorial(m + 4 - inner.num_vertices))
+            if m <= 2:
+                assert (p.a, p.a1, p.a2) == brute_prop1_constants(pair)
+    assert time.process_time() - start < 2.0
 
 
 def test_pair_cuts_at_every_class():

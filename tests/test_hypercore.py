@@ -23,6 +23,7 @@ from helpers import (
     hypergraphs,
     random_hypergraph,
     reference_bits,
+    reference_embeddings,
     scrambled,
     write_shg,
 )
@@ -33,6 +34,7 @@ from zolab.hypercore import (
     Hypergraph,
     RootedPair,
     _bfs_layers,
+    _edge_completions,
     _images,
     _iter_embeddings,
     automorphism_count,
@@ -569,6 +571,84 @@ def test_bundle_plans_are_pinned():
     assert w.h._plan.order == (1, 3, 2, 6, 9, 12, 4, 5, 7, 8, 10, 11, 13, 14)
     assert w.g._plan.order == (1, 3, 2, 6, 9, 12, 16, 15, 19,
                                4, 5, 7, 8, 10, 11, 13, 14, 17, 18, 20, 21)
+
+
+def _groups_filed(g: Hypergraph) -> dict[int, tuple[tuple[int, ...], ...]]:
+    return {i: gs for i, gs in enumerate(g._plan.groups) if gs}
+
+
+def test_plan_groups_are_pinned():
+    # H1's two leaves share the placed pair {1, 3}; the bundle's connectors
+    # 6, 9 and 12 (in g only 9 and 12, as 6 has degree 3 there) share the
+    # hubs 1 and 2; H2 and the edge have no two positions alike
+    w = theorem6_pair(3, 1, 2)
+    assert H1._plan.order == (1, 3, 2, 4) and _groups_filed(H1) == {1: ((2, 3),)}
+    assert _groups_filed(H2) == {} and _groups_filed(EDGE) == {}
+    assert _groups_filed(w.h) == {2: ((3, 4, 5),)}
+    assert _groups_filed(w.g) == {2: ((4, 5),)}
+
+
+def _book(s: int, pages: int) -> Hypergraph:
+    """pages s-edges on one spine of s - 1 vertices."""
+    return Hypergraph.from_edges(s, [(*range(1, s), s - 1 + p) for p in range(1, pages + 1)])
+
+
+def _hubs(s: int, m: int) -> Hypergraph:
+    """Hubs 1 and 2 joined by m connectors, each connector in one s-edge
+    with each hub, the other s - 2 vertices of every edge its own: the
+    bundle's h at s = 3, m = 4.  The plan places one connector between the
+    hubs, so the other m - 1 form a group when m >= 3."""
+    fresh = itertools.count(3)
+    edges = []
+    for _ in range(m):
+        c = next(fresh)
+        edges += [(hub, c, *(next(fresh) for _ in range(s - 2))) for hub in (1, 2)]
+    return Hypergraph.from_edges(s, edges)
+
+
+GROUPED_MOTIFS = [H1, _book(3, 2), _book(3, 4), _book(4, 2), _book(4, 3), _hubs(3, 3),
+                  _hubs(3, 4)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(GROUPED_MOTIFS), st.integers(0, 2**32 - 1))
+def test_group_lookahead_keeps_the_maps_and_their_order(base, seed):
+    rng = random.Random(seed)
+    s = base.s
+    motif = scrambled(base, rng, rng.randint(0, 1))
+    assert any(motif._plan.groups)
+    # a copy of the motif with some edges dropped, and random extra edges
+    n = base.num_vertices + rng.randint(0, 2)
+    spots = dict(zip(base.sorted_vertices(), rng.sample(range(1, n + 1), base.num_vertices)))
+    planted = [e for e in base.relabel(spots).edges if rng.random() < 0.9]
+    pool = list(itertools.combinations(range(1, n + 1), s))
+    extra = rng.sample(pool, min(len(pool), rng.randint(0, n)))
+    host = scrambled(Hypergraph.make(s, range(1, n + 1), planted + extra), rng, rng.randint(0, 1))
+    for canonical in (False, True):
+        assert (list(_iter_embeddings(motif, host, canonical=canonical))
+                == list(reference_embeddings(motif, host, canonical=canonical)))
+    maps = list(reference_embeddings(motif, host))
+    order = motif._plan.order
+    verts = host.sorted_vertices()
+    for k in range(1, motif._plan.searched + 1):
+        prefixes = [tuple(rng.choice(verts) for _ in range(k))]
+        if maps:
+            prefixes.append(tuple(rng.choice(maps)[v] for v in order[:k]))
+        for pinned in prefixes:
+            assert (list(_iter_embeddings(motif, host, pinned=pinned))
+                    == list(reference_embeddings(motif, host, pinned=pinned)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([3, 4]).flatmap(lambda s: hypergraphs(s, s + 3)))
+def test_edge_completions_against_their_definition(g):
+    for size in range(1, g.s + 2):
+        want = {}
+        for part in map(frozenset, itertools.combinations(g.sorted_vertices(), size)):
+            holders = [e for e in g.edges if part <= e]
+            if holders:
+                want[part] = set().union(*holders) - part
+        assert _edge_completions(g, size) == want
 
 
 def _k4tail(s: int) -> Hypergraph:
