@@ -618,12 +618,11 @@ def evaluate(f: Formula | CompiledFormula, g: Hypergraph,
 class _Names:
     """Fresh bound-variable names, deterministic per builder call."""
 
-    def __init__(self, prefix: str = "q"):
-        self.prefix = prefix
+    def __init__(self):
         self.counter = itertools.count(1)
 
     def fresh(self) -> str:
-        return f"{self.prefix}{next(self.counter)}"
+        return f"q{next(self.counter)}"
 
     def batch(self, k: int) -> list[str]:
         return [self.fresh() for _ in range(k)]

@@ -170,12 +170,11 @@ class Hypergraph:
         vertex's orbit under the automorphisms fixing all earlier vertices
         (one pinned search per candidate) maps above it.  One embedding of
         each copy meets them all.  The chain covers the non-isolated part."""
-        core = Hypergraph.from_edges(self.s, self.edges)
-        order = core._plan.order
+        order = self._plan.order[:self._plan.searched]
         orbits = []  # per position, the later vertices of its orbit
         for i, v in enumerate(order):
             orbits.append({w for w in order[i + 1:] if self.degree(w) == self.degree(v)
-                           and next(_iter_embeddings(core, core, pinned=(*order[:i], w)), None)})
+                           and next(_iter_embeddings(self, self, pinned=(*order[:i], w)), None)})
         return tuple(tuple(i for i, orbit in enumerate(orbits[:j]) if w in orbit)
                      for j, w in enumerate(self._plan.order))
 
@@ -567,7 +566,7 @@ def _iter_embeddings(motif: Hypergraph, host: Hypergraph, *,
     unused host vertices of its degree in the co-edge masks of its `back`
     images as it has members: a necessary condition, so it cuts only
     branches that yield nothing, and the maps come in the same order.  A
-    group filed at a pinned position is counted once, before the search.
+    pinned position's candidate mask is the one bit of its pinned image.
     Motif vertices of degree 0 come last and take any unused host vertices,
     in every order or (canonical) ascending."""
     if motif.s != host.s:
@@ -585,30 +584,19 @@ def _iter_embeddings(motif: Hypergraph, host: Hypergraph, *,
     # inside the co-edge masks of those positions' images.
     look = [tuple((back[g[0]][:-1], allow[g[0]], len(g)) for g in gs) for gs in groups]
 
+    # A pinned position's one candidate is its host vertex's bit; an
+    # isolated host vertex has none and meets no motif edge.  This comes
+    # after `look`: a group's room holds every host vertex of its degree.
+    for i, hv in enumerate(pinned):
+        j = idx.bit.get(hv)
+        allow[i] &= 0 if j is None else 1 << j
+
     # Per position: its image's bit, bit index and label.  Images are
     # distinct bits, so an edge's OR is the sum of its images' bits.
     k = len(order)
     above = motif._symmetry if canonical else [()] * k
     img, at, lab = [0] * k, [0] * k, [0] * k
     used = 0
-    for i, hv in enumerate(pinned):
-        j = idx.bit.get(hv)
-        if j is None:
-            return  # an isolated host vertex meets no motif edge
-        b = 1 << j
-        if (not allow[i] & b or used & b or any(not adj[at[p]] & b for p in back[i])
-                or any(sum(map(img.__getitem__, e)) | b not in edges for e in ready[i])):
-            return
-        img[i], at[i], lab[i] = b, j, hv
-        used |= b
-    lo = len(pinned)
-    for gs in groups[:lo]:
-        for g in gs:
-            room = allow[g[0]] & ~used
-            for p in back[g[0]]:
-                room &= adj[at[p]]
-            if room.bit_count() < sum(p >= lo for p in g):
-                return
 
     def complete() -> Iterator[dict[int, int]]:
         if searched == k:
@@ -620,13 +608,13 @@ def _iter_embeddings(motif: Hypergraph, host: Hypergraph, *,
                      else itertools.permutations(free, k - searched)):
             yield dict(zip(order, lab[:searched] + list(rest)))
 
-    if lo == searched:
+    if not searched:
         yield from complete()
         return
     cand = [0] * k   # the untried candidates of each placed position
     part: list[list[int]] = [[]] * k  # the placed bits of each edge completed there
     rooms: list[list[tuple[int, int]]] = [[]] * k  # per group filed there: its room, its size
-    i, c = lo, None
+    i, c = 0, None
     while True:
         if c is None:  # entering position i
             c = allow[i] & ~used
@@ -658,7 +646,7 @@ def _iter_embeddings(motif: Hypergraph, host: Hypergraph, *,
                     break
         else:  # no candidate left: back up
             i -= 1
-            if i < lo:
+            if i < 0:
                 return
             used ^= img[i]
             c, ps, rs = cand[i], part[i], rooms[i]

@@ -46,7 +46,7 @@ from .hypercore import Hypergraph, RootedPair, automorphism_count, count_copies,
 from .hypercore import DEFAULT_ENUM_CAP, has_copy, is_strictly_balanced
 
 EXACT_RANK_LIMIT = 2000
-CANDIDATE_EDGE_LIMIT = 1 << 22  # most candidate edges a draw at p = 1 builds
+CANDIDATE_EDGE_LIMIT = 1 << 22  # most edges a draw builds at p = 1, or expects at p < 1
 POOL_AT = 5  # pooled_tv_distance pools each count's tail at >= POOL_AT
 _MASK = (1 << 64) - 1
 _GOLD = 0x9E3779B97F4A7C15
@@ -100,6 +100,8 @@ class ExperimentConfig:
             raise ValueError("specify exactly one of alpha or p")
         if self.p is not None and not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
+        if self.alpha is not None and self.alpha < 0:
+            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 
@@ -198,7 +200,8 @@ def _check_order(cfg: ExperimentConfig) -> None:
 
 def sample(cfg: ExperimentConfig, trial_index: int) -> Hypergraph:
     """One draw of G^s(n, p): every s-subset is an edge independently with
-    probability p; deterministic in (seed, trial_index, cfg)."""
+    probability p; deterministic in (seed, trial_index, cfg).  A draw of
+    more than CANDIDATE_EDGE_LIMIT edges, or more expected, is refused."""
     _check_order(cfg)
     p, m, _, _ = cfg._sampling
     if p <= 0.0:
@@ -209,6 +212,10 @@ def sample(cfg: ExperimentConfig, trial_index: int) -> Hypergraph:
                 f"p >= 1 would build all C({cfg.n}, {cfg.s}) = {m} candidate edges, "
                 f"over the limit {CANDIDATE_EDGE_LIMIT}")
         ranks = range(m)
+    elif p > CANDIDATE_EDGE_LIMIT / m:  # m * p overflows a float for large C(n, s)
+        raise ExperimentError(
+            f"p = {p} would draw an expected {Decimal(m) * Decimal(p):.3e} of the "
+            f"C({cfg.n}, {cfg.s}) candidate edges, over the limit {CANDIDATE_EDGE_LIMIT}")
     else:
         ranks = (_included_ranks_exact if m <= EXACT_RANK_LIMIT
                  else _included_ranks_skip)(trial_key(cfg.seed, trial_index), m, p)
@@ -219,7 +226,9 @@ def sample(cfg: ExperimentConfig, trial_index: int) -> Hypergraph:
 # reports
 # ---------------------------------------------------------------------------
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959964) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """The Wilson score interval at 95%."""
+    z = 1.959964  # the two-sided 95% standard normal quantile
     if trials == 0:
         return (0.0, 1.0)
     phat = successes / trials

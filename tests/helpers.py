@@ -370,6 +370,16 @@ def all_hypergraphs(n_vertices: int, s: int = 3, max_edges: int | None = None):
             yield Hypergraph(s, frozenset(verts), frozenset(chosen))
 
 
+def exact_probability(n: int, s: int, p: float, holds) -> Fraction:
+    """P(holds(G)) for G = G^s(n, p) exactly: the sum of p^e (1-p)^(M-e)
+    over every host on 1..n with e of the M = C(n, s) candidate edges that
+    `holds` accepts, p taken as the exact rational of the float."""
+    q = Fraction(p)
+    m = math.comb(n, s)
+    return sum((q ** g.num_edges * (1 - q) ** (m - g.num_edges)
+                for g in all_hypergraphs(n, s) if holds(g)), Fraction(0))
+
+
 def random_hypergraph(rng, n_vertices: int, s: int = 3, p: float = 0.3) -> Hypergraph:
     verts = tuple(range(1, n_vertices + 1))
     edges = [frozenset(c) for c in itertools.combinations(verts, s) if rng.random() < p]

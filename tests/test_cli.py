@@ -260,6 +260,12 @@ def test_exit_codes(shg_files, capsys, tmp_path):
     assert err["kind"] == "usage"
     assert err["error"].startswith("trial 0 of {s=3, n=2, trials=2, seed=1, ")
     assert err["error"].endswith("}: need n >= s, got n=2, s=3")
+    # a negative alpha is no edge probability: p = n^(-alpha) > 1
+    assert main(["scan", "--s", "3", "--n", "10", "--alpha=-1", "--trials", "2", "--seed", "1",
+                 "--motif", shg_files["edge"]]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err) == {"error": "alpha must be >= 0, got -1",
+                                             "kind": "usage"}
     # a property formula with free variables is refused before any trial
     for argv in (["scan", "--s", "3", "--n", "6", "--p", "0.5", "--trials", "2"],
                  ["probe", "--s", "3", "--alpha-grid", "2", "--n-grid", "6", "--trials", "2"]):
@@ -367,9 +373,7 @@ def test_negative_rationals_as_their_own_token(shg_files, capsys):
     # must take it as a value, exactly as it takes --opt=-2/5
     cases = [(["bounds", "--s", "3", "--k", "5"], "--qk", "-2/5"),
              (["classify-pair", "--outer", shg_files["edge"],
-               "--inner", shg_files["vertex"]], "--alpha", "-7/4"),
-             (["probe", "--s", "3", "--n-grid", "8", "--trials", "2", "--seed", "1",
-               "--motif", shg_files["edge"]], "--alpha-grid", "-1/2,3/2")]
+               "--inner", shg_files["vertex"]], "--alpha", "-7/4")]
     for argv, option, value in cases:
         joined = run_json(capsys, argv + [f"{option}={value}"])
         split = run_json(capsys, argv + [option, value])
@@ -377,6 +381,16 @@ def test_negative_rationals_as_their_own_token(shg_files, capsys):
             assert code == 0, (option, payload)
             payload.pop("wall_time_s", None)
         assert split == joined, option
+    # a sampling experiment refuses a negative alpha; both spellings reach it
+    probe = ["probe", "--s", "3", "--n-grid", "8", "--trials", "2", "--seed", "1",
+             "--motif", shg_files["edge"]]
+    errors = []
+    for spelling in (["--alpha-grid=-1/2,3/2"], ["--alpha-grid", "-1/2,3/2"]):
+        assert main(probe + spelling) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        errors.append(json.loads(err)["error"])
+    assert errors == ["alpha must be >= 0, got -1/2"] * 2
     for qk in (["--qk", "-2/5"], ["--q", "-2/5"]):  # argparse's abbreviation too
         code, payload = run_json(capsys, ["bounds", "--s", "3", "--k", "5", *qk])
         assert code == 0 and payload == {"alpha": {"num": -2, "den": 5}, "in_qk": False,

@@ -14,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (_unrank, brute_automorphism_count, brute_embedding_count, reference_bits,
-                     sample_bernoulli, sample_with)
+from helpers import (_unrank, brute_automorphism_count, brute_embedding_count, exact_probability,
+                     reference_bits, sample_bernoulli, sample_with, table_evaluate)
 from zolab import randmodel
 from zolab.errors import ExperimentError
+from zolab.folang import parse
 from zolab.hypercore import Hypergraph, copy_images, count_copies, has_copy, to_shg
 from zolab.randmodel import (
     CANDIDATE_EDGE_LIMIT,
@@ -70,6 +71,50 @@ def test_sample_edge_cases():
     assert math.comb(300, 3) > CANDIDATE_EDGE_LIMIT
     with pytest.raises(ExperimentError, match="candidate edges"):
         sample(ExperimentConfig(s=3, n=300, trials=1, seed=1, p=1.0), 0)
+
+
+def test_negative_alpha_is_refused():
+    # p = n^(-alpha) > 1 is no edge probability; alpha = 0 is p = 1
+    with pytest.raises(ValueError, match="^alpha must be >= 0, got -1/2$"):
+        ExperimentConfig(s=3, n=10, trials=5, seed=0, alpha=F(-1, 2))
+    assert edge_probability(ExperimentConfig(s=3, n=10, trials=5, seed=0, alpha=F(0))) == 1.0
+
+
+def test_every_draw_is_bounded(monkeypatch):
+    # a draw at p < 1 is refused when it expects more edges than the limit,
+    # by either sampler: C(20, 3) = 1140 ranks are drawn exactly, C(30, 3)
+    # = 4060 by the skip walk
+    monkeypatch.setattr(randmodel, "CANDIDATE_EDGE_LIMIT", 100)
+    for n, p, expected, under in ((20, 0.1, "1.140e+2", 0.08), (30, 0.05, "2.030e+2", 0.02)):
+        cfg = ExperimentConfig(s=3, n=n, trials=1, seed=1, p=p)
+        with pytest.raises(ExperimentError, match="^" + re.escape(
+                f"p = {p} would draw an expected {expected} of the C({n}, 3) candidate "
+                "edges, over the limit 100") + "$"):
+            sample(cfg, 0)
+        assert sample(dataclasses.replace(cfg, p=under), 0).num_edges  # 91.2 and 81.2 expected
+    # at p = 1 every candidate edge is built, under the same limit
+    with pytest.raises(ExperimentError, match="^" + re.escape(
+            "p >= 1 would build all C(20, 3) = 1140 candidate edges, over the limit 100") + "$"):
+        sample(ExperimentConfig(s=3, n=20, trials=1, seed=1, p=1.0), 0)
+
+
+def test_small_n_probabilities_against_exact_sums():
+    # at n = 5 every host is listed: P(H1 in G) and P(every vertex lies in
+    # an edge) at p = 0.3, summed over all 2^10 hosts by code that shares
+    # nothing with the samplers, the matcher or the evaluator, against the
+    # hit counts of the exact sampler (C(5, 3) = 10 ranks) and the skip walk
+    covered = parse("forall x exists y exists z N(x,y,z)")
+    props = {0.7729: lambda g: brute_embedding_count(H1, g) > 0,
+             0.6458: lambda g: table_evaluate(covered, g)}
+    cfg = ExperimentConfig(s=3, n=5, trials=400, seed=5, p=0.3)
+    for value, holds in props.items():
+        q = float(exact_probability(5, 3, 0.3, holds))
+        assert round(q, 4) == value
+        bound = 4 * math.sqrt(cfg.trials * q * (1 - q))  # 4 sigma of the hit count
+        exact_hits = estimate_probability(cfg, holds).counts["successes"]
+        skip_hits = sum(holds(sample_with("skip", cfg, i)) for i in range(cfg.trials))
+        for hits in (exact_hits, skip_hits):
+            assert abs(hits - cfg.trials * q) <= bound, (value, hits)
 
 
 def test_sample_reproducible_and_trials_differ():
