@@ -192,7 +192,7 @@ def _cmd_sample(args) -> None:
     else:
         sys.stdout.write(text)
     _emit({"schema": 1, "edges": g.num_edges, "config": cfg.to_dict(),
-           "trial": args.trial, "p": randmodel.edge_probability(cfg)})
+           "trial": args.trial, "p": cfg._sampling[0]})
 
 
 def _property_predicate(args):

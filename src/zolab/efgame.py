@@ -40,45 +40,33 @@ RULES = "classical: Spoiler chooses either structure each round"
 _TYPES_KEPT = 64  # per side: the pebbled-vertex tuples whose types a _Side keeps
 
 
-@functools.cache
-def _set_bits(m: int, s: int) -> dict[tuple[int, ...], int]:
-    """The bit of each (s-1)-set of indices into m pebbled vertices, numbered
-    in creation order: the sets whose largest index is j come after those
-    below j, in combination order.  So one more pebble only appends sets."""
-    bits: dict[tuple[int, ...], int] = {}
-    for j in range(m):
-        for combo in itertools.combinations(range(j), s - 2):
-            bits[(*combo, j)] = 1 << len(bits)
-    return bits
-
-
-def _types(d: tuple[int, ...], verts: list[int], link: dict, s: int
+def _types(d: tuple[int, ...], verts: list[int], slot: dict[int, int], link: dict, s: int
            ) -> tuple[tuple[int, ...], dict[int, list[int]]]:
     """The atomic type over the pebbled vertices d (distinct, in first-pebble
     order) of each vertex of `verts`, and the vertices of each type in label
     order.
 
     A pebbled vertex gets ~i for i its index in d.  An unpebbled vertex gets
-    a bit mask over the (s-1)-sets of indices into d (see _set_bits): a bit is
-    set iff the vertex forms an edge with that set.  Two tuples d of one
-    length number their sets alike, so their types compare directly.
+    a bit mask over the (s-1)-sets of d: a bit is set iff the vertex forms an
+    edge with that set.  The types come from _child_types, one pebble of d at
+    a time from all-zero types, so the sets are numbered as _child_types
+    creates them (see _atom_order) and two tuples d of one length number
+    their sets alike: their types compare directly.
     """
-    types = dict.fromkeys(verts, 0)
-    for at, bit in _set_bits(len(d), s).items():
-        for u in link.get(frozenset(map(d.__getitem__, at)), ()):
-            types[u] |= bit
+    types = (0,) * len(verts)
     for i, v in enumerate(d):
-        types[v] = ~i
+        types = _child_types(types, d[:i], v, slot, link, s)
     classes: dict[int, list[int]] = {}
-    for v, t in types.items():
+    for v, t in zip(verts, types):
         classes.setdefault(t, []).append(v)
-    return tuple(types.values()), classes
+    return types, classes
 
 
 def _child_types(types: tuple[int, ...], d: tuple[int, ...], v: int,
                  slot: dict[int, int], link: dict, s: int) -> tuple[int, ...]:
-    """_types(d + (v,))'s types for an unpebbled v, from the types over d:
-    the sets through v are the new ones, numbered after all of d's."""
+    """The types over d + (v,) for an unpebbled v, from the types over d:
+    the sets through v are the new ones, numbered after all of d's, in
+    combination order of the other s - 2 vertices."""
     out = list(types)
     bit = 1 << math.comb(len(d), s - 1)  # past the sets over d
     for combo in itertools.combinations(d, s - 2):
@@ -98,7 +86,8 @@ class _Side:
     link: the vertices that complete each (s-1)-set to an edge, the
     structure's `_edge_completions` table.
 
-    types(d): _types over d, for the last _TYPES_KEPT tuples d.
+    types(d): _types over d, for the last _TYPES_KEPT tuples d: each is
+    built by _child_types from all-zero types, the one type builder.
 
     rank(d, types, v, r), r in (1, 2): the structure's rank-r type after
     pebbling v, given the types over d, as the int that `ids` (shared by both
@@ -118,7 +107,7 @@ class _Side:
         # sibling positions share the pick side's types, and a small LRU
         # keeps nearly every reuse
         self.types = functools.lru_cache(_TYPES_KEPT)(
-            functools.partial(_types, verts=self.verts, link=self.link, s=g.s))
+            functools.partial(_types, verts=self.verts, slot=self.slot, link=self.link, s=g.s))
         self.ranks: dict = {}
         self.kids: dict = {}
 
@@ -269,11 +258,14 @@ class _Solver:
 
 def _atom_order(d: tuple[int, ...], s: int) -> list[tuple[tuple[int, ...], int]]:
     """The (s-1)-sets of the pebbled vertices d, as combinations of their
-    sorted labels, each with its bit over d (see _set_bits)."""
-    index = {x: i for i, x in enumerate(d)}
-    bits = _set_bits(len(d), s)
-    return [(rest, bits[tuple(sorted(index[x] for x in rest))])
-            for rest in itertools.combinations(sorted(d), s - 1)]
+    sorted labels, each with its bit over d.  The bits are numbered as
+    _child_types creates them: the sets whose largest index in d is j come
+    after those below j, in combinations(d[:j], s - 2) order."""
+    bits: dict[frozenset[int], int] = {}
+    for j, v in enumerate(d):
+        for combo in itertools.combinations(d[:j], s - 2):
+            bits[frozenset((*combo, v))] = 1 << len(bits)
+    return [(rest, bits[frozenset(rest)]) for rest in itertools.combinations(sorted(d), s - 1)]
 
 
 def _distinct(pebbles: tuple[int, ...]) -> tuple[int, ...]:

@@ -86,12 +86,15 @@ def classify_pair(pair: RootedPair, alpha: Fraction) -> PairClass:
     if an < 0:
         return PairClass.SAFE
     extra = base_edges - pair.inner.num_edges  # edges of G inside V(H), not in H
-    _, closure, spans = _max_closure(edges, d, an, ad)
+    value, closure = _max_closure(edges, d, an, ad)
+    full = (1 << d) - 1
     if not extra and all(closure(u) is None for u in range(d)):
         return PairClass.SAFE
-    if an > 0 and closure() == (1 << d) - 1:
+    if an > 0 and closure() == full:
         return PairClass.RIGID
-    if pair.v_rel * ad == an * pair.e_rel and ((not extra and spans()) if d else extra == 1):
+    if pair.v_rel * ad == an * pair.e_rel and (
+            (not extra and value == 0 and all(closure(u) == full for u in range(d)))
+            if d else extra == 1):
         return PairClass.NEUTRAL
     return PairClass.OTHER
 

@@ -328,8 +328,8 @@ def parse(text: str) -> Formula:
 # A quantifier memoizes and restores its variable unless every enclosing
 # binder's variable is free in it (no two calls share a key: one that rebinds
 # another's variable memoizes, which keeps the keys below it distinct) and its
-# own is neither bound outside it nor free in f (no later read): then it is a
-# bare loop.
+# own is not in scope, neither bound outside it nor free in f (no later read):
+# then it is a bare loop.
 
 # by typical size: ("c", us) lies in ("n", u), a ball around u holds u's
 # co-edge neighbours, and all of it but u has degree >= 1
@@ -455,10 +455,9 @@ class _Run:
 
 def compile(f: Formula) -> CompiledFormula:
     """Closures, free variables, N arity and quantifier guards of f, in one
-    pass; two when a bare loop would rebind a free variable of f."""
+    pass."""
     arities: set[int] = set()
     qids, tables = itertools.count(), itertools.count()
-    bare: set[str] = set()  # the variables of bare loops
 
     def within(x: str, y: str, radius: int, scope: dict[str, int]):
         """The compiled form of a recognised subtree dist(x, y) <= radius."""
@@ -546,8 +545,6 @@ def compile(f: Formula) -> CompiledFormula:
             want = kind is Exists  # the body value that decides the quantifier
             candidates = _candidates((bpos if want else bneg).get(var))
             if not (var in scope or any(q >= 0 and u not in free for u, q in scope.items())):
-                bare.add(var)
-
                 def quantifier(env, run):
                     for w in candidates(env, run):
                         env[var] = w
@@ -578,12 +575,9 @@ def compile(f: Formula) -> CompiledFormula:
             return quantifier, free, _bind(bpos, var), _bind(bneg, var), shape
         raise TypeError(f"not a formula node: {f!r}")
 
-    root, free, _, _, _ = go(f, {})
-    if bare & free:
-        # a bare loop would rebind a free variable of f: compile again with
-        # the free variables in scope, so that quantifiers over them restore
-        qids, tables = itertools.count(), itertools.count()
-        root = go(f, dict.fromkeys(free, -1))[0]
+    # the free variables of f are in scope from the start, so that a
+    # quantifier that rebinds one restores it
+    root, free, _, _, _ = go(f, dict.fromkeys(free_variables(f), -1))
     if len(arities) > 1:
         raise ValueError(f"inconsistent N arities: {sorted(arities)}")
     return CompiledFormula(next(iter(arities), None), free, next(tables), root)

@@ -268,7 +268,7 @@ def density(g: Hypergraph) -> Fraction:
 
 
 def _max_closure(edges: list[tuple[int, ...]], n: int, gain: int, cost: int
-                 ) -> tuple[int, Callable[..., int | None], Callable[[], bool]]:
+                 ) -> tuple[int, Callable[..., int | None]]:
     """Max over vertex sets S of range(n) of gain * e(S) - cost * |S|, where
     e(S) counts the `edges` inside S, by one integer max flow (Goldberg 1984).
 
@@ -278,8 +278,9 @@ def _max_closure(edges: list[tuple[int, ...]], n: int, gain: int, cost: int
     u (of all maximizers when u is None), or None when no maximizer contains
     u.  The maximizers are the residual-closed vertex sets (Picard and
     Queyranne 1982), so that smallest one is what the residual graph reaches
-    from the source and u.  Also returns `spans()`: whether the empty and the
-    full set are the only maximizers of a non-empty range(n).
+    from the source and u.  So the empty and the full set are the only
+    maximizers iff the maximum is 0 and closure(u) is the full set for every
+    vertex u.
     """
     m = len(edges)
     src, snk = n + m, n + m + 1
@@ -355,25 +356,7 @@ def _max_closure(edges: list[tuple[int, ...]], n: int, gain: int, cost: int
                     stack.append(y)
         return sum(1 << v for v in range(n) if seen[v])
 
-    def spans() -> bool:
-        # With the maximum 0 the empty set is the smallest maximizer, so the
-        # source reaches no vertex.  Then every vertex's smallest maximizer
-        # is full iff vertex 0's is and every vertex reaches vertex 0: one
-        # forward and one backward search from vertex 0.
-        if gain * m - flow or closure(0) != (1 << n) - 1:
-            return False
-        seen = bytearray(n + m + 2)
-        seen[0] = 1
-        stack = [0]
-        while stack:
-            for b in out[stack.pop()]:
-                x = head[b]  # arc b ^ 1 runs from x to the popped node
-                if res[b ^ 1] and not seen[x]:
-                    seen[x] = 1
-                    stack.append(x)
-        return 0 not in seen[:n]
-
-    return gain * m - flow, closure, spans
+    return gain * m - flow, closure
 
 
 def _strictly_balanced(edges: list[tuple[int, ...]], n: int) -> bool:
@@ -382,7 +365,8 @@ def _strictly_balanced(edges: list[tuple[int, ...]], n: int) -> bool:
     full set score 0, they are the only maximizers.
     """
     rho = Fraction(len(edges), n)
-    return _max_closure(edges, n, rho.denominator, rho.numerator)[2]()
+    value, closure = _max_closure(edges, n, rho.denominator, rho.numerator)
+    return value == 0 and all(closure(u) == (1 << n) - 1 for u in range(n))
 
 
 def _index_edges(g: Hypergraph, order: list[int]) -> list[tuple[int, ...]]:
@@ -404,7 +388,7 @@ def max_density(g: Hypergraph) -> tuple[Fraction, Hypergraph]:
     edges = _index_edges(g, order)
     rho = Fraction(len(edges), n)
     while True:  # Dinkelbach steps: rho rises to the maximum density
-        value, closure, _ = _max_closure(edges, n, rho.denominator, rho.numerator)
+        value, closure = _max_closure(edges, n, rho.denominator, rho.numerator)
         if value == 0:
             break
         denser = closure()

@@ -106,10 +106,15 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
 
     @cached_property
-    def _sampling(self) -> tuple[float, int, list[tuple[np.ndarray, np.ndarray]], frozenset[int]]:
-        """p, the number of candidate edges, the colex unranking columns and
-        the vertex set 1..n: per-config work that every trial's `sample`
-        shares.
+    def _sampling(self) -> tuple[float, int, frozenset[int]]:
+        """p, the number of candidate edges and the vertex set 1..n: the
+        per-config values that every trial's `sample` checks and shares."""
+        return edge_probability(self), math.comb(self.n, self.s), frozenset(range(1, self.n + 1))
+
+    @cached_property
+    def _columns(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The colex unranking columns, built on the first draw with an edge:
+        a refused draw never pays for them.
 
         Column j, from s down to 1, is the table C(c, j) for c = 0..n-1 and
         the same table shifted up one place, so that the label c + 1 which
@@ -117,14 +122,14 @@ class ExperimentConfig:
         rank and entry fits, else arrays of Python ints: unranking stays
         exact on one code path.
         """
-        m = math.comb(self.n, self.s)
+        m = self._sampling[1]
         tables = _comb_tables(self.n, self.s)
         dtype = np.int64 if max(itertools.chain([m], *tables)) < 1 << 63 else object
         columns = []
         for t in reversed(tables):
             tab = np.array(t, dtype=dtype)
             columns.append((tab, np.concatenate([tab[:1], tab])))
-        return edge_probability(self), m, columns, frozenset(range(1, self.n + 1))
+        return columns
 
     def to_dict(self) -> dict:
         # "auto": the exact sampler iff C(n, s) <= EXACT_RANK_LIMIT
@@ -180,9 +185,10 @@ def _host(cfg: ExperimentConfig, ranks: Sequence[int]) -> Hypergraph:
     largest.  The host keeps the rows: its edge set is built on first read,
     and its matcher index straight from the rows.
     """
-    _, _, columns, vertices = cfg._sampling
+    vertices = cfg._sampling[2]
     if len(ranks) == 0:  # most hosts of a sparse config: skip the numpy calls
         return Hypergraph._from_rows(cfg.s, vertices, np.empty((0, cfg.s), dtype=np.intp))
+    columns = cfg._columns
     r = np.asarray(ranks, dtype=columns[0][0].dtype)
     labels = []
     for tab, shifted in columns:
@@ -203,7 +209,7 @@ def sample(cfg: ExperimentConfig, trial_index: int) -> Hypergraph:
     probability p; deterministic in (seed, trial_index, cfg).  A draw of
     more than CANDIDATE_EDGE_LIMIT edges, or more expected, is refused."""
     _check_order(cfg)
-    p, m, _, _ = cfg._sampling
+    p, m, _ = cfg._sampling
     if p <= 0.0:
         ranks: Sequence[int] = ()
     elif p >= 1.0:

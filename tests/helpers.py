@@ -503,6 +503,6 @@ def sample_with(sampler: str, cfg: ExperimentConfig, trial_index: int) -> Hyperg
     """sample(cfg, trial_index) by the "exact" or the "skip" sampler, whatever
     C(n, s) is.  Only for 0 < p < 1: the skip walk divides by log1p(-p), and
     `sample` itself draws p = 0 and p = 1 without either sampler."""
-    p, m, _, _ = cfg._sampling
+    p, m, _ = cfg._sampling
     ranks = {"exact": _included_ranks_exact, "skip": _included_ranks_skip}[sampler]
     return _host(cfg, ranks(trial_key(cfg.seed, trial_index), m, p))

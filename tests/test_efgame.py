@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -6,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_game_formula, hypergraphs, random_formula, random_hypergraph
-from zolab.efgame import (_atom_order, _child_types, _Side, _types, distinguishing_formula,
-                          duplicator_wins)
+from zolab.efgame import _atom_order, _child_types, _Side, distinguishing_formula, duplicator_wins
 from zolab.errors import CapacityError
 from zolab.folang import evaluate, quantifier_depth, to_text
 from zolab.hypercore import Hypergraph
@@ -232,20 +232,32 @@ def test_formula_text_matches_memo_free_recursion_at_five_rounds():
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.data())
 def test_child_types_and_atom_bits_agree_with_types(data):
-    # _child_types extends the parent's types, and _atom_order names the bit
-    # that _types sets for each (s-1)-set of pebbles
+    # over every prefix d of a pebbling order, and after one more pebble on any
+    # vertex d leaves out, each vertex's type is its atomic type by definition:
+    # ~(first index) when pebbled, else the _atom_order bits of the (s-1)-sets
+    # of d it forms an edge with, and no other bit
     s = data.draw(st.sampled_from((3, 4, 5)))
     g = data.draw(hypergraphs(s, data.draw(st.integers(s, 7))))
     side = _Side(g, {})
     order = tuple(data.draw(st.permutations(side.verts)))
-    for m in range(len(order)):  # every prefix, and every vertex it leaves out
+
+    def check(d, types):
+        atoms = _atom_order(d, s)
+        room = math.comb(len(d), s - 1)
+        assert sorted(bit for _, bit in atoms) == [1 << i for i in range(room)], d
+        for v, t in zip(side.verts, types):
+            if v in d:
+                assert t == ~d.index(v), (d, v)
+            else:
+                want = sum(bit for rest, bit in atoms if frozenset((v, *rest)) in g.edges)
+                assert t == want, (d, v)
+
+    for m in range(len(order) + 1):
         d = order[:m]
         types = side.types(d)[0]
+        check(d, types)
         for v in order[m:]:
-            child = _child_types(types, d, v, side.slot, side.link, s)
-            assert child == _types(d + (v,), side.verts, side.link, s)[0], (d, v)
-            for rest, bit in _atom_order(d, s):
-                assert bool(types[side.slot[v]] & bit) == (frozenset((v, *rest)) in g.edges)
+            check(d + (v,), _child_types(types, d, v, side.slot, side.link, s))
 
 
 def test_equal_ranks_are_duplicator_wins():

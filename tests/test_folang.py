@@ -391,6 +391,9 @@ PLANTED = {
         "(exists x N(x,y,z)) & x = w",
         "forall y ((exists x (N(x,y,z) & !(x = w))) -> N(x,y,w))",
         "exists w (N(x,w,z) & (exists z N(x,w,z))) & !(w = z)",
+        # a loop that would run bare rebinds a free variable: it restores it
+        "exists y (N(x,y,z) & (exists x N(x,y,w)))",
+        "(forall x N(x,y,z)) | x = y",
     ],
     4: [
         # three partners bound outside u, or free in the formula

@@ -6,6 +6,7 @@ import math
 import pickle
 import re
 import statistics
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -96,6 +97,16 @@ def test_every_draw_is_bounded(monkeypatch):
     with pytest.raises(ExperimentError, match="^" + re.escape(
             "p >= 1 would build all C(20, 3) = 1140 candidate edges, over the limit 100") + "$"):
         sample(ExperimentConfig(s=3, n=20, trials=1, seed=1, p=1.0), 0)
+
+
+def test_refused_draw_builds_no_unranking_tables():
+    # the limit is checked before the colex columns are built: for C(6000, 100)
+    # candidate edges those are 100 tables of 6000 big ints, about a second of CPU
+    cfg = ExperimentConfig(s=100, n=6000, trials=1, seed=1, p=0.5)
+    start = time.process_time()
+    with pytest.raises(ExperimentError, match="over the limit"):
+        sample(cfg, 0)
+    assert time.process_time() - start < 0.2
 
 
 def test_small_n_probabilities_against_exact_sums():
