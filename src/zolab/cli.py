@@ -116,8 +116,7 @@ def _cmd_parse(args) -> None:
 
 
 def _cmd_eval(args) -> None:
-    f = folang.parse(args.formula)
-    free = folang.free_variables(f)
+    compiled = folang.compile(folang.parse(args.formula))
     assignment = {}
     for item in args.assign or []:
         name, _, val = item.partition("=")
@@ -125,10 +124,10 @@ def _cmd_eval(args) -> None:
             raise ValueError(f"bad assignment {item!r}, expected var=vertex")
         if name in assignment:
             raise ValueError(f"--assign {name} given twice")
-        if name not in free:
+        if name not in compiled.free:
             raise ValueError(f"--assign {name}: not a free variable of the formula")
         assignment[name] = int(val)
-    value = folang.evaluate(f, _load(args.host), assignment)
+    value = folang.evaluate(compiled, _load(args.host), assignment)
     _emit({"schema": 1, "value": value})
 
 

@@ -19,7 +19,9 @@ from .hypercore import (
     Hypergraph,
     RootedPair,
     _check_search_cap,
+    _index_edges,
     _max_closure,
+    _only_empty_and_full,
     _strictly_balanced,
     automorphism_count,
     automorphisms,
@@ -40,21 +42,6 @@ def f_alpha(pair: RootedPair, alpha: Fraction) -> Fraction:
     return Fraction(pair.v_rel) - alpha * pair.e_rel
 
 
-def _relative_edges(pair: RootedPair) -> tuple[list[tuple[int, ...]], int, int]:
-    """The pair's edges over the d difference vertices V(G) - V(H), numbered
-    0..d-1.
-
-    Every intermediate W = V(H) + S contains all of V(H), so only an edge's
-    difference part decides membership.  Returns (the difference parts of
-    the edges that meet the difference, the number of edges inside V(H), d).
-    """
-    inner = pair.inner.vertices
-    diff = [v for v in pair.outer.sorted_vertices() if v not in inner]
-    pos = {v: i for i, v in enumerate(diff)}
-    parts = [tuple(pos[v] for v in e if v in pos) for e in pair.outer.edges]
-    return [p for p in parts if p], parts.count(()), len(diff)
-
-
 def classify_pair(pair: RootedPair, alpha: Fraction) -> PairClass:
     """Sign classification of f_alpha over intermediate sub-hypergraphs, by
     one max-closure cut.
@@ -66,14 +53,14 @@ def classify_pair(pair: RootedPair, alpha: Fraction) -> PairClass:
     it is the extremal edge count for each sign condition.
 
     With K spanned by V(H) + S and phi(S) = num(alpha) e(S) - den(alpha) |S|,
-    e(S) the edges that meet the difference inside S, den(alpha) f_alpha(G, K)
+    e(S) the edges that meet D = V(G) - V(H) only in S, den(alpha) f_alpha(G, K)
     is phi(S) - phi(D) and, for H induced, den(alpha) f_alpha(K, H) is
-    -phi(S).  So rigid says D is the only maximizer of phi, safe that the
-    empty set is (no vertex lies in a maximizer), and neutral, with
-    phi(D) = 0, that they are the only two (every vertex's smallest
-    maximizer is D).  Edges of G inside V(H) but not in H make the pair
-    non-induced: K on V(H) alone, with some of them, has f_alpha(K, H) of
-    the sign of -alpha.
+    -phi(S).  So rigid says D is the only maximizer of phi (`reach()` is D),
+    safe that the empty set is (`reach(back=True)` is D: every vertex reaches
+    the sink), and neutral, with phi(D) = 0, that they are the only two
+    (`_only_empty_and_full` on the same cut).  Edges of G inside V(H) but not
+    in H make the pair non-induced: K on V(H) alone, with some of them, has
+    f_alpha(K, H) of the sign of -alpha.
 
     So at alpha < 0 every pair is safe.  At alpha <= 0 no pair is rigid but
     G = H, which is safe: dropping a vertex or an edge from G gives
@@ -81,20 +68,20 @@ def classify_pair(pair: RootedPair, alpha: Fraction) -> PairClass:
     and at alpha = 0 the pair is neutral iff G adds exactly one edge, so
     that no K lies strictly between.
     """
-    edges, base_edges, d = _relative_edges(pair)
+    diff, edges, base_edges = _index_edges(pair.outer, pair.inner.vertices)
     an, ad = alpha.numerator, alpha.denominator
     if an < 0:
         return PairClass.SAFE
     extra = base_edges - pair.inner.num_edges  # edges of G inside V(H), not in H
-    value, closure = _max_closure(edges, d, an, ad)
+    d = len(diff)
+    value, reach = _max_closure(edges, d, an, ad)
     full = (1 << d) - 1
-    if not extra and all(closure(u) is None for u in range(d)):
+    if not extra and reach(back=True) == full:
         return PairClass.SAFE
-    if an > 0 and closure() == full:
+    if an > 0 and reach() == full:
         return PairClass.RIGID
     if pair.v_rel * ad == an * pair.e_rel and (
-            (not extra and value == 0 and all(closure(u) == full for u in range(d)))
-            if d else extra == 1):
+            (not extra and _only_empty_and_full(value, reach, d)) if d else extra == 1):
         return PairClass.NEUTRAL
     return PairClass.OTHER
 
@@ -104,9 +91,9 @@ def is_pair_strictly_balanced(pair: RootedPair) -> bool:
     max-closure cut."""
     if pair.v_rel == 0:
         return False
-    edges, base_edges, d = _relative_edges(pair)
+    diff, edges, base_edges = _index_edges(pair.outer, pair.inner.vertices)
     # with H induced, the edges meeting the difference are the pair's edges
-    return base_edges == pair.inner.num_edges and _strictly_balanced(edges, d)
+    return base_edges == pair.inner.num_edges and _strictly_balanced(edges, len(diff))
 
 
 # ---------------------------------------------------------------------------

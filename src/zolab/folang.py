@@ -200,6 +200,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.arity: int | None = None  # of the first N atom
 
     def peek(self) -> str | None:
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
@@ -267,6 +268,7 @@ class _Parser:
     def atom(self) -> Formula:
         tok = self.peek()
         if tok == "N":
+            at = self.pos()
             self.take()
             self.take("(")
             args = [self.variable()]
@@ -274,6 +276,10 @@ class _Parser:
                 self.take()
                 args.append(self.variable())
             self.take(")")
+            if self.arity not in (None, len(args)):
+                raise FormulaSyntaxError(
+                    f"inconsistent N arities: {sorted((self.arity, len(args)))}", at)
+            self.arity = len(args)
             return Atom(tuple(args))
         left = self.variable()
         self.take("=")
@@ -287,10 +293,6 @@ def parse(text: str) -> Formula:
     f = p.formula()
     if p.i < len(p.tokens):
         raise FormulaSyntaxError(f"trailing input {p.peek()!r}", p.pos())
-    try:
-        compile(f)  # checks that the N atoms agree in arity
-    except ValueError as exc:
-        raise FormulaSyntaxError(str(exc), 0) from None
     return f
 
 

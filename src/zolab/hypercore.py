@@ -274,19 +274,19 @@ def _max_closure(edges: list[tuple[int, ...]], n: int, gain: int, cost: int
 
     The network is source -> edge node (capacity gain) -> each of its
     vertices (uncapped) -> sink (capacity cost).  Returns the maximum and
-    `closure(u)`: the bitmask of the smallest maximizer that contains vertex
-    u (of all maximizers when u is None), or None when no maximizer contains
-    u.  The maximizers are the residual-closed vertex sets (Picard and
-    Queyranne 1982), so that smallest one is what the residual graph reaches
-    from the source and u.  So the empty and the full set are the only
-    maximizers iff the maximum is 0 and closure(u) is the full set for every
-    vertex u.
+    `reach`, bitmasks over range(n) read off the residual graph, whose closed
+    vertex sets are the maximizers (Picard and Queyranne 1982).  reach(u) is
+    what the source and u reach: the smallest maximizer that contains u (of
+    all maximizers when u is None), or None when the search reaches the sink,
+    as no maximizer contains u.  reach(u, back=True) is the vertices with a
+    residual path to u, or to the sink when u is None: those in no maximizer.
     """
     m = len(edges)
     src, snk = n + m, n + m + 1
     head: list[int] = []  # arc a runs to head[a]; arc a ^ 1 is its reverse
     res: list[int] = []   # residual capacity of each arc
     out: list[list[int]] = [[] for _ in range(n + m + 2)]
+    via = [0] * (n + m + 2)  # the arc a search entered each node by
 
     def arc(a: int, b: int, c: int) -> None:
         out[a].append(len(head))
@@ -300,6 +300,25 @@ def _max_closure(edges: list[tuple[int, ...]], n: int, gain: int, cost: int
         for a in path:
             res[a] -= push
             res[a ^ 1] += push
+
+    def search(starts: list[int], back: bool = False) -> bytearray:
+        """The nodes reached from `starts` breadth first along residual arcs,
+        or against them when `back`; a forward search stops at the sink."""
+        cap = [res[a ^ 1] for a in range(len(res))] if back else res
+        seen = bytearray(n + m + 2)
+        for x in starts:
+            seen[x] = 1
+        queue = list(starts)
+        for x in queue:
+            for a in out[x]:
+                y = head[a]
+                if cap[a] and not seen[y]:
+                    seen[y] = 1
+                    via[y] = a
+                    queue.append(y)
+            if seen[snk] and not back:
+                break
+        return seen
 
     for v in range(n):
         arc(v, snk, cost)  # arc 2v
@@ -315,22 +334,7 @@ def _max_closure(edges: list[tuple[int, ...]], n: int, gain: int, cost: int
             if push:
                 augment((a, b, 2 * v), push)
                 flow += push
-    while True:  # shortest augmenting paths (Edmonds-Karp)
-        reached = bytearray(n + m + 2)
-        reached[src] = 1
-        via: dict[int, int] = {}
-        queue = [src]
-        for x in queue:
-            for a in out[x]:
-                y = head[a]
-                if res[a] and not reached[y]:
-                    reached[y] = 1
-                    via[y] = a
-                    queue.append(y)
-            if reached[snk]:
-                break
-        if not reached[snk]:
-            break  # `reached` is now the source's residual reach
+    while search([src])[snk]:  # shortest augmenting paths (Edmonds-Karp)
         path = []
         y = snk
         while y != src:
@@ -340,23 +344,22 @@ def _max_closure(edges: list[tuple[int, ...]], n: int, gain: int, cost: int
         augment(path, push)
         flow += push
 
-    def closure(u: int | None = None) -> int | None:
-        seen = bytearray(reached)
-        stack = []
-        if u is not None and not seen[u]:
-            seen[u] = 1
-            stack.append(u)
-        while stack:
-            for a in out[stack.pop()]:
-                y = head[a]
-                if res[a] and not seen[y]:
-                    if y == snk:
-                        return None
-                    seen[y] = 1
-                    stack.append(y)
+    def reach(u: int | None = None, back: bool = False) -> int | None:
+        if back:
+            seen = search([snk if u is None else u], True)
+        elif (seen := search([src] if u is None else [src, u]))[snk]:
+            return None
         return sum(1 << v for v in range(n) if seen[v])
 
-    return gain * m - flow, closure
+    return gain * m - flow, reach
+
+
+def _only_empty_and_full(value: int, reach: Callable[..., int | None], n: int) -> bool:
+    """True iff the empty and the full set are a `_max_closure` cut's only
+    maximizers (n >= 1): the maximum is 0 and the n vertices are strongly
+    connected in the residual graph."""
+    full = (1 << n) - 1
+    return value == 0 and reach(0) == full and reach(0, back=True) == full
 
 
 def _strictly_balanced(edges: list[tuple[int, ...]], n: int) -> bool:
@@ -365,13 +368,18 @@ def _strictly_balanced(edges: list[tuple[int, ...]], n: int) -> bool:
     full set score 0, they are the only maximizers.
     """
     rho = Fraction(len(edges), n)
-    value, closure = _max_closure(edges, n, rho.denominator, rho.numerator)
-    return value == 0 and all(closure(u) == (1 << n) - 1 for u in range(n))
+    return _only_empty_and_full(*_max_closure(edges, n, rho.denominator, rho.numerator), n)
 
 
-def _index_edges(g: Hypergraph, order: list[int]) -> list[tuple[int, ...]]:
+def _index_edges(g: Hypergraph, inner: frozenset[int] = frozenset()
+                 ) -> tuple[list[int], list[tuple[int, ...]], int]:
+    """g's vertices outside `inner` in label order; the parts on them,
+    numbered in that order, of the edges that meet them; and the number of
+    edges inside `inner`."""
+    order = [v for v in g.sorted_vertices() if v not in inner]
     idx = {v: i for i, v in enumerate(order)}
-    return [tuple(idx[v] for v in e) for e in g.edges]
+    parts = [tuple(idx[v] for v in e if v in idx) for e in g.edges]
+    return order, [p for p in parts if p], parts.count(())
 
 
 def max_density(g: Hypergraph) -> tuple[Fraction, Hypergraph]:
@@ -381,26 +389,27 @@ def max_density(g: Hypergraph) -> tuple[Fraction, Hypergraph]:
     cuts find it.  The witness is the first maximizer in ascending order of
     the subset bitmask over ascending vertex labels (deterministic).
     """
-    order = g.sorted_vertices()
+    order, edges, _ = _index_edges(g)
     n = len(order)
     if n == 0:
         raise ValueError("max_density undefined on an empty vertex set")
-    edges = _index_edges(g, order)
     rho = Fraction(len(edges), n)
     while True:  # Dinkelbach steps: rho rises to the maximum density
-        value, closure = _max_closure(edges, n, rho.denominator, rho.numerator)
+        value, reach = _max_closure(edges, n, rho.denominator, rho.numerator)
         if value == 0:
             break
-        denser = closure()
+        denser = reach()
         rho = Fraction(sum(all(denser >> v & 1 for v in e) for e in edges),
                        denser.bit_count())
+    if _only_empty_and_full(value, reach, n):
+        return rho, g  # the only non-empty maximizer
     # The first maximizer in mask order contains its highest vertex u and so
     # the smallest maximizer containing u: it is that set.
     best = None
     for u in range(n):
         if best is not None and best < 1 << u:
             break  # every set containing u comes later
-        c = closure(u)
+        c = reach(u)
         if c is not None and (best is None or c < best):
             best = c
     return rho, g.induced(order[i] for i in range(n) if best >> i & 1)
@@ -408,11 +417,11 @@ def max_density(g: Hypergraph) -> tuple[Fraction, Hypergraph]:
 
 def is_strictly_balanced(g: Hypergraph) -> bool:
     """True iff the density strictly exceeds that of every proper sub-hypergraph,
-    by one max-closure cut."""
-    order = g.sorted_vertices()
+    by one max-closure cut and two residual searches."""
+    order, edges, _ = _index_edges(g)
     if not order:
         raise ValueError("balance undefined on an empty vertex set")
-    return _strictly_balanced(_index_edges(g, order), len(order))
+    return _strictly_balanced(edges, len(order))
 
 
 # ---------------------------------------------------------------------------

@@ -65,8 +65,9 @@ def test_parse_precedence_and_errors():
         parse("exists x")
     with pytest.raises(FormulaSyntaxError):
         parse("N(x,y,z) extra")
-    with pytest.raises(FormulaSyntaxError):
+    with pytest.raises(FormulaSyntaxError) as err:
         parse("N(x,y,z) & N(x,y)")  # inconsistent arity
+    assert err.value.pos == 11      # at the first atom that differs
     with pytest.raises(FormulaSyntaxError):
         parse("exists N x = x")     # N is reserved
 

@@ -37,6 +37,8 @@ from zolab.hypercore import (
     _edge_completions,
     _images,
     _iter_embeddings,
+    _max_closure,
+    _only_empty_and_full,
     automorphism_count,
     automorphisms,
     canonical_relabel,
@@ -680,6 +682,47 @@ def test_density_cuts_against_brute_witness(g):
     value, witness = brute_max_density_witness(g)
     assert max_density(g) == (value, witness)
     assert is_strictly_balanced(g) == (witness.vertices == g.vertices)
+
+
+closure_cases = st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True)
+             .map(tuple), max_size=8),
+    st.integers(0, 3), st.integers(0, 3)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(closure_cases)
+def test_max_closure_readings_against_all_subsets(case):
+    # maximizers of gain * e(S) - cost * |S| by brute force over all 2^n masks
+    n, edges, gain, cost = case
+    score = {mask: gain * sum(all(mask >> v & 1 for v in e) for e in edges)
+             - cost * mask.bit_count() for mask in range(1 << n)}
+    best = max(score.values())
+    maximizers = [mask for mask in score if score[mask] == best]
+
+    def smallest(masks):  # the one that lies inside all the others
+        return next(x for x in masks if all(x & ~y == 0 for y in masks))
+
+    full = (1 << n) - 1
+    value, reach = _max_closure(edges, n, gain, cost)
+    assert value == best
+    assert reach() == smallest(maximizers)
+    for u in range(n):
+        with_u = [mask for mask in maximizers if mask >> u & 1]
+        assert reach(u) == (smallest(with_u) if with_u else None)
+    assert reach(back=True) == full & ~functools.reduce(int.__or__, maximizers)
+    assert _only_empty_and_full(value, reach, n) == (sorted(maximizers) == [0, full])
+
+
+def test_long_loose_cycle_balance_without_per_vertex_searches():
+    # 1000 edges on 2000 vertices, strictly balanced at density 1/2: two
+    # residual searches settle balance and the witness, not one per vertex
+    g = Hypergraph.make(3, range(1, 2001), _loose_cycle(1000))
+    start = time.process_time()
+    assert is_strictly_balanced(g)
+    assert max_density(g) == (F(1, 2), g)
+    assert time.process_time() - start < 1.0
 
 
 def test_density_cuts_reject_empty_graphs():
