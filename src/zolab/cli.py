@@ -80,7 +80,7 @@ def _cmd_balance(args) -> None:
     g = _load(args.file)
     value, witness = hypercore.max_density(g)
     _emit({"schema": 1,
-           "strictly_balanced": hypercore.is_strictly_balanced(g),
+           "strictly_balanced": witness.vertices == g.vertices,
            "density": _frac_dict(hypercore.density(g)),
            "max_density": _frac_dict(value),
            "witness_vertices": sorted(witness.vertices)})

@@ -21,7 +21,6 @@ from .hypercore import (
     _check_search_cap,
     _index_edges,
     _max_closure,
-    _only_empty_and_full,
     _strictly_balanced,
     automorphism_count,
     automorphisms,
@@ -55,12 +54,12 @@ def classify_pair(pair: RootedPair, alpha: Fraction) -> PairClass:
     With K spanned by V(H) + S and phi(S) = num(alpha) e(S) - den(alpha) |S|,
     e(S) the edges that meet D = V(G) - V(H) only in S, den(alpha) f_alpha(G, K)
     is phi(S) - phi(D) and, for H induced, den(alpha) f_alpha(K, H) is
-    -phi(S).  So rigid says D is the only maximizer of phi (`reach()` is D),
-    safe that the empty set is (`reach(back=True)` is D: every vertex reaches
-    the sink), and neutral, with phi(D) = 0, that they are the only two
-    (`_only_empty_and_full` on the same cut).  Edges of G inside V(H) but not
-    in H make the pair non-induced: K on V(H) alone, with some of them, has
-    f_alpha(K, H) of the sign of -alpha.
+    -phi(S).  So rigid says D is the only maximizer of phi (`smallest()` is
+    D), safe that the empty set is (`first()` is None: no non-empty one), and
+    neutral, with phi(D) = 0, that they are the only two (`first()` is D, on
+    the same cut).  Edges of G inside V(H) but not in H make the pair
+    non-induced: K on V(H) alone, with some of them, has f_alpha(K, H) of the
+    sign of -alpha.
 
     So at alpha < 0 every pair is safe.  At alpha <= 0 no pair is rigid but
     G = H, which is safe: dropping a vertex or an edge from G gives
@@ -74,14 +73,14 @@ def classify_pair(pair: RootedPair, alpha: Fraction) -> PairClass:
         return PairClass.SAFE
     extra = base_edges - pair.inner.num_edges  # edges of G inside V(H), not in H
     d = len(diff)
-    value, reach = _max_closure(edges, d, an, ad)
-    full = (1 << d) - 1
-    if not extra and reach(back=True) == full:
+    value, smallest, first = _max_closure(edges, d, an, ad)
+    full, top = (1 << d) - 1, first()
+    if not extra and top is None:
         return PairClass.SAFE
-    if an > 0 and reach() == full:
+    if an > 0 and smallest() == full:
         return PairClass.RIGID
     if pair.v_rel * ad == an * pair.e_rel and (
-            (not extra and _only_empty_and_full(value, reach, d)) if d else extra == 1):
+            (not extra and value == 0 and top == full) if d else extra == 1):
         return PairClass.NEUTRAL
     return PairClass.OTHER
 

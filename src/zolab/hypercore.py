@@ -268,18 +268,23 @@ def density(g: Hypergraph) -> Fraction:
 
 
 def _max_closure(edges: list[tuple[int, ...]], n: int, gain: int, cost: int
-                 ) -> tuple[int, Callable[..., int | None]]:
+                 ) -> tuple[int, Callable[[], int], Callable[[], int | None]]:
     """Max over vertex sets S of range(n) of gain * e(S) - cost * |S|, where
     e(S) counts the `edges` inside S, by one integer max flow (Goldberg 1984).
 
     The network is source -> edge node (capacity gain) -> each of its
-    vertices (uncapped) -> sink (capacity cost).  Returns the maximum and
-    `reach`, bitmasks over range(n) read off the residual graph, whose closed
-    vertex sets are the maximizers (Picard and Queyranne 1982).  reach(u) is
-    what the source and u reach: the smallest maximizer that contains u (of
-    all maximizers when u is None), or None when the search reaches the sink,
-    as no maximizer contains u.  reach(u, back=True) is the vertices with a
-    residual path to u, or to the sink when u is None: those in no maximizer.
+    vertices (uncapped) -> sink (capacity cost).  The maximizers are the
+    vertex sets closed in the residual graph (Picard and Queyranne 1982).
+    Returns the maximum and two bitmasks over range(n): smallest(), what the
+    source reaches, is the smallest maximizer; first() is the first non-empty
+    maximizer in mask order, None if the empty set is the only one.
+
+    first() is smallest() when that is non-empty.  Otherwise the first
+    maximizer F contains the smallest maximizer that contains F's top vertex
+    M, what M reaches; that set lies inside 0..M, so it is F.  Any u < M whose
+    smallest maximizer stays inside 0..u would come earlier.  So M is the
+    least u that reaches neither the sink nor a higher vertex, which one
+    backward search from the sink, grown from u = n-1 down to 0, finds.
     """
     m = len(edges)
     src, snk = n + m, n + m + 1
@@ -301,11 +306,9 @@ def _max_closure(edges: list[tuple[int, ...]], n: int, gain: int, cost: int
             res[a] -= push
             res[a ^ 1] += push
 
-    def search(starts: list[int], back: bool = False) -> bytearray:
-        """The nodes reached from `starts` breadth first along residual arcs,
-        or against them when `back`; a forward search stops at the sink."""
-        cap = [res[a ^ 1] for a in range(len(res))] if back else res
-        seen = bytearray(n + m + 2)
+    def search(starts: list[int], cap: list[int], seen: bytearray) -> bytearray:
+        """`seen` grown by the nodes reached from `starts` breadth first along
+        arcs a with cap[a] > 0; a forward search along `res` stops at the sink."""
         for x in starts:
             seen[x] = 1
         queue = list(starts)
@@ -316,7 +319,7 @@ def _max_closure(edges: list[tuple[int, ...]], n: int, gain: int, cost: int
                     seen[y] = 1
                     via[y] = a
                     queue.append(y)
-            if seen[snk] and not back:
+            if seen[snk] and cap is res:
                 break
         return seen
 
@@ -334,9 +337,8 @@ def _max_closure(edges: list[tuple[int, ...]], n: int, gain: int, cost: int
             if push:
                 augment((a, b, 2 * v), push)
                 flow += push
-    while search([src])[snk]:  # shortest augmenting paths (Edmonds-Karp)
-        path = []
-        y = snk
+    while search([src], res, bytearray(n + m + 2))[snk]:  # shortest paths (Edmonds-Karp)
+        path, y = [], snk
         while y != src:
             path.append(via[y])
             y = head[via[y] ^ 1]
@@ -344,22 +346,26 @@ def _max_closure(edges: list[tuple[int, ...]], n: int, gain: int, cost: int
         augment(path, push)
         flow += push
 
-    def reach(u: int | None = None, back: bool = False) -> int | None:
-        if back:
-            seen = search([snk if u is None else u], True)
-        elif (seen := search([src] if u is None else [src, u]))[snk]:
-            return None
+    def reached(starts: list[int]) -> int:
+        seen = search(starts, res, bytearray(n + m + 2))
         return sum(1 << v for v in range(n) if seen[v])
 
-    return gain * m - flow, reach
+    def smallest() -> int:
+        return reached([src])
 
+    def first() -> int | None:
+        if low := smallest():  # inside every maximizer
+            return low
+        back = [res[a ^ 1] for a in range(len(res))]  # the residual arcs reversed
+        seen = search([snk], back, bytearray(n + m + 2))
+        top = None
+        for u in range(n - 1, -1, -1):
+            if not seen[u]:
+                top = u
+                search([u], back, seen)
+        return None if top is None else reached([src, top])
 
-def _only_empty_and_full(value: int, reach: Callable[..., int | None], n: int) -> bool:
-    """True iff the empty and the full set are a `_max_closure` cut's only
-    maximizers (n >= 1): the maximum is 0 and the n vertices are strongly
-    connected in the residual graph."""
-    full = (1 << n) - 1
-    return value == 0 and reach(0) == full and reach(0, back=True) == full
+    return gain * m - flow, smallest, first
 
 
 def _strictly_balanced(edges: list[tuple[int, ...]], n: int) -> bool:
@@ -368,7 +374,8 @@ def _strictly_balanced(edges: list[tuple[int, ...]], n: int) -> bool:
     full set score 0, they are the only maximizers.
     """
     rho = Fraction(len(edges), n)
-    return _only_empty_and_full(*_max_closure(edges, n, rho.denominator, rho.numerator), n)
+    value, _, first = _max_closure(edges, n, rho.denominator, rho.numerator)
+    return value == 0 and first() == (1 << n) - 1
 
 
 def _index_edges(g: Hypergraph, inner: frozenset[int] = frozenset()
@@ -387,7 +394,8 @@ def max_density(g: Hypergraph) -> tuple[Fraction, Hypergraph]:
 
     The maximum is attained on induced sub-hypergraphs, and a few max-closure
     cuts find it.  The witness is the first maximizer in ascending order of
-    the subset bitmask over ascending vertex labels (deterministic).
+    the subset bitmask over ascending vertex labels (deterministic), so g is
+    strictly balanced iff the witness is all of g.
     """
     order, edges, _ = _index_edges(g)
     n = len(order)
@@ -395,29 +403,19 @@ def max_density(g: Hypergraph) -> tuple[Fraction, Hypergraph]:
         raise ValueError("max_density undefined on an empty vertex set")
     rho = Fraction(len(edges), n)
     while True:  # Dinkelbach steps: rho rises to the maximum density
-        value, reach = _max_closure(edges, n, rho.denominator, rho.numerator)
+        value, smallest, first = _max_closure(edges, n, rho.denominator, rho.numerator)
         if value == 0:
             break
-        denser = reach()
+        denser = smallest()
         rho = Fraction(sum(all(denser >> v & 1 for v in e) for e in edges),
                        denser.bit_count())
-    if _only_empty_and_full(value, reach, n):
-        return rho, g  # the only non-empty maximizer
-    # The first maximizer in mask order contains its highest vertex u and so
-    # the smallest maximizer containing u: it is that set.
-    best = None
-    for u in range(n):
-        if best is not None and best < 1 << u:
-            break  # every set containing u comes later
-        c = reach(u)
-        if c is not None and (best is None or c < best):
-            best = c
+    best = first()
     return rho, g.induced(order[i] for i in range(n) if best >> i & 1)
 
 
 def is_strictly_balanced(g: Hypergraph) -> bool:
     """True iff the density strictly exceeds that of every proper sub-hypergraph,
-    by one max-closure cut and two residual searches."""
+    by one max-closure cut: the full set must be its first maximizer."""
     order, edges, _ = _index_edges(g)
     if not order:
         raise ValueError("balance undefined on an empty vertex set")

@@ -48,6 +48,7 @@ from .hypercore import DEFAULT_ENUM_CAP, has_copy, is_strictly_balanced
 EXACT_RANK_LIMIT = 2000
 CANDIDATE_EDGE_LIMIT = 1 << 22  # most edges a draw builds at p = 1, or expects at p < 1
 POOL_AT = 5  # pooled_tv_distance pools each count's tail at >= POOL_AT
+POOLED_MOTIF_CAP = 8  # poisson_fit's motifs: pooled_tv_distance walks (POOL_AT + 1)^k cells
 _MASK = (1 << 64) - 1
 _GOLD = 0x9E3779B97F4A7C15
 
@@ -358,6 +359,8 @@ def poisson_fit(cfg: ExperimentConfig, motifs: Sequence[Hypergraph]) -> Experime
     """
     if not motifs:
         raise ValueError("need at least one motif")
+    if len(motifs) > POOLED_MOTIF_CAP:
+        raise CapacityError(f"{len(motifs)} motifs exceed the cap of {POOLED_MOTIF_CAP}")
     rhos = {density(mg) for mg in motifs}
     if len(rhos) != 1:
         raise ValueError(f"motif densities differ: {sorted(rhos)}")

@@ -224,6 +224,9 @@ def test_exit_codes(shg_files, capsys, tmp_path):
     big = tmp_path / "big.shg"
     write_shg(str(big), Hypergraph.make(3, range(1, 31), []))
     assert main(["copies", "--motif", str(big), "--host", shg_files["edge"]]) == 3  # capacity
+    # nine motifs would pool a 6^9-cell histogram: refused before any trial
+    assert main(["poisson", "--s", "3", "--n", "10", "--trials", "2",
+                 *["--motif", shg_files["edge"]] * 9]) == 3
     assert main(["density", str(tmp_path / "nope.shg")]) == 2  # usage
     assert main(["eval", "--formula", "x = ", "--host", shg_files["edge"]]) == 2
     # each --assign names a free variable of the formula, once

@@ -38,7 +38,6 @@ from zolab.hypercore import (
     _images,
     _iter_embeddings,
     _max_closure,
-    _only_empty_and_full,
     automorphism_count,
     automorphisms,
     canonical_relabel,
@@ -704,25 +703,31 @@ def test_max_closure_readings_against_all_subsets(case):
     def smallest(masks):  # the one that lies inside all the others
         return next(x for x in masks if all(x & ~y == 0 for y in masks))
 
-    full = (1 << n) - 1
-    value, reach = _max_closure(edges, n, gain, cost)
+    value, smallest_reading, first = _max_closure(edges, n, gain, cost)
     assert value == best
-    assert reach() == smallest(maximizers)
-    for u in range(n):
-        with_u = [mask for mask in maximizers if mask >> u & 1]
-        assert reach(u) == (smallest(with_u) if with_u else None)
-    assert reach(back=True) == full & ~functools.reduce(int.__or__, maximizers)
-    assert _only_empty_and_full(value, reach, n) == (sorted(maximizers) == [0, full])
+    assert smallest_reading() == smallest(maximizers)
+    assert first() == min((mask for mask in maximizers if mask), default=None)
 
 
 def test_long_loose_cycle_balance_without_per_vertex_searches():
-    # 1000 edges on 2000 vertices, strictly balanced at density 1/2: two
-    # residual searches settle balance and the witness, not one per vertex
+    # 1000 edges on 2000 vertices, strictly balanced at density 1/2: one
+    # backward residual search settles balance and the witness, not one per vertex
     g = Hypergraph.make(3, range(1, 2001), _loose_cycle(1000))
     start = time.process_time()
     assert is_strictly_balanced(g)
     assert max_density(g) == (F(1, 2), g)
     assert time.process_time() - start < 1.0
+
+
+def test_planted_cycles_witness_in_one_backward_search():
+    # a 1000-edge loose cycle on 1..2000 and a 3-edge one on 2001..2006, both
+    # at density 1/2: the witness is the big cycle, the first maximizer in
+    # mask order, found without one residual search per vertex
+    g = Hypergraph.make(3, range(1, 2007), _loose_cycle(1000) + _loose_cycle(3, 2001))
+    start = time.process_time()
+    assert max_density(g) == (F(1, 2), g.induced(range(1, 2001)))
+    assert not is_strictly_balanced(g)
+    assert time.process_time() - start < 0.5
 
 
 def test_density_cuts_reject_empty_graphs():

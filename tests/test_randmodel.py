@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from helpers import (_unrank, brute_automorphism_count, brute_embedding_count, exact_probability,
                      reference_bits, sample_bernoulli, sample_with, table_evaluate)
 from zolab import randmodel
-from zolab.errors import ExperimentError
+from zolab.errors import CapacityError, ExperimentError
 from zolab.folang import parse
 from zolab.hypercore import Hypergraph, copy_images, count_copies, has_copy, to_shg
 from zolab.randmodel import (
@@ -506,6 +506,21 @@ def test_poisson_fit_preconditions():
     # one bare vertex is strictly balanced, but density 0 has no threshold
     with pytest.raises(ValueError, match="density 0"):
         poisson_fit(cfg, [Hypergraph.make(3, [1], [])])
+
+
+def test_poisson_fit_caps_its_motif_count(monkeypatch):
+    # the pooled histogram has 6^k cells for k motifs: nine are refused
+    # before the first trial, eight still reach the sampler
+    def no_sample(cfg, i):
+        raise RuntimeError("sampled")
+
+    monkeypatch.setattr(randmodel, "sample", no_sample)
+    cfg = ExperimentConfig(s=3, n=30, trials=2, seed=1, alpha=F(3))
+    edge = Hypergraph.make(3, [1, 2, 3], [(1, 2, 3)])
+    with pytest.raises(CapacityError, match="^9 motifs exceed the cap of 8"):
+        poisson_fit(cfg, [edge] * 9)
+    with pytest.raises(ExperimentError, match="sampled$"):
+        poisson_fit(cfg, [edge] * 8)
 
 
 def test_probe_interior_estimate_at_critical_alpha():
