@@ -50,8 +50,9 @@ def _types(d: tuple[int, ...], verts: list[int], slot: dict[int, int], link: dic
     a bit mask over the (s-1)-sets of d: a bit is set iff the vertex forms an
     edge with that set.  The types come from _child_types, one pebble of d at
     a time from all-zero types, so the sets are numbered as _child_types
-    creates them (see _atom_order) and two tuples d of one length number
-    their sets alike: their types compare directly.
+    creates them, by the pebble indices alone: two tuples d of one length
+    number their sets alike, and their types compare directly.  Nothing else
+    reads which bit stands for which set.
     """
     types = (0,) * len(verts)
     for i, v in enumerate(d):
@@ -154,9 +155,11 @@ class _Solver:
     child and a reply's child, with r - 1 <= 2 rounds left, are compared by
     their ranks (see _Side), and with one round left a pick wins iff its
     type is missing on the other side.  distinguish reads the fact a reply of
-    another type breaks off the two types: an equality when either vertex is
-    pebbled, else the atom of the first (s-1)-set of g pebbles, in label
-    order, whose bit differs; replies that break the same fact add it once.
+    another type breaks off the two structures: an equality when either
+    vertex is pebbled, else the atom of the first (s-1)-set of g pebbles, in
+    label order, that one vertex completes to an edge (its side's `link`)
+    and the other does not on its side; replies that break the same fact
+    add it once.
     A solver holds no reference cycle, so its tables are freed as soon as
     the caller drops it.
     """
@@ -227,7 +230,7 @@ class _Solver:
         x = _var(n)
         first = [pg.index(y) for y in dg]  # the same pebble indices on both sides
         names = {y: _var(i) for i, y in enumerate(pg)}  # a vertex's last pebble
-        order = None
+        links = None
         # the parts in reply order, each kept once: a subformula by value, a
         # fact by its printed variables and sign (a reply in g prints as x)
         parts: list[Formula] = []
@@ -238,14 +241,19 @@ class _Solver:
                 if f not in parts:
                     parts.append(f)
                 continue
-            a, (ta, tb) = (v, (t, u)) if side == 0 else (w, (u, t))
+            a, b, ta, tb = (v, w, t, u) if side == 0 else (w, v, u, t)
             if ta < 0 or tb < 0:  # a repeat on either side breaks an equality
                 i, j = (first[~y] if y < 0 else n for y in (ta, tb))
                 key = Eq, (_var(min(i, j)), x), i < j
             else:
-                order = order or _atom_order(dg, self.s)
-                rest, bit = next(rb for rb in order if (ta ^ tb) & rb[1])
-                key = Atom, tuple(names.get(y, x) for y in sorted((a, *rest))), bool(ta & bit)
+                if links is None:  # each (s-1)-set of g pebbles, its image in h
+                    to_h = dict(zip(pg, ph))
+                    links = [(rest, self.g.link.get(frozenset(rest), ()),
+                              self.h.link.get(frozenset(map(to_h.get, rest)), ()))
+                             for rest in itertools.combinations(sorted(dg), self.s - 1)]
+                rest, on_g = next((rest, a in lg) for rest, lg, lh in links
+                                  if (a in lg) != (b in lh))
+                key = Atom, tuple(names.get(y, x) for y in sorted((a, *rest))), on_g
             if key not in facts:
                 facts.add(key)
                 kind, args, holds = key
@@ -254,18 +262,6 @@ class _Solver:
         if side == 0:
             return Exists(x, functools.reduce(And, parts) if parts else Eq(x, x))
         return Forall(x, functools.reduce(Or, parts) if parts else Not(Eq(x, x)))
-
-
-def _atom_order(d: tuple[int, ...], s: int) -> list[tuple[tuple[int, ...], int]]:
-    """The (s-1)-sets of the pebbled vertices d, as combinations of their
-    sorted labels, each with its bit over d.  The bits are numbered as
-    _child_types creates them: the sets whose largest index in d is j come
-    after those below j, in combinations(d[:j], s - 2) order."""
-    bits: dict[frozenset[int], int] = {}
-    for j, v in enumerate(d):
-        for combo in itertools.combinations(d[:j], s - 2):
-            bits[frozenset((*combo, v))] = 1 << len(bits)
-    return [(rest, bits[frozenset(rest)]) for rest in itertools.combinations(sorted(d), s - 1)]
 
 
 def _distinct(pebbles: tuple[int, ...]) -> tuple[int, ...]:

@@ -665,6 +665,15 @@ def _dist_pair(i: int, j: int, s: int, x: str, y: str, z: str, names: _Names) ->
     return And(_dist_exact(i, s, x, z, names), _dist_exact(j, s, z, y, names))
 
 
+def _edge_with(args: tuple[str, ...], s: int, names: _Names,
+               avoid: tuple[str, ...] = ()) -> Formula:
+    """`args` extend to an edge by fresh pads, none of them equal to a
+    variable of `avoid`; the pads are drawn from `names` when this is called."""
+    pads = names.batch(s - len(args))
+    return exists_all(pads, and_all([Atom((*args, *pads))]
+                                    + [neq(y, u) for y in pads for u in avoid]))
+
+
 # ---------------------------------------------------------------------------
 # the two composite properties used to probe the spectrum endpoints
 # ---------------------------------------------------------------------------
@@ -705,8 +714,7 @@ def build_theorem6_L(s: int, k: int) -> Formula:
     def r_two(base: str) -> Formula:
         # radius half - 1 degenerates to equality at l = 1
         x1, x2 = names.fresh(), names.fresh()
-        pads = names.batch(s - 3)
-        edge = exists_all(pads, Atom((base, x1, x2, *pads)))
+        edge = _edge_with((base, x1, x2), s, names)
         return exists_all(
             [x1, x2],
             and_all([_dist_exact(half - 1, s, u1, x1, names),
@@ -752,21 +760,12 @@ def _theorem8_base(s: int) -> Formula:
     names = _Names()
     x1, x2, x3 = "x1", "x2", "x3"
 
-    def t_pred(args: tuple[str, ...]) -> Formula:
-        # T_i: the i given vertices extend to an edge
-        pads = names.batch(s - len(args))
-        atom = Atom((*args, *pads))
-        return exists_all(pads, atom) if pads else atom
-
-    pads1 = names.batch(s - 3)
-    first = exists_all(pads1, Atom((x1, x2, x3, *pads1))) if pads1 else Atom((x1, x2, x3))
-    ys = names.batch(s - 2)
-    second = exists_all(ys, and_all([Atom((x1, x2, *ys))] + [neq(y, x3) for y in ys]))
-    q1 = Exists(x2, Exists(x3, And(first, second)))
-
+    q1 = Exists(x2, Exists(x3, And(_edge_with((x1, x2, x3), s, names),
+                                   _edge_with((x1, x2), s, names, (x3,)))))
+    # T_i: the i given vertices extend to an edge
     q2 = Exists(x2, Exists(x3, and_all([
-        t_pred((x1, x2)), t_pred((x1, x3)), t_pred((x2, x3)),
-        Not(t_pred((x1, x2, x3)))])))
+        _edge_with((x1, x2), s, names), _edge_with((x1, x3), s, names),
+        _edge_with((x2, x3), s, names), Not(_edge_with((x1, x2, x3), s, names))])))
     return Exists(x1, And(q1, q2))
 
 
@@ -774,48 +773,31 @@ def _theorem8_chain(s: int, k: int, a1: int, a2: int) -> Formula:
     names = _Names()
     x1 = "x1"
 
-    def r_one(x: str, y1: str, y2: str) -> Formula:
-        ys = names.batch(s - 2)
-        return exists_all(ys, and_all([Atom((y1, y2, *ys))] + [neq(y, x) for y in ys]))
-
-    def r_two(y1: str, y2: str, y3: str) -> Formula:
-        if s == 3:
-            return Not(Atom((y1, y2, y3)))
-        ys = names.batch(s - 3)
-        return Not(exists_all(ys, Atom((y1, y2, y3, *ys))))
-
     def c_one(w: str) -> Formula:
         p, q = names.fresh(), names.fresh()
-        pads1 = names.batch(s - 3)
-        atom1 = Atom((w, p, q, *pads1))
-        both = and_all([atom1] + [neq(y, x1) for y in pads1])
-        edge1 = exists_all(pads1, both) if pads1 else atom1
-        ys = names.batch(s - 2)
-        edge2 = exists_all(ys, and_all(
-            [Atom((w, p, *ys))] + [f for y in ys for f in (neq(y, x1), neq(y, q))]))
         return and_all([neq(w, x1),
                         Exists(p, Exists(q, and_all(
-                            [neq(p, x1), neq(q, x1), edge1, edge2])))])
+                            [neq(p, x1), neq(q, x1), _edge_with((w, p, q), s, names, (x1,)),
+                             _edge_with((w, p), s, names, (x1, q))])))])
 
     def c_two(w: str) -> Formula:
         p, q = names.fresh(), names.fresh()
         return and_all([neq(w, x1),
                         Exists(p, Exists(q, and_all(
-                            [neq(p, x1), neq(q, x1),
-                             r_one(x1, w, p), r_one(x1, w, q), r_one(x1, p, q),
-                             r_two(w, p, q)])))])
+                            [neq(p, x1), neq(q, x1), _edge_with((w, p), s, names, (x1,)),
+                             _edge_with((w, q), s, names, (x1,)),
+                             _edge_with((p, q), s, names, (x1,)),
+                             Not(_edge_with((w, p, q), s, names))])))])
 
     def leg(first_dist: int, tail: "callable") -> Formula:
-        # chain: x2 at distance first_dist from x1, then hops 2^(k-s-1) .. 2^2
+        # chain: x2 at distance first_dist from x1, then hops 2^(k-s-1) .. 2^2;
+        # every link is built before the tail, which keeps the fresh names
         dists = [first_dist] + [1 << j for j in range(k - s - 1, 1, -1)]
         hops = [x1] + names.batch(len(dists))
-
-        def nest(i: int) -> Formula:
-            link = _dist_exact(dists[i], s, hops[i], hops[i + 1], names)
-            if i + 1 == len(dists):
-                return Exists(hops[i + 1], And(link, tail(hops[i + 1])))
-            return Exists(hops[i + 1], And(link, nest(i + 1)))
-
-        return nest(0)
+        links = [_dist_exact(i, s, u, v, names) for i, u, v in zip(dists, hops, hops[1:])]
+        out = tail(hops[-1])
+        for v, link in zip(reversed(hops[1:]), reversed(links)):
+            out = Exists(v, And(link, out))
+        return out
 
     return Exists(x1, And(leg(a1, c_one), leg(a2, c_two)))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_game_formula, hypergraphs, random_formula, random_hypergraph
-from zolab.efgame import _atom_order, _child_types, _Side, distinguishing_formula, duplicator_wins
+from zolab.efgame import _child_types, _Side, distinguishing_formula, duplicator_wins
 from zolab.errors import CapacityError
 from zolab.folang import evaluate, quantifier_depth, to_text
 from zolab.hypercore import Hypergraph
@@ -187,11 +187,15 @@ def test_formula_text_matches_memo_free_recursion_at_four_rounds():
     # gate for the type-partitioned recursion: at k = 4 the solver prunes
     # replies by type below positions with two or more rounds left and after
     # repeated pebbles.  Four pebbles never complete an s = 5 atom, so those
-    # pairs separate by equality facts alone.  `deep` counts the pairs that
-    # Spoiler wins in four rounds but not in three.
-    for s, low, pairs, seed, least, least_deep in ((3, 2, 100, 61, 55, 6), (5, 1, 40, 62, 8, 3)):
+    # pairs separate by equality facts alone.  The s = 4 pairs have four or
+    # more vertices a side, so equalities never separate them: every win
+    # there is deep and reads a broken four-argument atom off the structures.
+    # `deep` counts the pairs that Spoiler wins in four rounds but not in
+    # three.
+    for s, low, pairs, seed, least, least_deep in (
+            (3, 2, 100, 61, 55, 6), (5, 1, 40, 62, 8, 3), (4, 4, 30, 66, 12, 12)):
         rng = random.Random(seed)
-        spoiler_wins = deep = 0
+        spoiler_wins = deep = atoms = 0
         for _ in range(pairs):
             g = random_hypergraph(rng, rng.randint(low, 6), s=s, p=rng.uniform(0.2, 0.7))
             if rng.random() < 0.5:
@@ -205,7 +209,9 @@ def test_formula_text_matches_memo_free_recursion_at_four_rounds():
                 spoiler_wins += 1
                 deep += brute_game_formula(g, h, 3) is None
                 assert to_text(got) == to_text(want)
+                atoms += "N(" in to_text(got)
         assert spoiler_wins >= least and deep >= least_deep, (s, spoiler_wins, deep)
+        assert s != 4 or atoms == deep == spoiler_wins, (s, spoiler_wins, deep, atoms)
 
 
 def test_formula_text_matches_memo_free_recursion_at_five_rounds():
@@ -232,32 +238,40 @@ def test_formula_text_matches_memo_free_recursion_at_five_rounds():
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.data())
 def test_child_types_and_atom_bits_agree_with_types(data):
-    # over every prefix d of a pebbling order, and after one more pebble on any
-    # vertex d leaves out, each vertex's type is its atomic type by definition:
-    # ~(first index) when pebbled, else the _atom_order bits of the (s-1)-sets
-    # of d it forms an edge with, and no other bit
+    # what the solver relies on, over every prefix d of a pebbling order on
+    # each of two structures and after one more pebble on any vertex d leaves
+    # out: a pebbled vertex's type is ~(first index); an unpebbled vertex's
+    # type lies below 1 << comb(len(d), s - 1), with one bit per (s-1)-set of
+    # pebble indices it forms an edge with; and two unpebbled vertices, on
+    # either structure and over any two tuples of one length, have equal
+    # types iff they form edges with the same index sets.  Which bit stands
+    # for which set is left open.
     s = data.draw(st.sampled_from((3, 4, 5)))
-    g = data.draw(hypergraphs(s, data.draw(st.integers(s, 7))))
-    side = _Side(g, {})
-    order = tuple(data.draw(st.permutations(side.verts)))
+    graphs = [data.draw(hypergraphs(s, data.draw(st.integers(s, 7)))) for _ in range(2)]
+    sides = [_Side(g, {}) for g in graphs]
+    orders = [tuple(data.draw(st.permutations(x.verts))) for x in sides]
+    meaning: dict[int, tuple[dict, dict]] = {}  # per len(d): type -> sets, sets -> type
 
-    def check(d, types):
-        atoms = _atom_order(d, s)
-        room = math.comb(len(d), s - 1)
-        assert sorted(bit for _, bit in atoms) == [1 << i for i in range(room)], d
-        for v, t in zip(side.verts, types):
+    def check(g, x, d, types):
+        by_type, by_sets = meaning.setdefault(len(d), ({}, {}))
+        for v, t in zip(x.verts, types):
             if v in d:
                 assert t == ~d.index(v), (d, v)
-            else:
-                want = sum(bit for rest, bit in atoms if frozenset((v, *rest)) in g.edges)
-                assert t == want, (d, v)
+                continue
+            sets = frozenset(c for c in itertools.combinations(range(len(d)), s - 1)
+                             if frozenset((v, *(d[i] for i in c))) in g.edges)
+            assert 0 <= t < 1 << math.comb(len(d), s - 1), (d, v, t)
+            assert t.bit_count() == len(sets), (d, v, t)
+            assert by_type.setdefault(t, sets) == sets, (d, v, t)
+            assert by_sets.setdefault(sets, t) == t, (d, v, sets)
 
-    for m in range(len(order) + 1):
-        d = order[:m]
-        types = side.types(d)[0]
-        check(d, types)
-        for v in order[m:]:
-            check(d + (v,), _child_types(types, d, v, side.slot, side.link, s))
+    for g, x, order in zip(graphs, sides, orders):
+        for m in range(len(order) + 1):
+            d = order[:m]
+            types = x.types(d)[0]
+            check(g, x, d, types)
+            for v in order[m:]:
+                check(g, x, d + (v,), _child_types(types, d, v, x.slot, x.link, s))
 
 
 def test_equal_ranks_are_duplicator_wins():

@@ -348,6 +348,11 @@ def test_builder_text_and_depth_pinned():
         build_theorem6_L(3, 8): (8, 1308, "94773e8f99ffcd81"),
         build_theorem8_L(3, 5, 2, 2): (5, 639, "b1004673b5b6874c"),
         build_theorem8_L(3, 6, 2, 5): (6, 1755, "a8d4674ca94ae652"),
+        # at s = 4 and 5 the pads are non-empty, and the `avoid` order shows
+        build_theorem8_L(4, 5): (5, 294, "8baceb900a681312"),
+        build_theorem8_L(4, 6, 3, 2): (6, 1062, "ee4cc8a8d60ce239"),
+        build_theorem8_L(5, 7, 2, 3): (7, 1360, "2c96d1ccc24be87f"),
+        build_theorem6_L(4, 9): (9, 1687, "00f92501af9a2b45"),
     }
     for f, (depth, length, digest) in pinned.items():
         text = to_text(f)
