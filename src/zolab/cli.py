@@ -116,7 +116,7 @@ def _cmd_parse(args) -> None:
 
 
 def _cmd_eval(args) -> None:
-    compiled = folang.compile(folang.parse(args.formula))
+    f = folang.parse(args.formula)
     assignment = {}
     for item in args.assign or []:
         name, _, val = item.partition("=")
@@ -124,10 +124,10 @@ def _cmd_eval(args) -> None:
             raise ValueError(f"bad assignment {item!r}, expected var=vertex")
         if name in assignment:
             raise ValueError(f"--assign {name} given twice")
-        if name not in compiled.free:
+        if name not in folang.compile(f).free:
             raise ValueError(f"--assign {name}: not a free variable of the formula")
         assignment[name] = int(val)
-    value = folang.evaluate(compiled, _load(args.host), assignment)
+    value = folang.evaluate(f, _load(args.host), assignment)
     _emit({"schema": 1, "value": value})
 
 
@@ -139,10 +139,8 @@ def _cmd_game(args) -> None:
     if args.formula and not dup:
         f = efgame.distinguishing_formula(left, right, args.rounds, cap=args.cap)
         payload["formula"] = folang.to_text(f)
-        compiled = folang.compile(f)
-        payload["formula_verified"] = bool(
-            folang.evaluate(compiled, left) != folang.evaluate(compiled, right)
-            and folang.quantifier_depth(f) <= args.rounds)
+        payload["formula_verified"] = (folang.evaluate(f, left) != folang.evaluate(f, right)
+                                       and folang.quantifier_depth(f) <= args.rounds)
     _emit(payload)
 
 

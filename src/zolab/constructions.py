@@ -12,6 +12,7 @@ from .bounds import theorem8_split
 from .errors import VerificationError
 from .extlab import is_pair_strictly_balanced
 from .hypercore import (
+    CANDIDATE_EDGE_LIMIT,
     Hypergraph,
     RootedPair,
     density,
@@ -75,7 +76,8 @@ def theorem6_pair(s: int, l: int, m: int) -> Theorem6Witness:
     strict balance of H and of the pair.
 
     alpha = s - 1 - 1/2^l + 1/(2^l m); requires m >= 2 so alpha < s - 1 stays
-    meaningful as a spectrum point.
+    meaningful as a spectrum point.  G has 3m * 2^l edges; past
+    CANDIDATE_EDGE_LIMIT it is refused before it is built.
     """
     if s < 3:
         raise ValueError("arity must be >= 3")
@@ -83,6 +85,9 @@ def theorem6_pair(s: int, l: int, m: int) -> Theorem6Witness:
         raise ValueError("l must be >= 1")
     if m < 2:
         raise ValueError("m must be >= 2")
+    if 3 * m > CANDIDATE_EDGE_LIMIT >> l:  # 3m * 2^l > the limit, without building 2^l
+        raise ValueError(f"G would have 3m * 2^l = {3 * m} * 2^{l} edges, "
+                         f"over the limit {CANDIDATE_EDGE_LIMIT}")
     t = 1 << l
     a, b = 1, 2
     labels = _Labels(3)
@@ -148,8 +153,13 @@ def theorem8_witnesses(s: int, k: int, a1: int | None = None,
 
     For k >= s + 2 a split a1 + a2 = a + 3 with a1, a2 in {1..2^(k-s)} must be
     supplied (the choice changes H); for k = s + 1 the parameters are fixed.
+    An H of more than CANDIDATE_EDGE_LIMIT edges is refused before it is built.
     """
     a = theorem8_split(s, k, a1, a2)
+    expected_e = (1 << (k - s + 1)) + a
+    if expected_e > CANDIDATE_EDGE_LIMIT:
+        raise ValueError(f"H would have 2^(k-s+1) + a = 2^{k - s + 1} + {a} edges, "
+                         f"over the limit {CANDIDATE_EDGE_LIMIT}")
     labels = _Labels(1)
     if k == s + 1:  # both circuits pass through the center
         (x,) = labels.take(1)
@@ -167,8 +177,7 @@ def theorem8_witnesses(s: int, k: int, a1: int | None = None,
         h = Hypergraph.from_edges(
             s, list(part1.edges) + list(part2.edges) + e_path1 + e_path2)
 
-    alpha = Fraction(s - 1) - Fraction(1, (1 << (k - s + 1)) + a)
-    expected_e = (1 << (k - s + 1)) + a
+    alpha = Fraction(s - 1) - Fraction(1, expected_e)
     if h.num_edges != expected_e:
         raise VerificationError(f"e(H) = {h.num_edges}, expected {expected_e}")
     if h.num_vertices != expected_e * (s - 1) - 1:

@@ -396,7 +396,7 @@ def _candidates(guard: tuple | None) -> Callable:
 
 
 class CompiledFormula:
-    """A formula turned into closures by `compile`; `evaluate` runs it.
+    """A formula turned into closures, kept on it by `compile`; `evaluate` runs it.
 
     `arity` is the common arity of the N atoms (None without atoms) and
     `tables` the number of memo tables one run needs."""
@@ -457,7 +457,10 @@ class _Run:
 
 def compile(f: Formula) -> CompiledFormula:
     """Closures, free variables, N arity and quantifier guards of f, in one
-    pass."""
+    pass on the first call.  The result is kept on f, outside its fields (so
+    a compiled formula no longer pickles), and every later call returns it."""
+    if "_compiled" in f.__dict__:
+        return f.__dict__["_compiled"]
     arities: set[int] = set()
     qids, tables = itertools.count(), itertools.count()
 
@@ -582,19 +585,19 @@ def compile(f: Formula) -> CompiledFormula:
     root, free, _, _, _ = go(f, dict.fromkeys(free_variables(f), -1))
     if len(arities) > 1:
         raise ValueError(f"inconsistent N arities: {sorted(arities)}")
-    return CompiledFormula(next(iter(arities), None), free, next(tables), root)
+    f.__dict__["_compiled"] = CompiledFormula(next(iter(arities), None), free, next(tables), root)
+    return f.__dict__["_compiled"]
 
 
-def evaluate(f: Formula | CompiledFormula, g: Hypergraph,
-             assignment: Mapping[str, int] | None = None) -> bool:
+def evaluate(f: Formula, g: Hypergraph, assignment: Mapping[str, int] | None = None) -> bool:
     """Standard Tarskian semantics; quantifiers range over the vertices of g.
 
-    f is a formula, or one compiled once by `compile` to be run on many hosts.
+    f runs in the compiled form that `compile` keeps on it, built only once.
     The assignment must cover every free variable.  A quantifier tries only
     the values its guard admits, which never changes the truth value.  Where
     a key can repeat, it memoizes on its free variables, within this call.
     """
-    c = f if isinstance(f, CompiledFormula) else compile(f)
+    c = compile(f)
     if c.arity is not None and c.arity != g.s:
         raise ValueError(f"N arity {c.arity} does not match host arity {g.s}")
     env = dict(assignment or {})

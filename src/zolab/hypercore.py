@@ -31,6 +31,7 @@ if TYPE_CHECKING:
 
 DEFAULT_ENUM_CAP = 24    # vertex cap of find_m_decomposition and of prop1's searches
 DEFAULT_SEARCH_CAP = 16  # vertex cap for isomorphism-type backtracking
+CANDIDATE_EDGE_LIMIT = 1 << 22  # most edges a draw or a witness construction builds
 _Image = tuple[frozenset[int], frozenset[frozenset[int]]]  # a copy's vertices and edges
 
 

@@ -40,13 +40,11 @@ import numpy as np
 
 from .errors import CapacityError, ExperimentError, VerificationError
 from .extlab import count_uncovered_copies, is_pair_strictly_balanced, prop1_poisson_parameter
-from .folang import Formula, evaluate
-from .folang import compile as compile_formula
+from .folang import Formula, compile as compile_formula, evaluate
 from .hypercore import Hypergraph, RootedPair, automorphism_count, count_copies, density
-from .hypercore import DEFAULT_ENUM_CAP, has_copy, is_strictly_balanced
+from .hypercore import CANDIDATE_EDGE_LIMIT, DEFAULT_ENUM_CAP, has_copy, is_strictly_balanced
 
 EXACT_RANK_LIMIT = 2000
-CANDIDATE_EDGE_LIMIT = 1 << 22  # most edges a draw builds at p = 1, or expects at p < 1
 POOL_AT = 5  # pooled_tv_distance pools each count's tail at >= POOL_AT
 POOLED_MOTIF_CAP = 8  # poisson_fit's motifs: pooled_tv_distance walks (POOL_AT + 1)^k cells
 _MASK = (1 << 64) - 1
@@ -298,16 +296,16 @@ def _outcomes(cfg: ExperimentConfig, statistic: Callable[[Hypergraph], object]) 
     """statistic(sample(cfg, i)) for every trial i: the one trial loop of the
     experiments.  An error in trial i, drawing the host or checking it, names
     the trial and the config.  Capacity and verification errors keep their
-    class, so their exit codes hold; any other error becomes an
-    ExperimentError."""
+    class, so their exit codes hold; the recursion limit is a capacity error,
+    and any other error becomes an ExperimentError."""
     out = []
     for i in range(cfg.trials):
         try:
             out.append(statistic(sample(cfg, i)))
         except Exception as exc:
             config = ", ".join(f"{k}={v}" for k, v in cfg.to_dict().items())
-            kept = isinstance(exc, (CapacityError, VerificationError))
-            cls = type(exc) if kept else ExperimentError
+            cls = (type(exc) if isinstance(exc, (CapacityError, VerificationError))
+                   else CapacityError if isinstance(exc, RecursionError) else ExperimentError)
             raise cls(f"trial {i} of {{{config}}}: {exc}") from exc
     return out
 
@@ -485,10 +483,9 @@ def motif_predicate(motif: Hypergraph) -> Callable[[Hypergraph], bool]:
 
 def formula_predicate(formula: Formula) -> Callable[[Hypergraph], bool]:
     """The closed formula's truth on a host; a free variable is a ValueError."""
-    compiled = compile_formula(formula)
-    if compiled.free:
-        raise ValueError(f"a property formula must be closed: free {sorted(compiled.free)}")
+    if free := compile_formula(formula).free:
+        raise ValueError(f"a property formula must be closed: free {sorted(free)}")
 
     def pred(g: Hypergraph) -> bool:
-        return evaluate(compiled, g)
+        return evaluate(formula, g)
     return pred

@@ -315,6 +315,33 @@ def test_capacity_errors_in_trial_loops_exit_3(shg_files, capsys, tmp_path):
     assert json.loads(capsys.readouterr().err)["kind"] == "capacity"
 
 
+def test_recursion_limit_in_a_trial_exits_3(capsys, monkeypatch):
+    from zolab import randmodel
+
+    def deep(f, g):
+        return deep(f, g)
+
+    monkeypatch.setattr(randmodel, "evaluate", deep)
+    assert main(["scan", "--s", "3", "--n", "5", "--p", "0.5", "--trials", "1", "--seed", "1",
+                 "--formula", "exists x x = x"]) == 3
+    out, err = capsys.readouterr()
+    err = json.loads(err)
+    assert out == "" and err["kind"] == "capacity"
+    assert err["error"].startswith("trial 0 of {s=3, n=5, trials=1, seed=1, ")
+
+
+def test_oversize_constructions_are_refused(capsys):
+    # 2^38 + 1 and 6 * 2^30 edges, past the limit draws obey: refused before
+    # they are built, with nothing on stdout
+    for argv in (["theorem8", "--s", "3", "--k", "40", "--a1", "1", "--a2", "3"],
+                 ["theorem6", "--s", "3", "--l", "30", "--m", "2"]):
+        assert main(["construct", *argv]) == 2
+        out, err = capsys.readouterr()
+        err = json.loads(err)
+        assert out == "" and err["kind"] == "usage"
+        assert err["error"].endswith("edges, over the limit 4194304")
+
+
 def test_env_var_default_seed(shg_files, capsys, monkeypatch):
     monkeypatch.setenv("ZOLAB_SEED", "77")
     code, payload = run_json(capsys, ["scan", "--s", "3", "--n", "12",

@@ -220,6 +220,31 @@ def test_theorem8_counts_match_closed_form():
         assert w.alpha == F(s - 1) - F(1, e)
 
 
+def test_oversize_witnesses_are_refused_before_they_are_built(monkeypatch):
+    # G has 3m * 2^l edges and the Theorem 8 H 2^(k-s+1) + a; past the limit
+    # that draws obey, each is refused before an edge is built
+    start = time.process_time()
+    with pytest.raises(ValueError, match=r"^G would have 3m \* 2\^l = 6 \* 2\^30 edges, "
+                                         "over the limit 4194304$"):
+        theorem6_pair(3, 30, 2)
+    with pytest.raises(ValueError, match=r"^H would have 2\^\(k-s\+1\) \+ a = 2\^38 \+ 1 "
+                                         "edges, over the limit 4194304$"):
+        theorem8_witnesses(3, 40, 1, 3)
+    assert time.process_time() - start < 0.2
+    for l, m in itertools.product((1, 2, 3), (2, 3)):
+        assert theorem6_pair(3, l, m).g.num_edges == 3 * m << l
+    # a witness of exactly the limit is built, larger ones are refused
+    monkeypatch.setattr(constructions, "CANDIDATE_EDGE_LIMIT", 48)
+    assert theorem6_pair(3, 3, 2).g.num_edges == 48
+    for l, m in ((4, 2), (3, 3)):
+        with pytest.raises(ValueError, match="over the limit 48$"):
+            theorem6_pair(3, l, m)
+    monkeypatch.setattr(constructions, "CANDIDATE_EDGE_LIMIT", 9)
+    assert theorem8_witnesses(3, 5, 1, 3).h.num_edges == 9
+    with pytest.raises(ValueError, match="over the limit 9$"):
+        theorem8_witnesses(3, 5, 2, 3)
+
+
 def test_omega_tilde_check():
     w = theorem8_witnesses(3, 4)
     assert omega_tilde_check(w.h, F(9, 5), size_cap=9)

@@ -16,6 +16,7 @@ from helpers import (
     table_evaluate,
     truth_table,
 )
+from zolab import folang
 from zolab.folang import (
     _Names,
     _Run,
@@ -166,8 +167,8 @@ def _formulas(draw, s: int, depth: int = 3, size: int = 2, scope: tuple = ()):
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(st.data())
 def test_compiled_runs_match_table_oracle(data):
-    # one compiled formula run over several hosts must answer each host as a
-    # fresh evaluation does: quantifier guards and memo tables are per host
+    # the form compiled once and kept on f, run over several hosts and twice
+    # on each, must answer as the oracle does: guards and memo tables are per run
     s = data.draw(st.sampled_from((3, 4)))
     n = data.draw(st.integers(0, 6))
     f = data.draw(_formulas(s))
@@ -178,7 +179,8 @@ def test_compiled_runs_match_table_oracle(data):
     for g in data.draw(st.lists(hypergraphs(s, n), min_size=1, max_size=3)):
         want = table_evaluate(f, g, env)
         assert evaluate(f, g, env) == want
-        assert evaluate(compiled, g, env) == want
+        assert evaluate(f, g, env) == want
+        assert compile(f) is compiled
 
 
 # names of distance contexts and of the bound names inside distance subtrees,
@@ -298,7 +300,8 @@ def test_distance_subtrees_match_table_oracle(data):
     compiled = compile(f)
     free, rows = truth_table(f, g)
     for values, want in rows.items():
-        assert evaluate(compiled, g, dict(zip(free, values))) == want
+        assert evaluate(f, g, dict(zip(free, values))) == want
+    assert compile(f) is compiled
 
 
 def test_run_ball_matches_bfs():
@@ -310,6 +313,30 @@ def test_run_ball_matches_bfs():
         for v, radius in itertools.product(sorted(g.vertices), (3, 0, 5, 1, 2)):
             want = {w for w in g.vertices if brute_distance(g, v, w) <= radius}
             assert run.ball(v, radius) == want
+
+
+def test_compiled_form_is_built_once_and_kept(monkeypatch):
+    # compile builds a formula's closures on the first call and keeps them on
+    # the formula; evaluate runs that one form on every host
+    built = []
+
+    class Counted(folang.CompiledFormula):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(folang, "CompiledFormula", Counted)
+    f = build_dist_exact(2, 3, "u", "v")
+    twin = build_dist_exact(2, 3, "u", "v")
+    assert compile(f) is compile(f)
+    for edges in ([(1, 2, 3), (3, 4, 5), (5, 6, 7)], [(1, 2, 3), (3, 4, 1)], []):
+        g = Hypergraph.make(3, range(1, 8), edges)
+        for u, v in ((1, 5), (2, 4), (1, 7)):
+            assert evaluate(f, g, {"u": u, "v": v}) == (distance(g, u, v) == 2)
+    assert len(built) == 1
+    # the kept form is outside the fields: equality, hashing and repr ignore it
+    assert f == twin and hash(f) == hash(twin) and repr(f) == repr(twin)
+    assert compile(twin) is not compile(f) and len(built) == 2
 
 
 def test_recognised_subtree_keeps_checks():
@@ -423,7 +450,8 @@ def test_planted_guards_and_loops_match_table_oracle(data):
         free, rows = truth_table(f, g)
         for values, want in rows.items():
             env = dict(zip(free, values))
-            assert evaluate(compiled, g, env) == want, (text, env)
+            assert evaluate(f, g, env) == want, (text, env)
+        assert compile(f) is compiled
 
 
 class _CountedEdges(frozenset):

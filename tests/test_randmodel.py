@@ -459,6 +459,18 @@ def test_trial_loop_errors_name_the_trial_and_config():
             run()
 
 
+def test_recursion_limit_in_a_trial_is_a_capacity_error():
+    # a check past the recursion limit, like a formula that compiles but nests
+    # too deeply to run, is a capacity error that names the trial and the config
+    def deep(g):
+        return deep(g)
+
+    cfg = ExperimentConfig(s=3, n=5, trials=1, seed=1, p=0.5)
+    with pytest.raises(CapacityError, match=r"^trial 0 of \{s=3, n=5, trials=1, seed=1, .*\}: "
+                                            "maximum recursion depth exceeded"):
+        estimate_probability(cfg, deep)
+
+
 def test_prop1_cap_reaches_only_its_searches():
     from zolab.constructions import theorem6_pair
     from zolab.errors import CapacityError
